@@ -7,8 +7,12 @@ Subcommands:
               against the branch-counting oracle; nonzero exit on mismatch
     duals     validate the dual-pair invariants (and the half-gap witness)
 
+A pair derived through the half-gap lemma has the lemma checked at every
+input by verify and duals, and only at the input run by gap and simulate.
+
 Machine output goes to stdout as JSON; diagnostics go to stderr.
-Exit codes: 0 success, 1 verification mismatch, 2 usage or spec error.
+Exit codes: 0 success, 1 verification mismatch (including a circuit that
+fails its own exact self-check), 2 usage or spec error.
 """
 from __future__ import annotations
 
@@ -50,7 +54,13 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
 CONSTRUCTIONS = ("un", "fig3-zqp", "fig3-post", "wn", "lwpp", "lpwpp")
+# Constructions that read the half-gap witness, which --corrupt-h bumps.
+CORRUPTIBLE = {"simulate": ("lwpp",), "verify": ("lwpp", "lpwpp", "all")}
 DESK_SCALE_LIMIT = 20
+
+# A circuit whose exact output breaks its own invariant: a mismatch, not a
+# usage error.
+_SELF_CHECK_ERRORS = (ResidualTermError, AncillaRestorationError, SimulationInvariantError)
 
 _DOMAIN_ERRORS = (
     SpecError,
@@ -108,7 +118,9 @@ def _m_hint(spec_or_name: ProblemSpec | str, n: int) -> int:
         return int(json.load(fh)["m"]) + extra
 
 
-def _load(args) -> ResolvedProblem:
+def _load(args, inputs=None) -> ResolvedProblem:
+    """Resolve --problem at --n; a lemma-derived pair is checked at `inputs`
+    only when given, at every input otherwise."""
     ref = args.problem
     n = args.n
     if n is None:
@@ -119,7 +131,15 @@ def _load(args) -> ResolvedProblem:
         raise SpecError(
             f"n + m = {n + m} exceeds the desk-scale limit "
             f"{DESK_SCALE_LIMIT}; pass --force-large to override")
-    return resolve_problem(spec_or_name, n, seed=args.seed)
+    return resolve_problem(spec_or_name, n, seed=args.seed, inputs=inputs)
+
+
+def _check_corrupt_h(args) -> None:
+    allowed = CORRUPTIBLE[args.command]
+    if args.corrupt_h and args.construction not in allowed:
+        raise SpecError(
+            f"--corrupt-h bumps the half-gap witness, which {args.command} reads only "
+            f"with --construction {' or '.join(allowed)}, not {args.construction!r}")
 
 
 def _h_value(resolved: ResolvedProblem, corrupt: bool) -> int:
@@ -140,8 +160,8 @@ def _power_form(resolved: ResolvedProblem) -> tuple[int, int]:
 
 
 def cmd_gap(args) -> int:
-    resolved = _load(args)
-    x = _parse_input(args.input, resolved.n)
+    x = _parse_input(args.input, args.n)
+    resolved = _load(args, [x])
     reports = [gap_stats(v, x).to_json() for v in resolved.verifiers]
     _emit(
         {
@@ -176,8 +196,9 @@ def _simulate_one(resolved: ResolvedProblem, construction: str, x, record, corru
 
 
 def cmd_simulate(args) -> int:
-    resolved = _load(args)
-    x = _parse_input(args.input, resolved.n)
+    _check_corrupt_h(args)
+    x = _parse_input(args.input, args.n)
+    resolved = _load(args, [x])
     outcome = _simulate_one(resolved, args.construction, x, args.checkpoints,
                             corrupt_h=args.corrupt_h)
     obj = outcome.to_json()
@@ -194,7 +215,7 @@ def cmd_simulate(args) -> int:
 def _expected_wn_state(pair, x, lx):
     width = pair.n + pair.m + 3
     xs = "".join(str(v) for v in x)
-    delta = gap_stats(pair.side(lx), x).delta
+    delta = pair.gap_reports(x)[lx].delta
     rest = StateVector.basis(width, xs + "0" * pair.m + str(lx) + "0" + "1", delta)
     return StateVector.basis(width, xs + "0" * pair.m + "000") + rest
 
@@ -259,7 +280,7 @@ def _verify_one(resolved: ResolvedProblem, construction: str, x, corrupt_h: bool
         base, t = _power_form(resolved)
         outcome = run_lpwpp(pair, base, t, x)
         reference, _ = simulate_circuit(
-            build_lwpp_decider(pair, _h_value(resolved, corrupt=False), pair.n), x)
+            build_lwpp_decider(pair, _h_value(resolved, corrupt_h), pair.n), x)
         if outcome.final_state != reference:
             return "fixed-gate-set decider differs from the length-dependent one"
         alphabet = gate_alphabet(build_lpwpp_decider(pair, base, t, pair.n))
@@ -278,6 +299,7 @@ def _available(resolved: ResolvedProblem, construction: str) -> bool:
 
 
 def cmd_verify(args) -> int:
+    _check_corrupt_h(args)
     resolved = _load(args)
     resolved.require_pair()
     if args.construction == "all":
@@ -333,7 +355,7 @@ def cmd_duals(args) -> int:
             if not row["dual"]:
                 continue
             x = tuple(int(ch) for ch in row["x"])
-            live = gap_stats(pair.side(row["language_bit"]), x)
+            live = pair.gap_reports(x)[row["language_bit"]]
             row["h_matches"] = live.delta == Amplitude(hv, 0, pair.m)
             ok = ok and row["h_matches"]
     _emit(
@@ -386,14 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--checkpoints", action="store_true",
                        help="record and include intermediate checkpoint states")
     p_sim.add_argument("--corrupt-h", action="store_true",
-                       help="fault injection: bump the half-gap witness by one")
+                       help="fault injection: bump the half-gap witness by one "
+                            "(--construction lwpp only)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="sweep all inputs and cross-check vs the oracle")
     common(p_ver, needs_input=False)
     p_ver.add_argument("--construction", default="all", choices=CONSTRUCTIONS + ("all",))
     p_ver.add_argument("--corrupt-h", action="store_true",
-                       help="fault injection: bump the half-gap witness by one")
+                       help="fault injection: bump the half-gap witness by one "
+                            "(lwpp and lpwpp rows only)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_dual = sub.add_parser("duals", help="validate dual-pair invariants")
@@ -410,6 +434,9 @@ def main(argv=None) -> int:
         args.n = len(args.input)
     try:
         return args.func(args)
+    except _SELF_CHECK_ERRORS as exc:
+        _diag(f"error: {exc}")
+        return EXIT_MISMATCH
     except _DOMAIN_ERRORS as exc:
         _diag(f"error: {exc}")
         return EXIT_USAGE

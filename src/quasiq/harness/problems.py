@@ -17,6 +17,7 @@ import jsonschema
 
 from quasiq.harness.dsl import dsl_verifier
 from quasiq.verifierkit import (
+    Bits,
     BuiltinProblem,
     DualVerifierPair,
     HalfGapFunction,
@@ -254,12 +255,13 @@ def load_problem_file(path: str) -> ProblemSpec:
     return ProblemSpec.from_json(obj, base_dir=os.path.dirname(path) or ".")
 
 
-def _resolve_builtin(entry: BuiltinProblem, n: int, seed: int | None) -> ResolvedProblem:
+def _resolve_builtin(entry: BuiltinProblem, n: int, seed: int | None,
+                     inputs: list[Bits] | None) -> ResolvedProblem:
     rng = random.Random(seed) if seed is not None else None
     if entry.kind == "single":
         verifier = entry.make_single(n)
         return ResolvedProblem(entry.name, n, verifier.m, [verifier], None, entry.h, None)
-    pair = entry.pair(n, rng)
+    pair = entry.pair(n, rng, inputs)
     base = entry.make_base(n) if entry.make_base else None
     return ResolvedProblem(
         entry.name, n, pair.m, [pair.v0, pair.v1], pair, entry.h, base,
@@ -267,15 +269,21 @@ def _resolve_builtin(entry: BuiltinProblem, n: int, seed: int | None) -> Resolve
     )
 
 
-def resolve_problem(spec_or_name: ProblemSpec | str, n: int, seed: int | None = None) -> ResolvedProblem:
-    """Instantiate a problem (builtin name or loaded spec) at input size n."""
+def resolve_problem(spec_or_name: ProblemSpec | str, n: int, seed: int | None = None,
+                    inputs: list[Bits] | None = None) -> ResolvedProblem:
+    """Instantiate a problem (builtin name or loaded spec) at input size n.
+
+    A pair derived through the half-gap lemma has the lemma's promise and
+    postcondition checked at every input, or only at `inputs` when given (for
+    a caller that will run just those; see make_dual_lwpp).
+    """
     catalog = builtin_problems()
     if isinstance(spec_or_name, str):
         if spec_or_name not in catalog:
             raise SpecError(
                 f"unknown builtin problem {spec_or_name!r}; "
                 f"choices: {', '.join(sorted(catalog))}")
-        return _resolve_builtin(catalog[spec_or_name], n, seed)
+        return _resolve_builtin(catalog[spec_or_name], n, seed, inputs)
 
     spec = spec_or_name
     if not spec.n_min <= n <= spec.n_max:
@@ -284,7 +292,7 @@ def resolve_problem(spec_or_name: ProblemSpec | str, n: int, seed: int | None = 
     if source["kind"] == "builtin":
         if source["name"] not in catalog:
             raise SpecError(f"unknown builtin problem {source['name']!r}")
-        resolved = _resolve_builtin(catalog[source["name"]], n, seed)
+        resolved = _resolve_builtin(catalog[source["name"]], n, seed, inputs)
         if spec.h is not None:
             resolved.h = spec.h
         resolved.name = spec.name
@@ -306,7 +314,7 @@ def resolve_problem(spec_or_name: ProblemSpec | str, n: int, seed: int | None = 
 
     if spec.dual == "derive-via-lemma":
         base = build("base")
-        pair = make_dual_lwpp(base, spec.h)
+        pair = make_dual_lwpp(base, spec.h, inputs)
         return ResolvedProblem(spec.name, n, pair.m, [pair.v0, pair.v1], pair, spec.h, base)
     v0, v1 = build("v0"), build("v1")
     pair = DualVerifierPair(v0, v1, name=spec.name, h_witness=spec.h)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, Iterable, Mapping
 
 from quasiq.exactnum import Amplitude
@@ -120,10 +121,8 @@ def gap_stats(v: Verifier, x: Bits) -> GapReport:
     if len(x) != v.n:
         raise ValueError(f"input length {len(x)} != verifier n = {v.n}")
     m = v.m
-    accepted = 0
-    for bkey in range(2**m):
-        if v.eval(x, bits_of(bkey, m)):
-            accepted += 1
+    evaluate = v.eval
+    accepted = sum(evaluate(x, b) for b in product((0, 1), repeat=m))
     rejected = 2**m - accepted
     diff = rejected - accepted
     assert diff % 2 == 0
@@ -231,6 +230,9 @@ class DualVerifierPair:
     v1: Verifier
     name: str = "pair"
     h_witness: HalfGapFunction | None = None
+    # Gap reports already computed, by input: each (pair, x) costs the oracle
+    # two 2**m-branch counts, and a verify sweep asks for them per construction.
+    _reports: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.v0.n != self.v1.n:
@@ -250,7 +252,12 @@ class DualVerifierPair:
         return self.v1 if c else self.v0
 
     def gap_reports(self, x: Bits) -> tuple[GapReport, GapReport]:
-        return gap_stats(self.v0, x), gap_stats(self.v1, x)
+        """(v0, v1) gap reports at x, counted once per pair and input."""
+        x = tuple(x)
+        reports = self._reports.get(x)
+        if reports is None:
+            reports = self._reports[x] = (gap_stats(self.v0, x), gap_stats(self.v1, x))
+        return reports
 
     def language_bit(self, x: Bits) -> int:
         """L(x) from the oracle: 1 iff v0's gap vanishes; raises DualityError
@@ -270,8 +277,7 @@ class DualVerifierPair:
 def validate_dual_pair(pair: DualVerifierPair) -> list[dict]:
     """Sweep all inputs; per-x report of both half-gaps and the duality check."""
     rows = []
-    for xkey in range(2**pair.n):
-        x = bits_of(xkey, pair.n)
+    for x in product((0, 1), repeat=pair.n):
         g0, g1 = pair.gap_reports(x)
         ok = (g0.Delta == 0) != (g1.Delta == 0)
         row = {
@@ -368,13 +374,16 @@ def branch_on_first_bit(when0: Verifier, when1: Verifier, name: str) -> Verifier
     )
 
 
-def make_dual_lwpp(base: Verifier, h: HalfGapFunction) -> DualVerifierPair:
+def make_dual_lwpp(base: Verifier, h: HalfGapFunction,
+                   inputs: Iterable[Bits] | None = None) -> DualVerifierPair:
     """Turn a fixed-half-gap verifier into a dual pair with one extra branch bit.
 
-    Precondition (checked by full sweep): every input has half-gap 0 or
-    exactly h(n).  The returned pair has branching length m+1 and satisfies
-    delta0 = 0 exactly on members, delta1 = 0 exactly on non-members, and
-    the nonzero normalized half-gap equals h(n) / 2**(m+1) at every input.
+    Precondition (checked at every input in `inputs`, all 2**n by default):
+    the half-gap is 0 or exactly h(n).  The returned pair has branching length
+    m+1 and satisfies delta0 = 0 exactly on members, delta1 = 0 exactly on
+    non-members, and the nonzero normalized half-gap equals h(n) / 2**(m+1);
+    the postcondition is checked at the same inputs.  A caller that runs the
+    pair on a few inputs only may check just those.
     """
     n, m = base.n, base.m
     hv = h.value(n)
@@ -382,8 +391,8 @@ def make_dual_lwpp(base: Verifier, h: HalfGapFunction) -> DualVerifierPair:
     if hv < 1 or hv > half:
         raise HalfGapPromiseError(
             f"half-gap h({n}) = {hv} outside [1, 2**(m-1)] for m = {m}", witness="")
-    for xkey in range(2**n):
-        x = bits_of(xkey, n)
+    xs = list(product((0, 1), repeat=n)) if inputs is None else [tuple(x) for x in inputs]
+    for x in xs:
         st = gap_stats(base, x)
         if st.Delta not in (0, hv):
             raise HalfGapPromiseError(
@@ -406,10 +415,9 @@ def make_dual_lwpp(base: Verifier, h: HalfGapFunction) -> DualVerifierPair:
     )
     pair = DualVerifierPair(v0, v1, name=f"{base.name}-dual", h_witness=h)
     expected = Amplitude(hv, 0, m + 1)
-    for xkey in range(2**n):
-        x = bits_of(xkey, n)
+    for x in xs:
         lx = pair.language_bit(x)  # raises DualityError if construction failed
-        live = gap_stats(pair.side(lx), x)
+        live = pair.gap_reports(x)[lx]
         if live.delta != expected:
             raise HalfGapPromiseError(
                 f"constructed pair has delta = {live.delta} != h/2**(m+1) at x = {live.x}",
@@ -532,16 +540,19 @@ class BuiltinProblem:
     summary: str
     kind: str  # "pair" | "single"
     m_of: Callable[[int], int] = field(repr=False)
-    make_pair: Callable[[int, object], DualVerifierPair] | None = field(default=None, repr=False)
+    make_pair: Callable[[int, object, Iterable[Bits] | None], DualVerifierPair] | None = field(
+        default=None, repr=False)
     make_single: Callable[[int], Verifier] | None = field(default=None, repr=False)
     make_base: Callable[[int], Verifier] | None = field(default=None, repr=False)
     h: HalfGapFunction | None = None
     language: Callable[[Bits], int] | None = field(default=None, repr=False)
 
-    def pair(self, n: int, rng=None) -> DualVerifierPair:
+    def pair(self, n: int, rng=None, inputs: Iterable[Bits] | None = None) -> DualVerifierPair:
+        """The pair at input size n; a lemma-derived pair checks the lemma at
+        `inputs` only, when given (see make_dual_lwpp)."""
         if self.make_pair is None:
             raise ValueError(f"builtin {self.name!r} is not a dual-pair problem")
-        return self.make_pair(n, rng)
+        return self.make_pair(n, rng, inputs)
 
     def verifiers(self, n: int, rng=None) -> list[Verifier]:
         if self.kind == "single":
@@ -560,17 +571,17 @@ def _parity(x: Bits) -> int:
 def builtin_problems() -> dict[str, BuiltinProblem]:
     h_half = HalfGapFunction.power(2, 1, -1)  # 2**(n-1), matching m(n) = n
 
-    def allzero_pair(n: int, rng=None) -> DualVerifierPair:
-        pair = make_dual_lwpp(allzero_verifier(n), h_half)
+    def allzero_pair(n: int, rng=None, inputs=None) -> DualVerifierPair:
+        pair = make_dual_lwpp(allzero_verifier(n), h_half, inputs)
         return DualVerifierPair(pair.v0, pair.v1, name="allzero", h_witness=pair.h_witness)
 
     def given(name: str, language: Callable[[Bits], int]):
-        def make(n: int, rng=None) -> DualVerifierPair:
+        def make(n: int, rng=None, inputs=None) -> DualVerifierPair:
             return language_pair(n, n, language, name)
 
         return make
 
-    def random_pair(n: int, rng) -> DualVerifierPair:
+    def random_pair(n: int, rng, inputs=None) -> DualVerifierPair:
         if rng is None:
             raise ValueError("random-table needs a seeded RNG")
         return random_dual_pair(n, n + 1, rng, name="random-table")

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from quasiq.circuitgen import AncillaRestorationError, ResidualTermError, SimulationInvariantError
+from quasiq.harness import cli
 from quasiq.harness.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
@@ -204,3 +206,64 @@ def test_gap_output_round_trips(capsys):
     for report in obj["reports"]:
         rebuilt = GapReport.from_json(report)
         assert rebuilt.to_json() == report
+
+
+def test_verify_lpwpp_corrupted_h_flags_every_row(capsys):
+    code, obj, err = run_json(
+        capsys, "verify", "--problem", "parity", "--n", "3",
+        "--construction", "lpwpp", "--corrupt-h")
+    assert code == EXIT_MISMATCH
+    assert len(obj["results"]) == 8
+    assert not any(row["ok"] for row in obj["results"])
+    assert "failed on 8 row(s)" in err
+
+
+def test_verify_all_corrupted_h_flags_only_the_decider_rows(capsys):
+    code, obj, _ = run_json(
+        capsys, "verify", "--problem", "allzero", "--n", "2", "--corrupt-h")
+    assert code == EXIT_MISMATCH
+    for row in obj["results"]:
+        assert row["ok"] is (row["construction"] not in ("lwpp", "lpwpp"))
+
+
+@pytest.mark.parametrize("construction", ["un", "fig3-zqp", "fig3-post", "wn", "lpwpp"])
+def test_simulate_corrupted_h_needs_lwpp(capsys, construction):
+    code, out, err = run_cli(
+        capsys, "simulate", "--problem", "parity", "--input", "101",
+        "--construction", construction, "--corrupt-h")
+    assert code == EXIT_USAGE
+    assert "--corrupt-h" in err and out == ""
+
+
+@pytest.mark.parametrize("construction", ["un", "fig3-zqp", "fig3-post", "wn"])
+def test_verify_corrupted_h_needs_a_decider(capsys, construction):
+    code, out, err = run_cli(
+        capsys, "verify", "--problem", "parity", "--n", "3",
+        "--construction", construction, "--corrupt-h")
+    assert code == EXIT_USAGE
+    assert "--corrupt-h" in err and out == ""
+
+
+def test_simulate_corrupted_h_residual_is_a_mismatch(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--problem", "parity", "--input", "101",
+        "--construction", "lwpp", "--corrupt-h")
+    assert code == EXIT_MISMATCH
+    assert "residual terms" in err and out == ""
+
+
+@pytest.mark.parametrize("error", [
+    ResidualTermError("residual", residuals=["0"]),
+    AncillaRestorationError("ancilla", term="0"),
+    SimulationInvariantError("invariant"),
+])
+def test_failed_self_check_exits_with_mismatch(monkeypatch, capsys, error):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "_simulate_one", failing)
+    code, out, err = run_cli(
+        capsys, "simulate", "--problem", "parity", "--input", "10",
+        "--construction", "wn")
+    assert code == EXIT_MISMATCH
+    assert f"error: {error}" in err and out == ""
