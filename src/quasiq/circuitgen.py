@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from quasiq.exactnum import ZERO, Amplitude
-from quasiq.quasistate import Gate, StateVector, key_of, label_of
+from quasiq.quasistate import Gate, StateVector, _NumeratorState, key_of, label_of
 from quasiq.verifierkit import DualVerifierPair, HalfGapFunction
 
 VERDICT_YES = "YES"
@@ -141,15 +141,18 @@ def simulate_circuit(circuit: Circuit, x_bits, record=False) -> tuple[StateVecto
         if label in wanted:
             by_position.setdefault(pos, []).append(label)
 
-    state = StateVector.basis(circuit.width, key_of(x_bits) << (circuit.width - n))
+    # Gates run on integer numerators; StateVectors are built only for the
+    # recorded checkpoints and the final state.
+    state = _NumeratorState(circuit.width, key_of(x_bits) << (circuit.width - n))
     captured: dict[str, StateVector] = {}
-    for label in by_position.get(0, ()):
-        captured[label] = state
-    for idx, gate in enumerate(circuit.gates, start=1):
-        state = state.apply(gate)
-        for label in by_position.get(idx, ()):
-            captured[label] = state
-    return state, captured
+    for idx in range(len(circuit.gates) + 1):
+        if idx:
+            state.apply(circuit.gates[idx - 1])
+        labels = by_position.get(idx, ())
+        snapshot = state.to_state() if labels else None
+        for label in labels:
+            captured[label] = snapshot
+    return state.to_state() if snapshot is None else snapshot, captured
 
 
 @dataclass

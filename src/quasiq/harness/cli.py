@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from quasiq.circuitgen import (
@@ -39,7 +38,14 @@ from quasiq.circuitgen import (
 )
 from quasiq.exactnum import HALF, ONE, Amplitude
 from quasiq.harness.dsl import ParseError
-from quasiq.harness.problems import ProblemSpec, ResolvedProblem, SpecError, load_problem_file, resolve_problem
+from quasiq.harness.problems import (
+    ProblemSpec,
+    ResolvedProblem,
+    SpecError,
+    load_problem_file,
+    read_table_file,
+    resolve_problem,
+)
 from quasiq.quasistate import StateVector, bits_of
 from quasiq.verifierkit import (
     DualityError,
@@ -113,9 +119,7 @@ def _m_hint(spec_or_name: ProblemSpec | str, n: int) -> int:
         return declared + extra
     # table-file without an explicit m: the file header carries it
     ref = source.get("base") or source.get("v0")
-    path = ref if os.path.isabs(ref) else os.path.join(spec.base_dir, ref)
-    with open(path, "rt", encoding="utf-8") as fh:
-        return int(json.load(fh)["m"]) + extra
+    return int(read_table_file(spec.table_path(ref))["m"]) + extra
 
 
 def _load(args, inputs=None) -> ResolvedProblem:
@@ -125,6 +129,8 @@ def _load(args, inputs=None) -> ResolvedProblem:
     n = args.n
     if n is None:
         raise SpecError("--n is required (or derivable from --input)")
+    if n < 1:
+        raise SpecError(f"--n must be at least 1, got {n}")
     spec_or_name = ref if ref in builtin_problems() else load_problem_file(ref)
     m = _m_hint(spec_or_name, n)
     if n + m > DESK_SCALE_LIMIT and not args.force_large:
@@ -304,6 +310,10 @@ def cmd_verify(args) -> int:
     resolved.require_pair()
     if args.construction == "all":
         constructions = tuple(c for c in CONSTRUCTIONS if _available(resolved, c))
+        if args.corrupt_h and not {"lwpp", "lpwpp"} & set(constructions):
+            raise SpecError(
+                f"--corrupt-h bumps the half-gap witness, but problem {resolved.name!r} "
+                "has none usable, so no row would read it")
         skipped = [c for c in CONSTRUCTIONS if c not in constructions]
         if skipped:
             _diag(f"skipping {', '.join(skipped)}: no usable half-gap witness")

@@ -23,8 +23,8 @@ from quasiq.verifierkit import (
     HalfGapFunction,
     Verifier,
     builtin_problems,
-    load_table_verifier,
     make_dual_lwpp,
+    verifier_from_table_json,
 )
 
 
@@ -206,6 +206,10 @@ class ProblemSpec:
             obj["h"] = self.h.to_json()
         return obj
 
+    def table_path(self, ref: str) -> str:
+        """A table file named in the spec, relative to the spec's directory."""
+        return ref if os.path.isabs(ref) else os.path.join(self.base_dir, ref)
+
     def m_of(self, n: int) -> int | None:
         if self.m_spec is None:
             return None
@@ -253,6 +257,18 @@ def load_problem_file(path: str) -> ProblemSpec:
     except json.JSONDecodeError as exc:
         raise SpecError(f"problem file {path} is not valid JSON: {exc}") from exc
     return ProblemSpec.from_json(obj, base_dir=os.path.dirname(path) or ".")
+
+
+def read_table_file(path: str) -> dict:
+    """The JSON object in a truth-table file; a file that cannot be read or
+    parsed is a SpecError naming the path."""
+    try:
+        with open(path, "rt", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise SpecError(f"cannot read table file {path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"table file {path} is not valid JSON: {exc}") from exc
 
 
 def _resolve_builtin(entry: BuiltinProblem, n: int, seed: int | None,
@@ -303,8 +319,8 @@ def resolve_problem(spec_or_name: ProblemSpec | str, n: int, seed: int | None = 
         if source["kind"] == "dsl":
             m = spec.m_of(n)
             return dsl_verifier(ref, n, m, name=f"{spec.name}-{key}")
-        path = ref if os.path.isabs(ref) else os.path.join(spec.base_dir, ref)
-        verifier = load_table_verifier(path, name=f"{spec.name}-{key}")
+        path = spec.table_path(ref)
+        verifier = verifier_from_table_json(read_table_file(path), name=f"{spec.name}-{key}")
         if verifier.n != n:
             raise SpecError(f"table file {path} is for n = {verifier.n}, not {n}")
         declared = spec.m_of(n)

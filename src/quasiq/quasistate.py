@@ -9,13 +9,17 @@ invertible non-unitary (S, B, G, A, N, D and their inverses), projective
 (PROJ0/PROJ1), and classical oracle gates that XOR a verifier's output onto
 a target wire.  Any gate may carry coherent controls with explicit
 polarities; a multiply-controlled X is just X with controls.
+
+Circuits run on a private kernel over integer numerators with one shared
+power of sqrt(2) (_NumeratorState, at the end of this module);
+StateVector.apply is the reference it is tested against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from quasiq.exactnum import HALF, INV_SQRT2, ONE, TWO, ZERO, Amplitude
+from quasiq.exactnum import HALF, INV_SQRT2, ONE, TWO, ZERO, Amplitude, ExactDivisionError
 
 
 class WireError(ValueError):
@@ -452,3 +456,221 @@ class StateVector:
             for entry in entries
         }
         return cls(width, terms)
+
+
+# -- integer-numerator kernel -------------------------------------------------------
+
+_SHEAR_KINDS = frozenset(("S", "SINV", "D", "DINV"))
+_DIAG_KINDS = frozenset(("B", "BINV", "G", "GINV", "A", "AINV", "N", "NINV"))
+
+
+def _add_into(terms: dict, key: int, c0: int, c1: int) -> None:
+    """terms[key] += (c0, c1), dropping the key when the sum cancels."""
+    prev = terms.get(key)
+    if prev is not None:
+        c0 += prev[0]
+        c1 += prev[1]
+        if not (c0 or c1):
+            del terms[key]
+            return
+    terms[key] = (c0, c1)
+
+
+class _NumeratorState:
+    """The exact simulator's working state: integer numerators over one
+    shared power of sqrt(2).
+
+    terms maps each basis key to an integer pair (c0, c1) standing for the
+    amplitude (c0 + c1*sqrt(2)) / sqrt(2)**k, with one k for the whole state.
+    Gates then cost integer adds and multiplies only; Amplitudes, and their
+    canonical form, are built only when `to_state` is asked for one.
+    StateVector.apply is the reference this kernel must agree with exactly.
+    """
+
+    __slots__ = ("width", "terms", "k")
+
+    def __init__(self, width: int, key: int):
+        self.width = width
+        self.terms: dict[int, tuple[int, int]] = {key: (1, 0)}
+        self.k = 0
+
+    def amplitude(self, c0: int, c1: int) -> Amplitude:
+        k = self.k
+        if k & 1:
+            # (c0 + c1*sqrt2) / sqrt2**k == (2*c1 + c0*sqrt2) / 2**((k+1)/2)
+            return Amplitude(c1 << 1, c0, (k + 1) >> 1)
+        return Amplitude(c0, c1, k >> 1)
+
+    def to_state(self) -> StateVector:
+        amplitude = self.amplitude
+        return StateVector(self.width, {key: amplitude(c0, c1)
+                                        for key, (c0, c1) in self.terms.items()})
+
+    def _mask(self, wire: int) -> int:
+        return 1 << (self.width - 1 - wire)
+
+    def apply(self, gate: Gate) -> None:
+        width = self.width
+        for w in gate.all_wires():
+            if not 0 <= w < width:
+                raise WireError(f"wire {w} out of range for width {width}")
+        if set(w for w, _ in gate.controls) & set(gate.wires):
+            raise WireError("control wires overlap gate wires")
+        cmask = cval = 0
+        for w, pol in gate.controls:
+            cmask |= self._mask(w)
+            if pol:
+                cval |= self._mask(w)
+        kind = gate.kind
+        if kind == "H":
+            self._hadamard(self._mask(gate.wires[0]), cmask, cval)
+        elif kind in _SHEAR_KINDS:
+            self._shear(gate, cmask, cval)
+        elif kind in _DIAG_KINDS:
+            self._diag(gate, cmask, cval)
+        else:
+            self._move(self._key_map(gate), cmask, cval)
+
+    def _hadamard(self, m: int, cmask: int, cval: int) -> None:
+        """Unnormalized butterfly (a + b, a - b); the 1/sqrt2 goes into k, so
+        a term that fails a control is multiplied by sqrt2 instead."""
+        terms = self.terms
+        out = {}
+        for key, (a0, a1) in terms.items():
+            if key & cmask != cval:
+                out[key] = (a1 << 1, a0)
+            elif key & m:
+                if key ^ m not in terms:  # else handled with its |0> partner
+                    out[key ^ m] = (a0, a1)
+                    out[key] = (-a0, -a1)
+            else:
+                partner = terms.get(key | m)
+                if partner is None:
+                    out[key] = out[key | m] = (a0, a1)
+                    continue
+                b0, b1 = partner
+                s0, s1 = a0 + b0, a1 + b1
+                if s0 or s1:
+                    out[key] = (s0, s1)
+                d0, d1 = a0 - b0, a1 - b1
+                if d0 or d1:
+                    out[key | m] = (d0, d1)
+        self.terms = out
+        self.k += 1
+
+    def _shear(self, gate: Gate, cmask: int, cval: int) -> None:
+        """S adds the |1> amplitude into |0> (SINV subtracts it); D subtracts
+        the |1?> amplitudes into |00> (DINV adds them)."""
+        kind = gate.kind
+        m = self._mask(gate.wires[0])
+        if kind in ("S", "SINV"):
+            clear = m
+            sign = 1 if kind == "S" else -1
+        else:
+            clear = m | self._mask(gate.wires[1])
+            sign = -1 if kind == "D" else 1
+        terms = self.terms
+        # Sources keep their keys and no target is a source, so one pass in place.
+        sources = [(k, v) for k, v in terms.items() if k & m and k & cmask == cval]
+        for key, (a0, a1) in sources:
+            _add_into(terms, key & ~clear, sign * a0, sign * a1)
+
+    def _diag(self, gate: Gate, cmask: int, cval: int) -> None:
+        """diag(p, 1): multiply the |0> branch by p, or divide it exactly by
+        p for GINV, AINV and NINV; powers of two go into k."""
+        kind = gate.kind
+        if kind in ("B", "BINV"):
+            p = HALF if kind == "B" else TWO
+        else:
+            p = gate.param if kind in ("N", "NINV") else Amplitude(gate.param, 0, 0)
+        odd = 1
+        if kind in ("GINV", "AINV", "NINV"):
+            # 1/p = 2**p.e * (c0 - c1*sqrt2) / norm, with norm = c0**2 - 2*c1**2
+            # = sign * odd * 2**twos; the quotient exists iff odd divides both
+            # parts, exactly as in Amplitude.div_exact.
+            norm = p.c0 * p.c0 - 2 * p.c1 * p.c1
+            sign = -1 if norm < 0 else 1
+            norm = abs(norm)
+            twos = (norm & -norm).bit_length() - 1
+            u0, u1 = sign * p.c0, -sign * p.c1
+            odd = norm >> twos if norm else 0
+            shift = p.e - twos
+        else:
+            u0, u1, shift = p.c0, p.c1, -p.e
+        lift = -shift if shift < 0 else 0  # applied to every other term, and to k
+        up = shift if shift > 0 else 0
+        m = self._mask(gate.wires[0])
+        out = {}
+        for key, (a0, a1) in self.terms.items():
+            if key & m or key & cmask != cval:
+                out[key] = (a0 << lift, a1 << lift)
+                continue
+            d0 = a0 * u0 + 2 * a1 * u1
+            d1 = a0 * u1 + a1 * u0
+            if odd != 1:
+                if not odd:
+                    raise ExactDivisionError("division by zero")
+                if d0 % odd or d1 % odd:
+                    raise ExactDivisionError(f"{self.amplitude(a0, a1)!r} / {p!r} is not in the ring")
+                d0 //= odd
+                d1 //= odd
+            if d0 or d1:
+                out[key] = (d0 << up, d1 << up)
+        self.terms = out
+        self.k += 2 * lift
+
+    def _key_map(self, gate: Gate):
+        """The basis-key map of X, PERM, ORACLE or a projector (None drops
+        the term); the numerators are untouched."""
+        kind = gate.kind
+        if kind == "X":
+            m = self._mask(gate.wires[0])
+            return lambda key: key ^ m
+        if kind in ("PROJ0", "PROJ1"):
+            m = self._mask(gate.wires[0])
+            want = m if kind == "PROJ1" else 0
+            return lambda key: key if key & m == want else None
+        if kind == "PERM":
+            shift = [(self._mask(s), self._mask(d)) for s, d in zip(gate.wires, gate.param)]
+            moved = 0
+            for s, _ in shift:
+                moved |= s
+
+            def permute(key: int) -> int:
+                new = key & ~moved
+                for s, d in shift:
+                    if key & s:
+                        new |= d
+                return new
+
+            return permute
+        if kind == "ORACLE":
+            verifier, nx = gate.param
+            xw, bw, target = gate.wires[:nx], gate.wires[nx:-1], gate.wires[-1]
+            if len(xw) != verifier.n or len(bw) != verifier.m:
+                raise WireError(
+                    f"oracle arity mismatch: gate has {len(xw)}+{len(bw)} wires, "
+                    f"verifier wants {verifier.n}+{verifier.m}"
+                )
+            xs = [self.width - 1 - w for w in xw]
+            bs = [self.width - 1 - w for w in bw]
+            flip = self._mask(target)
+            evaluate = verifier.eval
+
+            def oracle(key: int) -> int:
+                xbits = tuple((key >> s) & 1 for s in xs)
+                bbits = tuple((key >> s) & 1 for s in bs)
+                return key ^ flip if evaluate(xbits, bbits) else key
+
+            return oracle
+        raise ValueError(f"unknown gate kind {kind!r}")
+
+    def _move(self, key_map, cmask: int, cval: int) -> None:
+        out: dict[int, tuple[int, int]] = {}
+        for key, (a0, a1) in self.terms.items():
+            if key & cmask == cval:
+                key = key_map(key)
+                if key is None:
+                    continue
+            _add_into(out, key, a0, a1)
+        self.terms = out

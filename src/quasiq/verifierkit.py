@@ -375,7 +375,8 @@ def branch_on_first_bit(when0: Verifier, when1: Verifier, name: str) -> Verifier
 
 
 def make_dual_lwpp(base: Verifier, h: HalfGapFunction,
-                   inputs: Iterable[Bits] | None = None) -> DualVerifierPair:
+                   inputs: Iterable[Bits] | None = None,
+                   name: str | None = None) -> DualVerifierPair:
     """Turn a fixed-half-gap verifier into a dual pair with one extra branch bit.
 
     Precondition (checked at every input in `inputs`, all 2**n by default):
@@ -383,7 +384,8 @@ def make_dual_lwpp(base: Verifier, h: HalfGapFunction,
     m+1 and satisfies delta0 = 0 exactly on members, delta1 = 0 exactly on
     non-members, and the nonzero normalized half-gap equals h(n) / 2**(m+1);
     the postcondition is checked at the same inputs.  A caller that runs the
-    pair on a few inputs only may check just those.
+    pair on a few inputs only may check just those.  The pair is named `name`,
+    or after the base verifier by default.
     """
     n, m = base.n, base.m
     hv = h.value(n)
@@ -413,7 +415,7 @@ def make_dual_lwpp(base: Verifier, h: HalfGapFunction,
         base,
         name=f"{base.name}-dual1",
     )
-    pair = DualVerifierPair(v0, v1, name=f"{base.name}-dual", h_witness=h)
+    pair = DualVerifierPair(v0, v1, name=name or f"{base.name}-dual", h_witness=h)
     expected = Amplitude(hv, 0, m + 1)
     for x in xs:
         lx = pair.language_bit(x)  # raises DualityError if construction failed
@@ -572,8 +574,7 @@ def builtin_problems() -> dict[str, BuiltinProblem]:
     h_half = HalfGapFunction.power(2, 1, -1)  # 2**(n-1), matching m(n) = n
 
     def allzero_pair(n: int, rng=None, inputs=None) -> DualVerifierPair:
-        pair = make_dual_lwpp(allzero_verifier(n), h_half, inputs)
-        return DualVerifierPair(pair.v0, pair.v1, name="allzero", h_witness=pair.h_witness)
+        return make_dual_lwpp(allzero_verifier(n), h_half, inputs, name="allzero")
 
     def given(name: str, language: Callable[[Bits], int]):
         def make(n: int, rng=None, inputs=None) -> DualVerifierPair:

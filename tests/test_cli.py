@@ -267,3 +267,36 @@ def test_failed_self_check_exits_with_mismatch(monkeypatch, capsys, error):
         "--construction", "wn")
     assert code == EXIT_MISMATCH
     assert f"error: {error}" in err and out == ""
+
+
+def test_verify_corrupted_h_that_no_row_reads_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--problem", "random-table", "--n", "2", "--seed", "3", "--corrupt-h")
+    assert code == EXIT_USAGE
+    assert "--corrupt-h" in err and out == ""
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_n_below_one_names_the_flag(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "--problem", "parity", "--n", n)
+    assert code == EXIT_USAGE
+    assert "--n must be at least 1" in err and out == ""
+
+
+@pytest.mark.parametrize("m", [None, {"affine": {"a": 0, "b": 3}}])
+def test_missing_table_file_is_a_spec_error(tmp_path, capsys, m):
+    spec = {
+        "name": "missing-table",
+        "n": {"min": 2, "max": 2},
+        "verifier": {"kind": "table-file", "base": "absent.json"},
+        "h": {"kind": "power", "M": 2, "t": {"a": 0, "b": 0}},
+        "dual": "derive-via-lemma",
+    }
+    if m is not None:
+        spec["m"] = m
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--problem", str(path), "--n", "2")
+    assert code == EXIT_USAGE
+    assert str(tmp_path / "absent.json") in err and out == ""
+    assert "Traceback" not in err

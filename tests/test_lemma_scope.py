@@ -161,3 +161,21 @@ def test_verify_evaluates_the_oracle_once_per_pair_and_input(monkeypatch, capsys
     assert len(json.loads(out)["results"]) == 6 * 2**3
     assert len(calls) == 2 * 2**3
     assert len(set(calls)) == len(calls)
+
+
+def test_allzero_simulate_counts_the_lemma_input_once(monkeypatch, capsys):
+    # One count of the base for the lemma's promise, then one per side of the
+    # pair, which the run and the postcondition share through the pair's memo.
+    calls = []
+    original = verifierkit.gap_stats
+
+    def counting(v, x):
+        calls.append((v.name, tuple(x)))
+        return original(v, x)
+
+    monkeypatch.setattr(verifierkit, "gap_stats", counting)
+    code, out, _ = _cli(capsys, "simulate", "--problem", "allzero", "--input", "00000000",
+                        "--construction", "un")
+    assert code == EXIT_OK
+    assert json.loads(out)["problem"] == "allzero"
+    assert len(calls) == 3

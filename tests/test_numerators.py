@@ -1,0 +1,222 @@
+"""The integer-numerator kernel that simulate_circuit runs on, checked state
+for state against the reference StateVector.apply."""
+import random
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from quasiq.circuitgen import (
+    build_fig3,
+    build_lpwpp_decider,
+    build_lwpp_decider,
+    build_un,
+    build_wn,
+    simulate_circuit,
+)
+from quasiq.exactnum import Amplitude, ExactDivisionError
+from quasiq.quasistate import Gate, StateVector, _NumeratorState, key_of
+from quasiq.verifierkit import Verifier, random_dual_pair
+
+from test_acceptance import all_inputs, builtin_pairs, lemma_pairs
+
+
+def reference_states(width, key, gates):
+    """State after each prefix of `gates` under StateVector.apply."""
+    state = StateVector.basis(width, key)
+    states = [state]
+    for gate in gates:
+        state = state.apply(gate)
+        states.append(state)
+    return states
+
+
+def sweep_circuits():
+    """Every construction over the pairs of the acceptance sweeps."""
+    pairs = [pair for pair, _ in builtin_pairs()]
+    pairs += [random_dual_pair(1 + i % 3, 1 + i % 5, random.Random(1000 + i), name=f"random-{i}")
+              for i in range(0, 50, 5)]
+    pairs += [pair for pair, _ in lemma_pairs()]
+    for pair in pairs:
+        n = pair.n
+        yield build_un(pair, n)
+        yield build_fig3(pair, n, "bm")
+        yield build_fig3(pair, n, "n", Amplitude(1, 1, 2))
+        yield build_fig3(pair, n, "proj1")
+        yield build_wn(pair, n)
+        for h in (1, 3):  # a wrong witness leaves residual terms; they must agree too
+            yield build_lwpp_decider(pair, h, n)
+        yield build_lpwpp_decider(pair, 2, 1, n)
+
+
+def test_every_checkpoint_of_the_acceptance_sweeps_matches_the_reference():
+    count = 0
+    for circuit in sweep_circuits():
+        n = circuit.registers["x"][1]
+        for x in all_inputs(n):
+            key = key_of(x) << (circuit.width - n)
+            expected = reference_states(circuit.width, key, circuit.gates)
+            final, captured = simulate_circuit(circuit, x, record=True)
+            assert final == expected[-1]
+            assert set(captured) == set(circuit.checkpoint_labels())
+            for label, pos in circuit.checkpoints:
+                assert captured[label] == expected[pos], (label, x)
+            count += 1
+    assert count > 500
+
+
+def parity_verifier(n, m):
+    def eval_fn(x, b):
+        acc = b[0]
+        for xi, bi in zip(x, b[1:]):
+            acc ^= xi & bi
+        return acc
+
+    return Verifier(n, m, eval_fn, name=f"parity-{n}x{m}")
+
+
+def check_against_reference(width, key, gates):
+    """Apply gates one at a time through both paths; the states must be equal
+    after every gate, and a failing gate must fail with the same exception type."""
+    reference = StateVector.basis(width, key)
+    kernel = _NumeratorState(width, key)
+    for gate in gates:
+        try:
+            reference = reference.apply(gate)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                kernel.apply(gate)
+            return
+        kernel.apply(gate)
+        assert kernel.to_state() == reference, gate
+
+
+def spread(width):
+    """Hadamards on every wire, then a few non-unitary gates, so that later
+    gates see many terms with unequal amplitudes."""
+    return [Gate.h(w) for w in range(width)] + [
+        Gate.n(0, Amplitude(1, 1, 1)), Gate.b(1), Gate.s(width - 1, controls=((0, 0),))]
+
+
+ORACLE_VERIFIER = parity_verifier(1, 2)
+
+EVERY_KIND = [
+    Gate.h(2),
+    Gate.h(2, controls=((0, 1),)),
+    Gate.h(2, controls=((0, 0), (3, 1))),
+    Gate.x(1),
+    Gate.cnot(0, 3),
+    Gate.mcx(((0, 0), (2, 1)), 1),
+    Gate.s(1),
+    Gate.s(1, controls=((3, 0),)),
+    Gate.b(2, controls=((0, 1),)),
+    Gate.g(1, 3),
+    Gate.g(1, 4, controls=((2, 0),)),
+    Gate.a(3, 5),
+    Gate.n(0, Amplitude(3, -1, 1)),
+    Gate.n(2, Amplitude(0, 1, 0), controls=((1, 1),)),
+    Gate.n(1, Amplitude(0, 0, 0)),
+    Gate.d(1, 2),
+    Gate.d(3, 0, controls=((1, 0),)),
+    Gate.proj(2, 0),
+    Gate.proj(2, 1),
+    Gate.perm((0, 1, 2), (2, 0, 1)),
+    Gate.swap(1, 3),
+    Gate.oracle(ORACLE_VERIFIER, (0,), (1, 2), 3),
+    Gate.oracle(ORACLE_VERIFIER, (3,), (2, 0), 1, controls=((4, 0),)),
+]
+
+
+@pytest.mark.parametrize("gate", EVERY_KIND, ids=lambda g: g.kind)
+def test_every_gate_kind_and_its_inverse(gate):
+    width = 5
+    for key in (0, 0b10110, 0b01011):
+        gates = spread(width) + [gate]
+        if not gate.kind.startswith("PROJ") and not (gate.kind == "N" and gate.param.is_zero()):
+            gates += [gate.inverse(), gate, gate.inverse(), gate.inverse()]
+        check_against_reference(width, key, gates)
+
+
+def test_n_with_a_sqrt2_part_makes_odd_exponents():
+    gates = [Gate.h(0), Gate.n(0, Amplitude(1, 1, 0)), Gate.h(1), Gate.n(1, Amplitude(-1, 2, 1)),
+             Gate.h(0, controls=((1, 0),))]
+    check_against_reference(2, 0, gates)
+    kernel = _NumeratorState(2, 0)
+    for gate in gates:
+        kernel.apply(gate)
+    assert any(amp.c1 for _, amp in kernel.to_state())
+
+
+@pytest.mark.parametrize("gate", [
+    Gate.g(0, 3).inverse(),
+    Gate.a(0, 6, controls=((1, 0),)).inverse(),
+    Gate.n(0, Amplitude(3, 1, 0)).inverse(),
+    Gate("NINV", (0,), (), Amplitude(0, 0, 0)),
+], ids=["GINV", "AINV", "NINV", "NINV-zero"])
+def test_failed_exact_division_raises_the_same_error(gate):
+    with pytest.raises(ExactDivisionError):
+        StateVector.basis(2, 0).apply(gate)
+    with pytest.raises(ExactDivisionError):
+        _NumeratorState(2, 0).apply(gate)
+    check_against_reference(2, 0, [gate])
+
+
+def test_exact_division_that_succeeds_matches():
+    # 9 = 3 * 3 and 7 = (3 + sqrt2)(3 - sqrt2): both quotients stay in the ring
+    check_against_reference(2, 0, [Gate.g(0, 9), Gate.g(0, 3).inverse(), Gate.h(1),
+                                   Gate.a(0, 3).inverse()])
+    check_against_reference(1, 0, [Gate.n(0, Amplitude(7, 0, 2)), Gate.n(0, Amplitude(3, 1, 0)).inverse(),
+                                   Gate.n(0, Amplitude(3, -1, 1)).inverse(), Gate.b(0).inverse()])
+
+
+def test_wire_errors_match():
+    for gate in (Gate.h(4), Gate.x(0, controls=((0, 1),)),
+                 Gate.oracle(ORACLE_VERIFIER, (0,), (1,), 2)):
+        check_against_reference(3, 0, [gate])
+
+
+# -- random gate lists ------------------------------------------------------------
+
+KINDS = ("H", "X", "S", "SINV", "B", "BINV", "G", "GINV", "A", "AINV", "N", "NINV",
+         "D", "DINV", "PROJ0", "PROJ1", "PERM", "ORACLE")
+SMALL = st.integers(min_value=-3, max_value=5)
+
+
+@st.composite
+def random_gate(draw, width):
+    kind = draw(st.sampled_from(KINDS))
+    order = draw(st.permutations(range(width)))
+    arity = {"D": 2, "DINV": 2, "ORACLE": 3}.get(kind, 1)
+    if kind == "PERM":
+        arity = draw(st.integers(2, min(3, width)))
+    if arity > width:
+        kind, arity = "H", 1
+    wires = tuple(order[:arity])
+    free = order[arity:]
+    ncontrols = draw(st.integers(0, min(2, len(free))))
+    controls = tuple((w, draw(st.integers(0, 1))) for w in free[:ncontrols])
+    param = None
+    if kind in ("G", "GINV", "A", "AINV"):
+        param = draw(SMALL)
+    elif kind in ("N", "NINV"):
+        param = Amplitude(draw(SMALL), draw(SMALL), draw(st.integers(0, 2)))
+    elif kind == "PERM":
+        param = tuple(draw(st.permutations(wires)))
+    elif kind == "ORACLE":
+        param = (parity_verifier(1, 1), 1)
+    return Gate(kind, wires, controls, param)
+
+
+@st.composite
+def gate_lists(draw):
+    width = draw(st.integers(2, 5))
+    key = draw(st.integers(0, 2**width - 1))
+    gates = draw(st.lists(random_gate(width), max_size=14))
+    return width, key, gates
+
+
+@settings(max_examples=300, deadline=None)
+@given(gate_lists())
+def test_random_gate_lists_match_the_reference(case):
+    width, key, gates = case
+    check_against_reference(width, key, gates)
