@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from quasiq.exactnum import ZERO, Amplitude
-from quasiq.quasistate import Gate, StateVector, _NumeratorState, key_of, label_of
+from quasiq.quasistate import Gate, StateVector, _NumeratorState, bits_label, key_of, label_of
 from quasiq.verifierkit import DualVerifierPair, HalfGapFunction
 
 VERDICT_YES = "YES"
@@ -201,6 +201,17 @@ class RunOutcome:
         )
 
 
+def _outcome(construction: str, x_bits, final: StateVector, captured: dict, answer: int | None,
+             success_mass: Amplitude, failure_mass: Amplitude,
+             verdict: str | None = None) -> RunOutcome:
+    """A run's outcome; by default the verdict is YES/NO from the answer, or
+    FAIL-branch-mass when the run certified no answer."""
+    if verdict is None:
+        verdict = VERDICT_FAIL if answer is None else (VERDICT_YES if answer else VERDICT_NO)
+    return RunOutcome(construction, bits_label(x_bits), verdict, answer, success_mass,
+                      failure_mass, final, final.width, captured)
+
+
 # -- circuit builders -------------------------------------------------------------
 
 
@@ -365,7 +376,7 @@ def run_un(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     lx = pair.language_bit(tuple(x_bits))
     circuit = build_un(pair, n)
     final, captured = simulate_circuit(circuit, x_bits, record)
-    pattern = "".join(str(b) for b in x_bits) + "0" * pair.m + "*1"
+    pattern = bits_label(x_bits) + "0" * pair.m + "*1"
     block = final.match(pattern)
     success_mass = sum((amp * amp for _, amp in block), ZERO)
     failure_mass = final.norm_sq() - success_mass
@@ -375,17 +386,7 @@ def run_un(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     if answer != lx:
         raise SimulationInvariantError(
             f"gap-amplitude block sits on c = {answer}, oracle says L(x) = {lx}")
-    return RunOutcome(
-        construction="un",
-        input="".join(str(b) for b in x_bits),
-        verdict=VERDICT_YES if answer else VERDICT_NO,
-        answer=answer,
-        success_mass=success_mass,
-        failure_mass=failure_mass,
-        final_state=final,
-        width=final.width,
-        checkpoints=captured,
-    )
+    return _outcome("un", x_bits, final, captured, answer, success_mass, failure_mass)
 
 
 def run_zqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
@@ -410,23 +411,10 @@ def run_zqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     if not wrong_mass.is_zero():
         raise SimulationInvariantError(
             f"success-conditioned state has mass {wrong_mass} on answer {1 - lx}")
+    answer = None
     if failure_mass < success_mass:
         answer = _single_wire_value(conditional, s, "zero-error conditional")
-        verdict = VERDICT_YES if answer else VERDICT_NO
-    else:
-        answer = None
-        verdict = VERDICT_FAIL
-    return RunOutcome(
-        construction="fig3-zqp",
-        input="".join(str(b) for b in x_bits),
-        verdict=verdict,
-        answer=answer,
-        success_mass=success_mass,
-        failure_mass=failure_mass,
-        final_state=final,
-        width=final.width,
-        checkpoints=captured,
-    )
+    return _outcome("fig3-zqp", x_bits, final, captured, answer, success_mass, failure_mass)
 
 
 def run_posteqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
@@ -441,7 +429,7 @@ def run_posteqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     success_mass = final.norm_sq()
     if success_mass.is_zero():
         raise PostselectionError(
-            f"postselection mass is zero at x = {''.join(str(b) for b in x_bits)} "
+            f"postselection mass is zero at x = {bits_label(x_bits)} "
             "(signals an invalid pair)")
     pre_projection = captured["cycled"]
     failure_mass = pre_projection.norm_sq() - success_mass
@@ -454,17 +442,8 @@ def run_posteqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     if answer != lx:
         raise SimulationInvariantError(
             f"postselected answer {answer} contradicts the oracle value {lx}")
-    return RunOutcome(
-        construction="fig3-post",
-        input="".join(str(b) for b in x_bits),
-        verdict=VERDICT_POSTSELECTED,
-        answer=answer,
-        success_mass=success_mass,
-        failure_mass=failure_mass,
-        final_state=final,
-        width=final.width,
-        checkpoints=captured,
-    )
+    return _outcome("fig3-post", x_bits, final, captured, answer, success_mass, failure_mass,
+                    VERDICT_POSTSELECTED)
 
 
 def check_ancillas_restored(state: StateVector, circuit: Circuit) -> None:
@@ -511,27 +490,15 @@ def run_wn(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     success_mass, indicator = final.project(s, 1)
     failure_mass = final.norm_sq() - success_mass
     answer = None
-    verdict = VERDICT_FAIL
     if not indicator.is_zero():
         answer = _single_wire_value(indicator, c, "gap-indicator component")
-        verdict = VERDICT_YES if answer else VERDICT_NO
-    return RunOutcome(
-        construction="wn",
-        input="".join(str(b) for b in x_bits),
-        verdict=verdict,
-        answer=answer,
-        success_mass=success_mass,
-        failure_mass=failure_mass,
-        final_state=final,
-        width=final.width,
-        checkpoints=captured,
-    )
+    return _outcome("wn", x_bits, final, captured, answer, success_mass, failure_mass)
 
 
 def _run_decider(circuit: Circuit, construction: str, x_bits, record) -> RunOutcome:
     final, captured = simulate_circuit(circuit, x_bits, record)
     width = circuit.width
-    x_label = "".join(str(b) for b in x_bits)
+    x_label = bits_label(x_bits)
     expected_prefix = x_label + "0" * circuit.registers["b"][1] + "1" + "0"
     residuals = [
         label_of(key, width)
@@ -545,18 +512,7 @@ def _run_decider(circuit: Circuit, construction: str, x_bits, record) -> RunOutc
             residuals=residuals or final.labels(),
         )
     ((key, _),) = final.items_sorted()
-    answer = key & 1
-    return RunOutcome(
-        construction=construction,
-        input=x_label,
-        verdict=VERDICT_YES if answer else VERDICT_NO,
-        answer=answer,
-        success_mass=final.norm_sq(),
-        failure_mass=ZERO,
-        final_state=final,
-        width=width,
-        checkpoints=captured,
-    )
+    return _outcome(construction, x_bits, final, captured, key & 1, final.norm_sq(), ZERO)
 
 
 def run_lwpp(pair: DualVerifierPair, h, x_bits, record=False) -> RunOutcome:

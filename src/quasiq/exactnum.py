@@ -128,20 +128,6 @@ class Amplitude:
     def __ge__(self, other: Amplitude) -> bool:
         return (self - other).sign() >= 0
 
-    # -- construction helpers ----------------------------------------------
-
-    @classmethod
-    def from_int(cls, k: int) -> Amplitude:
-        return cls(k, 0, 0)
-
-    @classmethod
-    def dyadic(cls, num: int, e: int) -> Amplitude:
-        """num / 2**e."""
-        return cls(num, 0, e)
-
-    def is_dyadic(self) -> bool:
-        return self.c1 == 0
-
     # -- serialization and display -------------------------------------------
 
     def to_json(self) -> dict:
@@ -151,10 +137,6 @@ class Amplitude:
     @classmethod
     def from_json(cls, obj: dict) -> Amplitude:
         return cls(int(obj["c0"]), int(obj["c1"]), int(obj["e"]))
-
-    def to_float(self) -> float:
-        """Approximate value for display only; never used in decisions."""
-        return (self.c0 + self.c1 * 2 ** 0.5) / 2.0 ** self.e
 
     def __repr__(self) -> str:
         return f"Amplitude({self.c0}, {self.c1}, {self.e})"

@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from quasiq.circuitgen import (
     AncillaRestorationError,
@@ -42,11 +44,12 @@ from quasiq.harness.problems import (
     ProblemSpec,
     ResolvedProblem,
     SpecError,
+    builtin_entry,
     load_problem_file,
     read_table_file,
     resolve_problem,
 )
-from quasiq.quasistate import StateVector, bits_of
+from quasiq.quasistate import StateVector, bits_label, bits_of
 from quasiq.verifierkit import (
     DualityError,
     HalfGapPromiseError,
@@ -59,9 +62,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
-CONSTRUCTIONS = ("un", "fig3-zqp", "fig3-post", "wn", "lwpp", "lpwpp")
-# Constructions that read the half-gap witness, which --corrupt-h bumps.
-CORRUPTIBLE = {"simulate": ("lwpp",), "verify": ("lwpp", "lpwpp", "all")}
 DESK_SCALE_LIMIT = 20
 
 # A circuit whose exact output breaks its own invariant: a mismatch, not a
@@ -102,13 +102,8 @@ def _parse_input(text: str, n: int | None) -> tuple[int, ...]:
 
 def _m_hint(spec_or_name: ProblemSpec | str, n: int) -> int:
     """Branching length without building any verifier (guardrail precheck)."""
-    catalog = builtin_problems()
     if isinstance(spec_or_name, str):
-        if spec_or_name not in catalog:
-            raise SpecError(
-                f"unknown builtin problem {spec_or_name!r}; "
-                f"choices: {', '.join(sorted(catalog))}")
-        return catalog[spec_or_name].m_of(n)
+        return builtin_entry(spec_or_name).m_of(n)
     spec = spec_or_name
     source = spec.verifier
     if source["kind"] == "builtin":
@@ -132,6 +127,8 @@ def _load(args, inputs=None) -> ResolvedProblem:
     if n < 1:
         raise SpecError(f"--n must be at least 1, got {n}")
     spec_or_name = ref if ref in builtin_problems() else load_problem_file(ref)
+    if isinstance(spec_or_name, ProblemSpec):
+        spec_or_name.check_n(n)  # before _m_hint opens any table file
     m = _m_hint(spec_or_name, n)
     if n + m > DESK_SCALE_LIMIT and not args.force_large:
         raise SpecError(
@@ -140,26 +137,153 @@ def _load(args, inputs=None) -> ResolvedProblem:
     return resolve_problem(spec_or_name, n, seed=args.seed, inputs=inputs)
 
 
-def _check_corrupt_h(args) -> None:
-    allowed = CORRUPTIBLE[args.command]
-    if args.corrupt_h and args.construction not in allowed:
-        raise SpecError(
-            f"--corrupt-h bumps the half-gap witness, which {args.command} reads only "
-            f"with --construction {' or '.join(allowed)}, not {args.construction!r}")
-
-
 def _h_value(resolved: ResolvedProblem, corrupt: bool) -> int:
-    value = resolved.require_h().value(resolved.n)
+    value = resolved.h.value(resolved.n)
     return value + 1 if corrupt else value
 
 
-def _power_form(resolved: ResolvedProblem) -> tuple[int, int]:
-    h = resolved.require_h()
-    if h.kind == "power":
-        return h.base, h.exponent(resolved.n)
-    raise SpecError(
-        f"problem {resolved.name!r} has a tabulated half-gap witness; the fixed "
-        "finite gate alphabet needs it in power form M**t")
+# -- the construction table ------------------------------------------------------
+
+
+_WITNESS_FORMS = {"value": "a half-gap witness h(n)",
+                  "power": "a half-gap witness in power form M**t"}
+
+
+@dataclass(frozen=True)
+class Construction:
+    """One construction as the CLI runs it and checks it against the oracle.
+
+    run(resolved, x, record, corrupt_h) gives the RunOutcome. check(resolved,
+    x, lx, outcome, corrupt_h) gives None when every exact cross-check of the
+    outcome with the oracle's language bit lx and gap reports passes, else a
+    mismatch description. witness is the half-gap witness read: None, "value"
+    for h(n), or "power" for the form M**t.
+    """
+
+    name: str
+    run: Callable
+    check: Callable
+    witness: str | None = None
+
+    def available(self, resolved: ResolvedProblem) -> bool:
+        if self.witness is None:
+            return True
+        return resolved.h is not None and (self.witness == "value" or resolved.h.kind == "power")
+
+    def require(self, resolved: ResolvedProblem) -> Construction:
+        """This construction, when it can run on the resolved problem."""
+        resolved.require_pair()
+        if not self.available(resolved):
+            raise SpecError(f"construction {self.name!r} needs {_WITNESS_FORMS[self.witness]}, "
+                            f"which problem {resolved.name!r} does not carry")
+        return self
+
+
+def _check_un(resolved, x, lx, outcome, corrupt_h):
+    final, m = outcome.final_state, resolved.pair.m
+    for c, report in enumerate(resolved.pair.gap_reports(x)):
+        got = final.amplitude(outcome.input + "0" * m + str(c) + "1")
+        if got != report.delta:
+            return f"amplitude at c={c} is {got}, oracle delta is {report.delta}"
+        if final.amplitude(outcome.input + "0" * m + str(c) + "0") != HALF:
+            return f"amplitude of |{c}0> block is not 1/2"
+    if final.norm_sq() != ONE:
+        return "unitary circuit did not preserve the norm"
+    residual = final.filter_terms(lambda k: (k >> 2) & ((1 << m) - 1) != 0)
+    if not residual.norm_sq() < HALF:
+        return "residual mass is not strictly below 1/2"
+    if outcome.answer != lx:
+        return f"gap block sits on {outcome.answer}, oracle says {lx}"
+    return None
+
+
+def _check_zqp(resolved, x, lx, outcome, corrupt_h):
+    if outcome.answer != lx:
+        return f"zero-error answer {outcome.answer} != oracle {lx}"
+    if not outcome.failure_mass < outcome.success_mass:
+        return "success probability not certified above 1/2"
+    live = resolved.pair.gap_reports(x)[lx]
+    if outcome.success_mass != live.delta * live.delta:
+        return "success mass differs from the squared gap amplitude"
+    return None
+
+
+def _check_post(resolved, x, lx, outcome, corrupt_h):
+    if outcome.answer != lx:
+        return f"postselected answer {outcome.answer} != oracle {lx}"
+    if outcome.success_mass.is_zero():
+        return "postselection mass is zero"
+    return None
+
+
+def _check_wn(resolved, x, lx, outcome, corrupt_h):
+    pair = resolved.pair
+    prefix = outcome.input + "0" * pair.m
+    delta = pair.gap_reports(x)[lx].delta
+    expected = (StateVector.basis(outcome.width, prefix + "000")
+                + StateVector.basis(outcome.width, prefix + str(lx) + "01", delta))
+    if outcome.final_state != expected:
+        return "uncomputed state differs from |x>(|00> + delta|L>|1>) plus ancillas"
+    return None
+
+
+def _check_lwpp(resolved, x, lx, outcome, corrupt_h):
+    m = resolved.pair.m
+    label = outcome.input + "0" * m + "10" + str(lx)
+    expected = StateVector.basis(outcome.width, label, Amplitude(_h_value(resolved, False), 0, m))
+    if outcome.final_state != expected:
+        return "decider output is not the single term (h/2^m)|x>|1>|L(x)>"
+    return None
+
+
+def _check_lpwpp(resolved, x, lx, outcome, corrupt_h):
+    pair = resolved.pair
+    reference, _ = simulate_circuit(
+        build_lwpp_decider(pair, _h_value(resolved, corrupt_h), pair.n), x)
+    if outcome.final_state != reference:
+        return "fixed-gate-set decider differs from the length-dependent one"
+    decider = build_lpwpp_decider(pair, resolved.h.base, resolved.h.exponent(pair.n), pair.n)
+    if "A" in gate_alphabet(decider):
+        return "fixed-gate-set circuit still contains a length-dependent gate"
+    return None
+
+
+# Each record calls its run_* through this module's binding, so a wrapper
+# installed on the module (a tracer, a test double) sees every run.
+CONSTRUCTION_TABLE = {c.name: c for c in (
+    Construction("un", lambda r, x, record, corrupt: run_un(r.pair, x, record), _check_un),
+    Construction("fig3-zqp", lambda r, x, record, corrupt: run_zqp(r.pair, x, record),
+                 _check_zqp),
+    Construction("fig3-post", lambda r, x, record, corrupt: run_posteqp(r.pair, x, record),
+                 _check_post),
+    Construction("wn", lambda r, x, record, corrupt: run_wn(r.pair, x, record), _check_wn),
+    Construction("lwpp", lambda r, x, record, corrupt:
+                 run_lwpp(r.pair, _h_value(r, corrupt), x, record), _check_lwpp, "value"),
+    Construction("lpwpp", lambda r, x, record, corrupt:
+                 run_lpwpp(r.pair, r.h.base, r.h.exponent(r.n), x, record), _check_lpwpp,
+                 "power"),
+)}
+CONSTRUCTIONS = tuple(CONSTRUCTION_TABLE)
+# The constructions --corrupt-h reaches: simulate bumps the value h(n) that
+# it runs on; verify checks every row that reads a witness against the bumped one.
+CORRUPTIBLE = {
+    "simulate": tuple(c.name for c in CONSTRUCTION_TABLE.values() if c.witness == "value"),
+    "verify": tuple(c.name for c in CONSTRUCTION_TABLE.values() if c.witness),
+}
+
+
+def _check_corrupt_h(args, resolved: ResolvedProblem, constructions) -> None:
+    """--corrupt-h is a usage error unless some construction to be run reads it."""
+    allowed = CORRUPTIBLE[args.command]
+    if args.corrupt_h and not any(c.name in allowed for c in constructions):
+        raise SpecError(
+            f"--corrupt-h bumps the half-gap witness, which {args.command} reads only with "
+            f"--construction {' or '.join(allowed)} on a problem that carries one; "
+            f"not with {args.construction!r} on problem {resolved.name!r}")
+
+
+def _simulate_one(resolved: ResolvedProblem, construction: str, x, record, corrupt_h=False):
+    return CONSTRUCTION_TABLE[construction].require(resolved).run(resolved, x, record, corrupt_h)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -183,28 +307,10 @@ def cmd_gap(args) -> int:
     return EXIT_OK
 
 
-def _simulate_one(resolved: ResolvedProblem, construction: str, x, record, corrupt_h=False):
-    pair = resolved.require_pair()
-    if construction == "un":
-        return run_un(pair, x, record)
-    if construction == "fig3-zqp":
-        return run_zqp(pair, x, record)
-    if construction == "fig3-post":
-        return run_posteqp(pair, x, record)
-    if construction == "wn":
-        return run_wn(pair, x, record)
-    if construction == "lwpp":
-        return run_lwpp(pair, _h_value(resolved, corrupt_h), x, record)
-    if construction == "lpwpp":
-        base, t = _power_form(resolved)
-        return run_lpwpp(pair, base, t, x, record)
-    raise SpecError(f"unknown construction {construction!r}")
-
-
 def cmd_simulate(args) -> int:
-    _check_corrupt_h(args)
     x = _parse_input(args.input, args.n)
     resolved = _load(args, [x])
+    _check_corrupt_h(args, resolved, [CONSTRUCTION_TABLE[args.construction]])
     outcome = _simulate_one(resolved, args.construction, x, args.checkpoints,
                             corrupt_h=args.corrupt_h)
     obj = outcome.to_json()
@@ -218,122 +324,35 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _expected_wn_state(pair, x, lx):
-    width = pair.n + pair.m + 3
-    xs = "".join(str(v) for v in x)
-    delta = pair.gap_reports(x)[lx].delta
-    rest = StateVector.basis(width, xs + "0" * pair.m + str(lx) + "0" + "1", delta)
-    return StateVector.basis(width, xs + "0" * pair.m + "000") + rest
-
-
 def _verify_one(resolved: ResolvedProblem, construction: str, x, corrupt_h: bool) -> str | None:
     """None when the exact cross-checks pass, else a mismatch description."""
-    pair = resolved.require_pair()
-    lx = pair.language_bit(x)
-    g0, g1 = pair.gap_reports(x)
-    xs = "".join(str(v) for v in x)
-    if construction == "un":
-        outcome = run_un(pair, x)
-        final = outcome.final_state
-        m = pair.m
-        for c, report in ((0, g0), (1, g1)):
-            got = final.amplitude(xs + "0" * m + str(c) + "1")
-            if got != report.delta:
-                return f"amplitude at c={c} is {got}, oracle delta is {report.delta}"
-            if final.amplitude(xs + "0" * m + str(c) + "0") != HALF:
-                return f"amplitude of |{c}0> block is not 1/2"
-        if final.norm_sq() != ONE:
-            return "unitary circuit did not preserve the norm"
-        residual = final.filter_terms(
-            lambda k: (k >> 2) & ((1 << m) - 1) != 0)
-        if not residual.norm_sq() < HALF:
-            return "residual mass is not strictly below 1/2"
-        if outcome.answer != lx:
-            return f"gap block sits on {outcome.answer}, oracle says {lx}"
-        return None
-    if construction == "fig3-zqp":
-        outcome = run_zqp(pair, x)
-        if outcome.answer != lx:
-            return f"zero-error answer {outcome.answer} != oracle {lx}"
-        if not outcome.failure_mass < outcome.success_mass:
-            return "success probability not certified above 1/2"
-        live = g1 if lx else g0
-        if outcome.success_mass != live.delta * live.delta:
-            return "success mass differs from the squared gap amplitude"
-        return None
-    if construction == "fig3-post":
-        outcome = run_posteqp(pair, x)
-        if outcome.answer != lx:
-            return f"postselected answer {outcome.answer} != oracle {lx}"
-        if outcome.success_mass.is_zero():
-            return "postselection mass is zero"
-        return None
-    if construction == "wn":
-        outcome = run_wn(pair, x)
-        expected = _expected_wn_state(pair, x, lx)
-        if outcome.final_state != expected:
-            return "uncomputed state differs from |x>(|00> + delta|L>|1>) plus ancillas"
-        return None
-    if construction == "lwpp":
-        outcome = run_lwpp(pair, _h_value(resolved, corrupt_h), x)
-        hv = _h_value(resolved, corrupt=False)
-        expected = StateVector.basis(
-            outcome.width, xs + "0" * pair.m + "1" + "0" + str(lx), Amplitude(hv, 0, pair.m))
-        if outcome.final_state != expected:
-            return "decider output is not the single term (h/2^m)|x>|1>|L(x)>"
-        return None
-    if construction == "lpwpp":
-        base, t = _power_form(resolved)
-        outcome = run_lpwpp(pair, base, t, x)
-        reference, _ = simulate_circuit(
-            build_lwpp_decider(pair, _h_value(resolved, corrupt_h), pair.n), x)
-        if outcome.final_state != reference:
-            return "fixed-gate-set decider differs from the length-dependent one"
-        alphabet = gate_alphabet(build_lpwpp_decider(pair, base, t, pair.n))
-        if "A" in alphabet:
-            return "fixed-gate-set circuit still contains a length-dependent gate"
-        return None
-    raise SpecError(f"unknown construction {construction!r}")
-
-
-def _available(resolved: ResolvedProblem, construction: str) -> bool:
-    if construction in ("lwpp", "lpwpp") and resolved.h is None:
-        return False
-    if construction == "lpwpp" and resolved.h is not None and resolved.h.kind != "power":
-        return False
-    return True
+    lx = resolved.pair.language_bit(x)
+    entry = CONSTRUCTION_TABLE[construction]
+    return entry.check(resolved, x, lx, entry.run(resolved, x, False, corrupt_h), corrupt_h)
 
 
 def cmd_verify(args) -> int:
-    _check_corrupt_h(args)
     resolved = _load(args)
     resolved.require_pair()
     if args.construction == "all":
-        constructions = tuple(c for c in CONSTRUCTIONS if _available(resolved, c))
-        if args.corrupt_h and not {"lwpp", "lpwpp"} & set(constructions):
-            raise SpecError(
-                f"--corrupt-h bumps the half-gap witness, but problem {resolved.name!r} "
-                "has none usable, so no row would read it")
-        skipped = [c for c in CONSTRUCTIONS if c not in constructions]
+        constructions = [c for c in CONSTRUCTION_TABLE.values() if c.available(resolved)]
+        skipped = [c.name for c in CONSTRUCTION_TABLE.values() if not c.available(resolved)]
         if skipped:
             _diag(f"skipping {', '.join(skipped)}: no usable half-gap witness")
     else:
-        if not _available(resolved, args.construction):
-            raise SpecError(
-                f"problem {resolved.name!r} carries no half-gap witness usable "
-                f"for construction {args.construction!r}")
-        constructions = (args.construction,)
+        constructions = [CONSTRUCTION_TABLE[args.construction].require(resolved)]
+    _check_corrupt_h(args, resolved, constructions)
     results = []
     ok = True
     for construction in constructions:
         for xkey in range(2**resolved.n):
             x = bits_of(xkey, resolved.n)
-            xs = "".join(str(v) for v in x)
             try:
-                detail = _verify_one(resolved, construction, x, args.corrupt_h)
+                detail = _verify_one(resolved, construction.name, x, args.corrupt_h)
             except _DOMAIN_ERRORS as exc:
                 detail = f"{type(exc).__name__}: {exc}"
-            row = {"construction": construction, "input": xs, "ok": detail is None}
+            row = {"construction": construction.name, "input": bits_label(x),
+                   "ok": detail is None}
             if detail is not None:
                 row["detail"] = detail
                 ok = False
@@ -419,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record and include intermediate checkpoint states")
     p_sim.add_argument("--corrupt-h", action="store_true",
                        help="fault injection: bump the half-gap witness by one "
-                            "(--construction lwpp only)")
+                            f"(--construction {' or '.join(CORRUPTIBLE['simulate'])} only)")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="sweep all inputs and cross-check vs the oracle")
@@ -427,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--construction", default="all", choices=CONSTRUCTIONS + ("all",))
     p_ver.add_argument("--corrupt-h", action="store_true",
                        help="fault injection: bump the half-gap witness by one "
-                            "(lwpp and lpwpp rows only)")
+                            f"({' and '.join(CORRUPTIBLE['verify'])} rows only)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_dual = sub.add_parser("duals", help="validate dual-pair invariants")

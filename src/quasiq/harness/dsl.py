@@ -310,5 +310,4 @@ def eval_dsl(expr: DslExpr, x: Bits, b: Bits) -> int:
 def dsl_verifier(text: str, n: int, m: int, name: str | None = None) -> Verifier:
     """Compile an expression into a verifier over n input and m branch bits."""
     expr = parse_dsl(text, n, m)
-    return Verifier(n, m, lambda x, b: eval_dsl(expr, x, b),
-                    name=name or print_dsl(expr), backing="dsl")
+    return Verifier(n, m, lambda x, b: eval_dsl(expr, x, b), name=name or print_dsl(expr))

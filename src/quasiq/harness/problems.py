@@ -149,6 +149,24 @@ SCHEMA = {
     },
 }
 
+# Truth-table files. The schema stops at the arrays: under CPython 3.11 the
+# validator takes about 10 us per array item (0.3 s on an n = m = 8 table), so
+# read_table_file checks the items itself, one join per row.
+TABLE_SCHEMA = {
+    "type": "object",
+    "required": ["n", "m", "table"],
+    "properties": {
+        "n": {"type": "integer", "minimum": 0},
+        "m": {"type": "integer", "minimum": 1},
+        "table": {
+            "type": "object",
+            "propertyNames": {"pattern": r"^[01]*$"},
+            "additionalProperties": {"type": "array"},
+        },
+    },
+}
+_TABLE_VALIDATOR = jsonschema.Draft202012Validator(TABLE_SCHEMA)
+
 
 @dataclass
 class ProblemSpec:
@@ -210,6 +228,10 @@ class ProblemSpec:
         """A table file named in the spec, relative to the spec's directory."""
         return ref if os.path.isabs(ref) else os.path.join(self.base_dir, ref)
 
+    def check_n(self, n: int) -> None:
+        if not self.n_min <= n <= self.n_max:
+            raise SpecError(f"n = {n} outside declared range [{self.n_min}, {self.n_max}]")
+
     def m_of(self, n: int) -> int | None:
         if self.m_spec is None:
             return None
@@ -231,8 +253,6 @@ class ResolvedProblem:
     verifiers: list[Verifier]
     pair: DualVerifierPair | None
     h: HalfGapFunction | None
-    base: Verifier | None
-    language: object = None  # intended language bit function, when known
 
     def require_pair(self) -> DualVerifierPair:
         if self.pair is None:
@@ -261,28 +281,46 @@ def load_problem_file(path: str) -> ProblemSpec:
 
 def read_table_file(path: str) -> dict:
     """The JSON object in a truth-table file; a file that cannot be read or
-    parsed is a SpecError naming the path."""
+    parsed, or that fails TABLE_SCHEMA, is a SpecError naming the path."""
     try:
         with open(path, "rt", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read table file {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"table file {path} is not valid JSON: {exc}") from exc
+    try:
+        _TABLE_VALIDATOR.validate(obj)
+    except jsonschema.ValidationError as exc:
+        raise SpecError(f"table file {path} rejected by schema: {exc.message}") from exc
+    for xlabel, blabels in obj["table"].items():
+        try:
+            stray = "".join(blabels).strip("01")
+        except TypeError:  # an item that is not a string
+            stray = True
+        if stray:
+            raise SpecError(f"table file {path} rejected by schema: "
+                            f"the branches of input {xlabel!r} are not all bit strings")
+    return obj
+
+
+def builtin_entry(name: str) -> BuiltinProblem:
+    """The builtin catalog entry called `name`; an unknown name is a SpecError."""
+    catalog = builtin_problems()
+    if name not in catalog:
+        raise SpecError(
+            f"unknown builtin problem {name!r}; choices: {', '.join(sorted(catalog))}")
+    return catalog[name]
 
 
 def _resolve_builtin(entry: BuiltinProblem, n: int, seed: int | None,
                      inputs: list[Bits] | None) -> ResolvedProblem:
     rng = random.Random(seed) if seed is not None else None
-    if entry.kind == "single":
+    if entry.make_single is not None:
         verifier = entry.make_single(n)
-        return ResolvedProblem(entry.name, n, verifier.m, [verifier], None, entry.h, None)
+        return ResolvedProblem(entry.name, n, verifier.m, [verifier], None, entry.h)
     pair = entry.pair(n, rng, inputs)
-    base = entry.make_base(n) if entry.make_base else None
-    return ResolvedProblem(
-        entry.name, n, pair.m, [pair.v0, pair.v1], pair, entry.h, base,
-        language=entry.language,
-    )
+    return ResolvedProblem(entry.name, n, pair.m, [pair.v0, pair.v1], pair, entry.h)
 
 
 def resolve_problem(spec_or_name: ProblemSpec | str, n: int, seed: int | None = None,
@@ -293,22 +331,14 @@ def resolve_problem(spec_or_name: ProblemSpec | str, n: int, seed: int | None = 
     postcondition checked at every input, or only at `inputs` when given (for
     a caller that will run just those; see make_dual_lwpp).
     """
-    catalog = builtin_problems()
     if isinstance(spec_or_name, str):
-        if spec_or_name not in catalog:
-            raise SpecError(
-                f"unknown builtin problem {spec_or_name!r}; "
-                f"choices: {', '.join(sorted(catalog))}")
-        return _resolve_builtin(catalog[spec_or_name], n, seed, inputs)
+        return _resolve_builtin(builtin_entry(spec_or_name), n, seed, inputs)
 
     spec = spec_or_name
-    if not spec.n_min <= n <= spec.n_max:
-        raise SpecError(f"n = {n} outside declared range [{spec.n_min}, {spec.n_max}]")
+    spec.check_n(n)
     source = spec.verifier
     if source["kind"] == "builtin":
-        if source["name"] not in catalog:
-            raise SpecError(f"unknown builtin problem {source['name']!r}")
-        resolved = _resolve_builtin(catalog[source["name"]], n, seed, inputs)
+        resolved = _resolve_builtin(builtin_entry(source["name"]), n, seed, inputs)
         if spec.h is not None:
             resolved.h = spec.h
         resolved.name = spec.name
@@ -331,7 +361,7 @@ def resolve_problem(spec_or_name: ProblemSpec | str, n: int, seed: int | None = 
     if spec.dual == "derive-via-lemma":
         base = build("base")
         pair = make_dual_lwpp(base, spec.h, inputs)
-        return ResolvedProblem(spec.name, n, pair.m, [pair.v0, pair.v1], pair, spec.h, base)
+        return ResolvedProblem(spec.name, n, pair.m, [pair.v0, pair.v1], pair, spec.h)
     v0, v1 = build("v0"), build("v1")
     pair = DualVerifierPair(v0, v1, name=spec.name, h_witness=spec.h)
-    return ResolvedProblem(spec.name, n, pair.m, [v0, v1], pair, spec.h, None)
+    return ResolvedProblem(spec.name, n, pair.m, [v0, v1], pair, spec.h)

@@ -49,6 +49,11 @@ def label_of(key: int, width: int) -> str:
     return format(key, f"0{width}b") if width else ""
 
 
+def bits_label(bits: Iterable[int]) -> str:
+    """A bit tuple as its string label, e.g. (1, 0, 1) -> "101"."""
+    return "".join(str(b) for b in bits)
+
+
 def key_of_label(label: str) -> int:
     return int(label, 2) if label else 0
 

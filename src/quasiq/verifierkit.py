@@ -19,7 +19,7 @@ from itertools import product
 from typing import Callable, Iterable, Mapping
 
 from quasiq.exactnum import Amplitude
-from quasiq.quasistate import bits_of, key_of, label_of
+from quasiq.quasistate import bits_label, bits_of, key_of, label_of
 
 Bits = tuple[int, ...]
 
@@ -48,7 +48,6 @@ class Verifier:
     m: int
     eval_fn: Callable[[Bits, Bits], int]
     name: str = "anonymous"
-    backing: str = "builtin"
 
     def __post_init__(self):
         if self.m < 1:
@@ -58,13 +57,6 @@ class Verifier:
 
     def eval(self, x: Bits, b: Bits) -> int:
         return 1 if self.eval_fn(x, b) else 0
-
-    def eval_checked(self, x: Bits, b: Bits) -> int:
-        if len(x) != self.n:
-            raise ValueError(f"input length {len(x)} != n = {self.n}")
-        if len(b) != self.m:
-            raise ValueError(f"branch length {len(b)} != m = {self.m}")
-        return self.eval(x, b)
 
 
 @dataclass(frozen=True)
@@ -131,7 +123,7 @@ def gap_stats(v: Verifier, x: Bits) -> GapReport:
     assert delta_half == delta_alt, "half-gap computations disagree"
     return GapReport(
         verifier=v.name,
-        x="".join(str(bit) for bit in x),
+        x=bits_label(x),
         n=v.n,
         m=m,
         A=accepted,
@@ -195,24 +187,6 @@ class HalfGapFunction:
         if obj["kind"] == "power":
             return cls.power(obj["M"], obj["t"]["a"], obj["t"]["b"])
         return cls.tabulated(obj["values"])
-
-
-def power_exponent(value: int, base: int) -> int:
-    """The t with base**t == value, or ValueError if value is not a perfect power."""
-    if value < 1:
-        raise ValueError(f"{value} is not a positive half-gap")
-    if base == 1:
-        if value != 1:
-            raise ValueError(f"{value} is not a power of 1")
-        return 0
-    t = 0
-    rest = value
-    while rest % base == 0:
-        rest //= base
-        t += 1
-    if rest != 1:
-        raise ValueError(f"{value} is not a perfect power of {base}")
-    return t
 
 
 # -- dual pairs ----------------------------------------------------------------
@@ -311,8 +285,7 @@ def balanced_verifier(n: int, m: int, name: str = "balanced") -> Verifier:
 
 
 def negate_verifier(v: Verifier) -> Verifier:
-    return Verifier(v.n, v.m, lambda x, b: 1 - v.eval(x, b),
-                    name=f"not-{v.name}", backing="derived")
+    return Verifier(v.n, v.m, lambda x, b: 1 - v.eval(x, b), name=f"not-{v.name}")
 
 
 def allzero_verifier(n: int) -> Verifier:
@@ -338,8 +311,8 @@ def language_pair(n: int, m: int, language: Callable[[Bits], int], name: str) ->
     def v1_fn(x: Bits, b: Bits) -> int:
         return 0 if language(x) else (1 if key_of(b) < half else 0)
 
-    v0 = Verifier(n, m, v0_fn, name=f"{name}-v0", backing="derived")
-    v1 = Verifier(n, m, v1_fn, name=f"{name}-v1", backing="derived")
+    v0 = Verifier(n, m, v0_fn, name=f"{name}-v0")
+    v1 = Verifier(n, m, v1_fn, name=f"{name}-v1")
     h = HalfGapFunction.power(2, 1, -1) if m == n else HalfGapFunction.tabulated({n: half})
     return DualVerifierPair(v0, v1, name=name, h_witness=h)
 
@@ -359,7 +332,7 @@ def equalize_branch_lengths(v: Verifier, target_m: int) -> Verifier:
     base_m = v.m
     pad = target_m - base_m
     return Verifier(v.n, target_m, lambda x, b: v.eval(x, b[:base_m]),
-                    name=f"{v.name}+pad{pad}", backing="derived")
+                    name=f"{v.name}+pad{pad}")
 
 
 def branch_on_first_bit(when0: Verifier, when1: Verifier, name: str) -> Verifier:
@@ -370,7 +343,6 @@ def branch_on_first_bit(when0: Verifier, when1: Verifier, name: str) -> Verifier
         when0.m + 1,
         lambda x, b: when1.eval(x, b[1:]) if b[0] else when0.eval(x, b[1:]),
         name=name,
-        backing="derived",
     )
 
 
@@ -438,7 +410,7 @@ def table_verifier(n: int, m: int, table: Mapping[Bits, frozenset[int]],
         rows = table.get(x)
         return 1 if rows is not None and key_of(b) in rows else 0
 
-    return Verifier(n, m, eval_fn, name=name, backing="truth-table")
+    return Verifier(n, m, eval_fn, name=name)
 
 
 def table_to_json(v: Verifier) -> dict:
@@ -536,16 +508,15 @@ def random_fixed_gap_base(n: int, m: int, h_value: int, rng,
 
 @dataclass(frozen=True)
 class BuiltinProblem:
-    """Catalog entry: either a dual pair family or a single verifier family."""
+    """Catalog entry: a dual pair family (make_pair) or a single verifier
+    family (make_single)."""
 
     name: str
     summary: str
-    kind: str  # "pair" | "single"
     m_of: Callable[[int], int] = field(repr=False)
     make_pair: Callable[[int, object, Iterable[Bits] | None], DualVerifierPair] | None = field(
         default=None, repr=False)
     make_single: Callable[[int], Verifier] | None = field(default=None, repr=False)
-    make_base: Callable[[int], Verifier] | None = field(default=None, repr=False)
     h: HalfGapFunction | None = None
     language: Callable[[Bits], int] | None = field(default=None, repr=False)
 
@@ -555,12 +526,6 @@ class BuiltinProblem:
         if self.make_pair is None:
             raise ValueError(f"builtin {self.name!r} is not a dual-pair problem")
         return self.make_pair(n, rng, inputs)
-
-    def verifiers(self, n: int, rng=None) -> list[Verifier]:
-        if self.kind == "single":
-            return [self.make_single(n)]
-        p = self.pair(n, rng)
-        return [p.v0, p.v1]
 
 
 def _parity(x: Bits) -> int:
@@ -576,11 +541,15 @@ def builtin_problems() -> dict[str, BuiltinProblem]:
     def allzero_pair(n: int, rng=None, inputs=None) -> DualVerifierPair:
         return make_dual_lwpp(allzero_verifier(n), h_half, inputs, name="allzero")
 
-    def given(name: str, language: Callable[[Bits], int]):
+    def given(name: str, summary: str, language: Callable[[Bits], int]) -> BuiltinProblem:
         def make(n: int, rng=None, inputs=None) -> DualVerifierPair:
             return language_pair(n, n, language, name)
 
-        return make
+        return BuiltinProblem(name, summary, m_of=lambda n: n, make_pair=make, h=h_half,
+                              language=language)
+
+    def single(name: str, summary: str, make: Callable[[int], Verifier]) -> BuiltinProblem:
+        return BuiltinProblem(name, summary, m_of=lambda n: n, make_single=make)
 
     def random_pair(n: int, rng, inputs=None) -> DualVerifierPair:
         if rng is None:
@@ -591,76 +560,26 @@ def builtin_problems() -> dict[str, BuiltinProblem]:
         BuiltinProblem(
             name="allzero",
             summary="membership in {0^n}; fixed-half-gap base with h(n) = 2^(n-1), dual pair via the lemma transform",
-            kind="pair",
             m_of=lambda n: n + 1,
             make_pair=allzero_pair,
-            make_base=lambda n: allzero_verifier(n),
             h=h_half,
             language=lambda x: 1 if not any(x) else 0,
         ),
-        BuiltinProblem(
-            name="empty",
-            summary="the empty language: every input is a non-member",
-            kind="pair",
-            m_of=lambda n: n,
-            make_pair=given("empty", lambda x: 0),
-            h=h_half,
-            language=lambda x: 0,
-        ),
-        BuiltinProblem(
-            name="full",
-            summary="the full language: every input is a member",
-            kind="pair",
-            m_of=lambda n: n,
-            make_pair=given("full", lambda x: 1),
-            h=h_half,
-            language=lambda x: 1,
-        ),
-        BuiltinProblem(
-            name="parity",
-            summary="inputs with an odd number of ones",
-            kind="pair",
-            m_of=lambda n: n,
-            make_pair=given("parity", _parity),
-            h=h_half,
-            language=_parity,
-        ),
-        BuiltinProblem(
-            name="coparity",
-            summary="inputs with an even number of ones",
-            kind="pair",
-            m_of=lambda n: n,
-            make_pair=given("coparity", lambda x: 1 - _parity(x)),
-            h=h_half,
-            language=lambda x: 1 - _parity(x),
-        ),
+        given("empty", "the empty language: every input is a non-member", lambda x: 0),
+        given("full", "the full language: every input is a member", lambda x: 1),
+        given("parity", "inputs with an odd number of ones", _parity),
+        given("coparity", "inputs with an even number of ones", lambda x: 1 - _parity(x)),
         BuiltinProblem(
             name="random-table",
             summary="seeded random truth-table dual pair (rejection-sampled)",
-            kind="pair",
             m_of=lambda n: n + 1,
             make_pair=random_pair,
         ),
-        BuiltinProblem(
-            name="constant-reject",
-            summary="single verifier rejecting every branch (half-gap 2^(m-1))",
-            kind="single",
-            m_of=lambda n: n,
-            make_single=lambda n: const_verifier(n, n, 0),
-        ),
-        BuiltinProblem(
-            name="constant-accept",
-            summary="single verifier accepting every branch (half-gap -2^(m-1))",
-            kind="single",
-            m_of=lambda n: n,
-            make_single=lambda n: const_verifier(n, n, 1),
-        ),
-        BuiltinProblem(
-            name="balanced",
-            summary="single verifier accepting exactly half the branches (half-gap 0)",
-            kind="single",
-            m_of=lambda n: n,
-            make_single=lambda n: balanced_verifier(n, n),
-        ),
+        single("constant-reject", "single verifier rejecting every branch (half-gap 2^(m-1))",
+               lambda n: const_verifier(n, n, 0)),
+        single("constant-accept", "single verifier accepting every branch (half-gap -2^(m-1))",
+               lambda n: const_verifier(n, n, 1)),
+        single("balanced", "single verifier accepting exactly half the branches (half-gap 0)",
+               lambda n: balanced_verifier(n, n)),
     ]
     return {p.name: p for p in problems}

@@ -300,3 +300,55 @@ def test_missing_table_file_is_a_spec_error(tmp_path, capsys, m):
     assert code == EXIT_USAGE
     assert str(tmp_path / "absent.json") in err and out == ""
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("table", [
+    {"n": 2, "table": {}},
+    {"n": 2, "m": 2, "table": []},
+    {"n": 2, "m": 2, "table": {"00": "01"}},
+    {"n": 2, "m": 2, "table": {"00": [1]}},
+], ids=["no-m", "table-list", "row-string", "branch-int"])
+def test_malformed_table_file_is_a_spec_error(tmp_path, capsys, table):
+    (tmp_path / "base.json").write_text(json.dumps(table), encoding="utf-8")
+    spec = {
+        "name": "bad-table",
+        "n": {"min": 2, "max": 2},
+        "verifier": {"kind": "table-file", "base": "base.json"},
+        "h": {"kind": "power", "M": 2, "t": {"a": 0, "b": 0}},
+        "dual": "derive-via-lemma",
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--problem", str(path), "--n", "2")
+    assert code == EXIT_USAGE
+    assert str(tmp_path / "base.json") in err and out == ""
+    assert "Traceback" not in err
+
+
+def test_n_range_is_checked_before_table_files_are_read(tmp_path, capsys):
+    spec = {
+        "name": "missing-table",
+        "n": {"min": 2, "max": 3},
+        "verifier": {"kind": "table-file", "base": "absent.json"},
+        "h": {"kind": "power", "M": 2, "t": {"a": 0, "b": 0}},
+        "dual": "derive-via-lemma",
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--problem", str(path), "--n", "9")
+    assert code == EXIT_USAGE
+    assert "n = 9 outside declared range [2, 3]" in err and out == ""
+    assert "absent.json" not in err
+
+
+def test_every_construction_is_a_choice_and_a_verify_row(capsys):
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    for command in ("simulate", "verify"):
+        (action,) = [a for a in subparsers[command]._actions if a.dest == "construction"]
+        assert set(cli.CONSTRUCTIONS) <= set(action.choices), command
+    code, obj, _ = run_json(capsys, "verify", "--problem", "allzero", "--n", "2")
+    assert code == EXIT_OK
+    rows = [(row["construction"], row["input"]) for row in obj["results"]]
+    assert sorted(rows) == sorted(
+        (name, format(x, "02b")) for name in cli.CONSTRUCTION_TABLE for x in range(4))

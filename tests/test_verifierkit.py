@@ -19,7 +19,6 @@ from quasiq.verifierkit import (
     gap_stats,
     language_pair,
     make_dual_lwpp,
-    power_exponent,
     random_dual_pair,
     random_fixed_gap_base,
     table_to_json,
@@ -283,12 +282,3 @@ def test_half_gap_function_forms():
     assert HalfGapFunction.from_json(power.to_json()) == power
     assert HalfGapFunction.from_json(tab.to_json()) == tab
 
-
-def test_power_exponent():
-    assert power_exponent(8, 2) == 3
-    assert power_exponent(1, 2) == 0
-    assert power_exponent(1, 1) == 0
-    with pytest.raises(ValueError):
-        power_exponent(6, 2)
-    with pytest.raises(ValueError):
-        power_exponent(3, 1)
