@@ -69,24 +69,28 @@ class Amplitude:
     def scale_int(self, k: int) -> Amplitude:
         return Amplitude(self.c0 * k, self.c1 * k, self.e)
 
-    def div_exact(self, other: Amplitude) -> Amplitude:
-        """Exact quotient self / other, or ExactDivisionError if it leaves the ring."""
-        if other.is_zero():
-            raise ExactDivisionError("division by zero")
-        b0, b1 = other.c0, other.c1
-        # 1/other = 2**other.e * (b0 - b1*sqrt(2)) / (b0**2 - 2*b1**2)
-        norm = b0 * b0 - 2 * b1 * b1
-        num = self * Amplitude(b0, -b1, 0)
-        c0, c1, e = num.c0, num.c1, num.e - other.e
+    def reciprocal(self) -> tuple[int, int, int, int]:
+        """(u0, u1, odd, shift) with 1/self == Amplitude(u0, u1, -shift) / odd for a
+        positive odd `odd`, which is 0 when self is zero. From 1/self = 2**e *
+        (c0 - c1*sqrt(2)) / (c0**2 - 2*c1**2), with the norm's sign and powers of
+        two moved out."""
+        c0, c1 = self.c0, self.c1
+        norm = c0 * c0 - 2 * c1 * c1
         if norm < 0:
             c0, c1, norm = -c0, -c1, -norm
-        # Powers of two in the divisor fold into the exponent; the odd part
-        # must divide both integer components exactly.
         twos = (norm & -norm).bit_length() - 1
-        odd = norm >> twos
-        if c0 % odd or c1 % odd:
+        return c0, -c1, norm >> twos if norm else 0, self.e - twos
+
+    def div_exact(self, other: Amplitude) -> Amplitude:
+        """Exact quotient self / other, or ExactDivisionError if it leaves the ring."""
+        u0, u1, odd, shift = other.reciprocal()
+        if not odd:
+            raise ExactDivisionError("division by zero")
+        # The quotient exists iff the odd part divides both integer components.
+        num = self * Amplitude(u0, u1, -shift)
+        if num.c0 % odd or num.c1 % odd:
             raise ExactDivisionError(f"{self!r} / {other!r} is not in the ring")
-        return Amplitude(c0 // odd, c1 // odd, e + twos)
+        return Amplitude(num.c0 // odd, num.c1 // odd, num.e)
 
     # -- comparisons -------------------------------------------------------
 

@@ -150,32 +150,20 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> DslExpr:
-        expr = self.or_expr()
+        expr = self.binary()
         tok = self.peek()
         if tok.type != "EOF":
             raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col,
                              expected=("operator", "end of input"))
         return expr
 
-    def or_expr(self) -> DslExpr:
-        expr = self.xor_expr()
-        while self.peek().type == "PIPE":
-            self.advance()
-            expr = BinOp("|", expr, self.xor_expr())
-        return expr
-
-    def xor_expr(self) -> DslExpr:
-        expr = self.and_expr()
-        while self.peek().type == "CARET":
-            self.advance()
-            expr = BinOp("^", expr, self.and_expr())
-        return expr
-
-    def and_expr(self) -> DslExpr:
+    def binary(self, floor: int = 1) -> DslExpr:
+        """Left-associative operators binding at least as tight as `floor` in
+        _PRECEDENCE, the table the printer reads too."""
         expr = self.unary()
-        while self.peek().type == "AMP":
-            self.advance()
-            expr = BinOp("&", expr, self.unary())
+        while _PRECEDENCE.get(self.peek().value, 0) >= floor:
+            op = self.advance().value
+            expr = BinOp(op, expr, self.binary(_PRECEDENCE[op] + 1))
         return expr
 
     def unary(self) -> DslExpr:
@@ -194,7 +182,7 @@ class _Parser:
             return Lit(int(tok.value))
         if tok.type == "LPAREN":
             self.advance()
-            expr = self.or_expr()
+            expr = self.binary()
             self.expect("RPAREN", "')'")
             return expr
         if tok.type == "NAME":

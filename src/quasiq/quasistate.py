@@ -201,6 +201,29 @@ class Gate:
     def all_wires(self) -> tuple[int, ...]:
         return self.wires + tuple(w for w, _ in self.controls)
 
+    def control_mask(self, width: int) -> tuple[int, int]:
+        """(mask, value) of the controls on a state of `width` wires, once the
+        gate is checked to fit it: every wire in range, no control on a gate
+        wire, and an ORACLE's registers as wide as its verifier's."""
+        for w in self.all_wires():
+            if not 0 <= w < width:
+                raise WireError(f"wire {w} out of range for width {width}")
+        if set(w for w, _ in self.controls) & set(self.wires):
+            raise WireError("control wires overlap gate wires")
+        if self.kind == "ORACLE":
+            verifier, nx = self.param
+            nxw, nbw = len(self.wires[:nx]), len(self.wires[nx:-1])
+            if (nxw, nbw) != (verifier.n, verifier.m):
+                raise WireError(f"oracle arity mismatch: gate has {nxw}+{nbw} wires, "
+                                f"verifier wants {verifier.n}+{verifier.m}")
+        cmask = cval = 0
+        for w, pol in self.controls:
+            bit = 1 << (width - 1 - w)
+            cmask |= bit
+            if pol:
+                cval |= bit
+        return cmask, cval
+
     def to_json(self) -> dict:
         obj: dict = {"kind": self.kind, "label": self.label(), "wires": list(self.wires)}
         if self.controls:
@@ -326,17 +349,7 @@ class StateVector:
 
     def apply(self, gate: Gate) -> StateVector:
         width = self.width
-        for w in gate.all_wires():
-            if not 0 <= w < width:
-                raise WireError(f"wire {w} out of range for width {width}")
-        if set(w for w, _ in gate.controls) & set(gate.wires):
-            raise WireError("control wires overlap gate wires")
-        cmask = cval = 0
-        for w, pol in gate.controls:
-            bit = 1 << (width - 1 - w)
-            cmask |= bit
-            if pol:
-                cval |= bit
+        cmask, cval = gate.control_mask(width)
         out: dict[int, Amplitude] = {}
 
         def put(key: int, amp: Amplitude) -> None:
@@ -347,11 +360,6 @@ class StateVector:
         if kind == "ORACLE":
             verifier, nx = gate.param
             xw, bw, target = gate.wires[:nx], gate.wires[nx:-1], gate.wires[-1]
-            if len(xw) != verifier.n or len(bw) != verifier.m:
-                raise WireError(
-                    f"oracle arity mismatch: gate has {len(xw)}+{len(bw)} wires, "
-                    f"verifier wants {verifier.n}+{verifier.m}"
-                )
         if kind == "PERM":
             shift = [(width - 1 - s, width - 1 - d) for s, d in zip(gate.wires, gate.param)]
             moved = 0
@@ -515,17 +523,7 @@ class _NumeratorState:
         return 1 << (self.width - 1 - wire)
 
     def apply(self, gate: Gate) -> None:
-        width = self.width
-        for w in gate.all_wires():
-            if not 0 <= w < width:
-                raise WireError(f"wire {w} out of range for width {width}")
-        if set(w for w, _ in gate.controls) & set(gate.wires):
-            raise WireError("control wires overlap gate wires")
-        cmask = cval = 0
-        for w, pol in gate.controls:
-            cmask |= self._mask(w)
-            if pol:
-                cval |= self._mask(w)
+        cmask, cval = gate.control_mask(self.width)
         kind = gate.kind
         if kind == "H":
             self._hadamard(self._mask(gate.wires[0]), cmask, cval)
@@ -582,26 +580,16 @@ class _NumeratorState:
 
     def _diag(self, gate: Gate, cmask: int, cval: int) -> None:
         """diag(p, 1): multiply the |0> branch by p, or divide it exactly by
-        p for GINV, AINV and NINV; powers of two go into k."""
+        p for the inverse kinds; powers of two go into k."""
         kind = gate.kind
         if kind in ("B", "BINV"):
-            p = HALF if kind == "B" else TWO
+            p = HALF
         else:
             p = gate.param if kind in ("N", "NINV") else Amplitude(gate.param, 0, 0)
-        odd = 1
-        if kind in ("GINV", "AINV", "NINV"):
-            # 1/p = 2**p.e * (c0 - c1*sqrt2) / norm, with norm = c0**2 - 2*c1**2
-            # = sign * odd * 2**twos; the quotient exists iff odd divides both
-            # parts, exactly as in Amplitude.div_exact.
-            norm = p.c0 * p.c0 - 2 * p.c1 * p.c1
-            sign = -1 if norm < 0 else 1
-            norm = abs(norm)
-            twos = (norm & -norm).bit_length() - 1
-            u0, u1 = sign * p.c0, -sign * p.c1
-            odd = norm >> twos if norm else 0
-            shift = p.e - twos
+        if kind.endswith("INV"):
+            u0, u1, odd, shift = p.reciprocal()
         else:
-            u0, u1, shift = p.c0, p.c1, -p.e
+            u0, u1, odd, shift = p.c0, p.c1, 1, -p.e
         lift = -shift if shift < 0 else 0  # applied to every other term, and to k
         up = shift if shift > 0 else 0
         m = self._mask(gate.wires[0])
@@ -651,15 +639,9 @@ class _NumeratorState:
             return permute
         if kind == "ORACLE":
             verifier, nx = gate.param
-            xw, bw, target = gate.wires[:nx], gate.wires[nx:-1], gate.wires[-1]
-            if len(xw) != verifier.n or len(bw) != verifier.m:
-                raise WireError(
-                    f"oracle arity mismatch: gate has {len(xw)}+{len(bw)} wires, "
-                    f"verifier wants {verifier.n}+{verifier.m}"
-                )
-            xs = [self.width - 1 - w for w in xw]
-            bs = [self.width - 1 - w for w in bw]
-            flip = self._mask(target)
+            xs = [self.width - 1 - w for w in gate.wires[:nx]]
+            bs = [self.width - 1 - w for w in gate.wires[nx:-1]]
+            flip = self._mask(gate.wires[-1])
             evaluate = verifier.eval
 
             def oracle(key: int) -> int:

@@ -224,6 +224,33 @@ def test_criterion_6_lpwpp_gate_set():
             assert final_a == final_b
 
 
+def test_power_witness_deciders_equal_the_closed_form():
+    """verify checks each lpwpp row against (h/2^m)|x 0^m 1 0 L(x)> alone, with
+    no second circuit: on every sweep pair with a witness M**t, both deciders
+    reach that term, and the one built from h + 1 reaches neither it nor the
+    term built from h + 1."""
+    pairs = [pair for pair, _ in builtin_pairs()] + [pair for pair, _ in lemma_pairs()]
+    checked = 0
+    for pair in pairs:
+        h = pair.h_witness
+        if h is None or h.kind != "power":
+            continue
+        n, m, hv = pair.n, pair.m, h.value(pair.n)
+        lwpp = build_lwpp_decider(pair, hv, n)
+        lpwpp = build_lpwpp_decider(pair, h.base, h.exponent(n), n)
+        bumped = build_lwpp_decider(pair, hv + 1, n)
+        for x in all_inputs(n):
+            label = xs_label(x) + "0" * m + "10" + str(pair.language_bit(x))
+            term = StateVector.basis(lwpp.width, label, Amplitude(hv, 0, m))
+            bumped_term = StateVector.basis(lwpp.width, label, Amplitude(hv + 1, 0, m))
+            assert simulate_circuit(lwpp, x)[0] == term
+            assert simulate_circuit(lpwpp, x)[0] == term
+            final, _ = simulate_circuit(bumped, x)
+            assert final != term and final != bumped_term
+            checked += 1
+    assert checked == 2 + 4 + 8 + 5 * (2 + 4 + 8)
+
+
 @criterion(7, "lemma transforms: padding doubles the half-gap; duals validated")
 def test_criterion_7_lemma_validations():
     rng = random.Random(555)

@@ -6,6 +6,7 @@ import pytest
 from quasiq.circuitgen import AncillaRestorationError, ResidualTermError, SimulationInvariantError
 from quasiq.harness import cli
 from quasiq.harness.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from quasiq.quasistate import _NumeratorState
 
 
 def run_cli(capsys, *argv):
@@ -307,7 +308,9 @@ def test_missing_table_file_is_a_spec_error(tmp_path, capsys, m):
     {"n": 2, "m": 2, "table": []},
     {"n": 2, "m": 2, "table": {"00": "01"}},
     {"n": 2, "m": 2, "table": {"00": [1]}},
-], ids=["no-m", "table-list", "row-string", "branch-int"])
+    {"n": 2, "m": 2, "table": {"0": []}},
+    {"n": 2, "m": 2, "table": {"00": ["0"]}},
+], ids=["no-m", "table-list", "row-string", "branch-int", "key-length", "branch-length"])
 def test_malformed_table_file_is_a_spec_error(tmp_path, capsys, table):
     (tmp_path / "base.json").write_text(json.dumps(table), encoding="utf-8")
     spec = {
@@ -352,3 +355,20 @@ def test_every_construction_is_a_choice_and_a_verify_row(capsys):
     rows = [(row["construction"], row["input"]) for row in obj["results"]]
     assert sorted(rows) == sorted(
         (name, format(x, "02b")) for name in cli.CONSTRUCTION_TABLE for x in range(4))
+
+
+def test_lpwpp_rows_simulate_only_their_own_decider(monkeypatch, capsys):
+    """Each lpwpp row is checked against the closed form, not a second circuit:
+    one simulation per row."""
+    created = []
+    init = _NumeratorState.__init__
+
+    def counting_init(self, width, key):
+        created.append(key)
+        init(self, width, key)
+
+    monkeypatch.setattr(_NumeratorState, "__init__", counting_init)
+    code, obj, _ = run_json(capsys, "verify", "--problem", "parity", "--n", "3",
+                            "--construction", "lpwpp")
+    assert code == EXIT_OK and obj["ok"] and len(obj["results"]) == 8
+    assert len(created) == 8

@@ -37,6 +37,18 @@ def test_precedence_and_associativity():
         "^", BinOp("^", Ref("x", 0), Ref("x", 1)), Ref("x", 2))
 
 
+def test_binding_matches_python_operators():
+    # Python's &, ^ and | bind in the same order, so its evaluation of the same
+    # text is an independent reference for every mix of three operators.
+    templates = ("x[0] {} x[1] {} x[2] {} x[3]", "x[0] {} (x[1] {} x[2]) {} x[3]")
+    for template, ops in itertools.product(templates, itertools.product("&^|", repeat=3)):
+        text = template.format(*ops)
+        expr = parse_dsl(text)
+        assert parse_dsl(print_dsl(expr)) == expr
+        for x in itertools.product((0, 1), repeat=4):
+            assert eval_dsl(expr, x, ()) == eval(text, {"x": x}), (text, x)
+
+
 def test_parity_fold_matches_allzero():
     verifier = dsl_verifier("parity(x & b)", 2, 2)
     reference = allzero_verifier(2)

@@ -120,6 +120,16 @@ def test_div_exact_inverts_mul(a, b):
         assert (a * b).div_exact(b) == a
 
 
+@given(amps)
+def test_reciprocal_parts_invert(p):
+    u0, u1, odd, shift = p.reciprocal()
+    if p.is_zero():
+        assert odd == 0
+    else:
+        assert odd > 0 and odd % 2 == 1
+        assert Amplitude(u0, u1, -shift) * p == Amplitude(odd, 0, 0)
+
+
 def test_div_exact_examples():
     assert ONE.div_exact(INV_SQRT2) == Amplitude(0, 1, 0)
     assert ONE.div_exact(Amplitude(2, 0, 0)) == HALF

@@ -43,6 +43,25 @@ SPECS = {
         "h": {"kind": "tabulated", "values": {"2": 2}},
         "dual": "given-pair",
     },
+    "parity-table-power.json": {
+        "name": "parity-table-power",
+        "n": {"min": 2, "max": 2},
+        "verifier": {"kind": "table-file", "v0": "parity-v0.json", "v1": "parity-v1.json"},
+        "h": {"kind": "power", "M": 2, "t": {"a": 0, "b": 1}},
+        "dual": "given-pair",
+    },
+    # Parity at n = 2 with m = 2, written to lean on operator binding: ^ is
+    # left-associative and binds tighter than |, & tighter than both.
+    "parity-dsl.json": {
+        "name": "parity-dsl",
+        "n": {"min": 2, "max": 2},
+        "m": {"affine": {"a": 0, "b": 2}},
+        "verifier": {"kind": "dsl",
+                     "v0": "b[0] & (b[1] | x[0] ^ !x[1] ^ 1)",
+                     "v1": "b[0] & b[1] | b[0] & !(x[0] ^ x[1]) & 1"},
+        "h": {"kind": "power", "M": 2, "t": {"a": 0, "b": 0}},
+        "dual": "given-pair",
+    },
 }
 
 
@@ -74,6 +93,13 @@ def _commands() -> list[list[str]]:
                  "--construction", "un", "--dump-state"])
     cmds.append(["verify", "--problem", "{tmp}/parity-table.json", "--n", "2"])
     cmds.append(["duals", "--problem", "{tmp}/parity-table.json", "--n", "2"])
+    for spec in ("parity-table.json", "parity-table-power.json", "lemma-dsl.json"):
+        for corrupt in ((), ("--corrupt-h",)):
+            cmds.append(["verify", "--problem", "{tmp}/" + spec, "--n", "2",
+                         "--construction", "lpwpp", *corrupt])
+    cmds.append(["gap", "--problem", "{tmp}/parity-dsl.json", "--input", "01"])
+    cmds.append(["verify", "--problem", "{tmp}/parity-dsl.json", "--n", "2"])
+    cmds.append(["verify", "--problem", "{tmp}/parity-dsl.json", "--n", "2", "--corrupt-h"])
     # errors whose stdout is empty and whose exit code is fixed
     cmds.append(["simulate", "--problem", "constant-reject", "--input", "00",
                  "--construction", "un"])

@@ -1,6 +1,7 @@
 """The integer-numerator kernel that simulate_circuit runs on, checked state
 for state against the reference StateVector.apply."""
 import random
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -15,7 +16,7 @@ from quasiq.circuitgen import (
     simulate_circuit,
 )
 from quasiq.exactnum import Amplitude, ExactDivisionError
-from quasiq.quasistate import Gate, StateVector, _NumeratorState, key_of
+from quasiq.quasistate import Gate, StateVector, WireError, _NumeratorState, key_of
 from quasiq.verifierkit import Verifier, random_dual_pair
 
 from test_acceptance import all_inputs, builtin_pairs, lemma_pairs
@@ -161,6 +162,18 @@ def test_failed_exact_division_raises_the_same_error(gate):
     check_against_reference(2, 0, [gate])
 
 
+def test_division_by_zero_raises_only_where_a_term_is_divided():
+    ninv_zero = Gate("NINV", (0,), (), Amplitude(0, 0, 0))
+    ginv_zero = Gate("GINV", (0,), ((1, 1),), 0)
+    # No term is divided: wire 0 holds 1, or the control on wire 1 fails.
+    for key, gate in ((0b10, ninv_zero), (0b10, ginv_zero), (0b00, ginv_zero)):
+        _NumeratorState(2, key).apply(gate)
+        check_against_reference(2, key, [gate])
+    for key, gate in ((0b00, ninv_zero), (0b01, ginv_zero)):
+        with pytest.raises(ExactDivisionError, match="division by zero"):
+            _NumeratorState(2, key).apply(gate)
+
+
 def test_exact_division_that_succeeds_matches():
     # 9 = 3 * 3 and 7 = (3 + sqrt2)(3 - sqrt2): both quotients stay in the ring
     check_against_reference(2, 0, [Gate.g(0, 9), Gate.g(0, 3).inverse(), Gate.h(1),
@@ -173,6 +186,19 @@ def test_wire_errors_match():
     for gate in (Gate.h(4), Gate.x(0, controls=((0, 1),)),
                  Gate.oracle(ORACLE_VERIFIER, (0,), (1,), 2)):
         check_against_reference(3, 0, [gate])
+
+
+@pytest.mark.parametrize("gate, message", [
+    (Gate.h(4), "wire 4 out of range for width 3"),
+    (Gate.x(0, controls=((0, 1),)), "control wires overlap gate wires"),
+    (Gate.oracle(ORACLE_VERIFIER, (0,), (1,), 2),
+     "oracle arity mismatch: gate has 1+1 wires, verifier wants 1+2"),
+], ids=["range", "overlap", "arity"])
+def test_gate_fit_messages_match(gate, message):
+    with pytest.raises(WireError, match=re.escape(message)):
+        StateVector.basis(3, 0).apply(gate)
+    with pytest.raises(WireError, match=re.escape(message)):
+        _NumeratorState(3, 0).apply(gate)
 
 
 # -- random gate lists ------------------------------------------------------------

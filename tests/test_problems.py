@@ -1,9 +1,16 @@
 """Problem-spec schema validation, loading, and resolution."""
 import json
 
+import jsonschema
 import pytest
 
-from quasiq.harness.problems import ProblemSpec, SpecError, load_problem_file, resolve_problem
+from quasiq.harness.problems import (
+    SCHEMA,
+    ProblemSpec,
+    SpecError,
+    load_problem_file,
+    resolve_problem,
+)
 from quasiq.quasistate import bits_of
 from quasiq.verifierkit import allzero_verifier, gap_stats, table_to_json
 
@@ -175,3 +182,37 @@ def test_single_verifier_problem():
         resolved.require_pair()
     with pytest.raises(SpecError):
         resolved.require_h()
+
+
+def _with(**changes):
+    spec = json.loads(json.dumps(GOOD_LEMMA_SPEC))
+    spec.update(changes)
+    return spec
+
+
+@pytest.mark.parametrize("spec", [
+    _with(extra=1),
+    _with(n={"min": 1, "max": 3, "step": 1}),
+    _with(m={"affine": {"a": 1}}),
+    _with(m={"table": {"x": 1}}),
+    _with(m={"affine": {"a": 1, "b": 0}, "table": {}}),
+    _with(verifier={"kind": "builtin"}),
+    _with(verifier={"kind": "dsl", "v0": "1"}),
+    _with(verifier={"kind": "dsl", "base": 3}),
+    _with(verifier={"kind": "table-file", "v0": "a.json", "v1": 1}),
+    _with(verifier={"kind": "table-file", "base": "a.json", "extra": 1}),
+    _with(verifier={"kind": "nope", "base": "1"}),
+    _with(h={"kind": "power", "M": 0, "t": {"a": 0, "b": 0}}),
+    _with(h={"kind": "tabulated", "values": {"1": 0}}),
+    _with(h={"kind": "tabulated", "values": {}, "M": 2}),
+    _with(dual="other"),
+    [],
+], ids=["top-extra", "n-extra", "m-affine", "m-table", "m-both", "builtin", "dsl-pair",
+        "dsl-base", "table-pair", "table-base", "kind", "h-power", "h-tabulated", "h-extra",
+        "dual", "not-object"])
+def test_schema_diagnostic_is_what_jsonschema_validate_reports(spec):
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(spec, SCHEMA)
+    with pytest.raises(SpecError) as got:
+        ProblemSpec.from_json(spec)
+    assert str(got.value) == f"problem spec rejected by schema: {expected.value.message}"
