@@ -12,14 +12,20 @@ Grammar (lowest precedence first; all binary operators left-associative):
 
 parity(x & b) is the inner product of the two registers mod 2 (zipped to the
 shorter length).  Parsing and printing are mutually inverse: parse(print(e))
-reproduces e, and printing a parsed string is a fixpoint.
+reproduces e, and printing a parsed string is a fixpoint.  Text nested more
+than MAX_DEPTH levels deep is a ParseError.
+
+A compiled verifier evaluates one branch with eval_dsl, and all 2**m branches
+of one input at once with mask_dsl (bit-sliced: every subexpression becomes
+the int whose bit key_of(b) is its value on branch b).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
-from quasiq.verifierkit import Verifier
+from quasiq.verifierkit import Verifier, full_mask
 
 Bits = tuple[int, ...]
 
@@ -67,6 +73,10 @@ class Parity:
 DslExpr = Union[Lit, Ref, Not, BinOp, Parity]
 
 _PRECEDENCE = {"|": 1, "^": 2, "&": 3}
+
+# The most '(' and '!' open at once, and the deepest expression tree, the
+# parser accepts: it, the printer and both evaluators recurse once per level.
+MAX_DEPTH = 100
 
 
 # -- lexer ---------------------------------------------------------------------
@@ -132,6 +142,7 @@ class _Parser:
         self.pos = 0
         self.n = n
         self.m = m
+        self.open = 0  # '(' and '!' enclosing the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -149,47 +160,65 @@ class _Parser:
                              tok.line, tok.col, expected=names)
         return self.advance()
 
+    @staticmethod
+    def nested(tok: _Token, depth: int) -> int:
+        """depth, unless it passes MAX_DEPTH at tok."""
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep",
+                             tok.line, tok.col)
+        return depth
+
     def parse(self) -> DslExpr:
-        expr = self.binary()
+        expr, _ = self.binary()
         tok = self.peek()
         if tok.type != "EOF":
             raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.col,
                              expected=("operator", "end of input"))
         return expr
 
-    def binary(self, floor: int = 1) -> DslExpr:
+    # Each parse method returns (expression, depth of its tree).
+
+    def binary(self, floor: int = 1) -> tuple[DslExpr, int]:
         """Left-associative operators binding at least as tight as `floor` in
         _PRECEDENCE, the table the printer reads too."""
-        expr = self.unary()
+        expr, depth = self.unary()
         while _PRECEDENCE.get(self.peek().value, 0) >= floor:
-            op = self.advance().value
-            expr = BinOp(op, expr, self.binary(_PRECEDENCE[op] + 1))
-        return expr
+            tok = self.advance()
+            right, right_depth = self.binary(_PRECEDENCE[tok.value] + 1)
+            expr = BinOp(tok.value, expr, right)
+            depth = self.nested(tok, max(depth, right_depth) + 1)
+        return expr, depth
 
-    def unary(self) -> DslExpr:
-        if self.peek().type == "BANG":
-            self.advance()
-            return Not(self.unary())
-        return self.atom()
+    def unary(self) -> tuple[DslExpr, int]:
+        tok = self.peek()
+        if tok.type != "BANG":
+            return self.atom()
+        self.advance()
+        self.open = self.nested(tok, self.open + 1)
+        child, depth = self.unary()
+        self.open -= 1
+        return Not(child), self.nested(tok, depth + 1)
 
-    def atom(self) -> DslExpr:
+    def atom(self) -> tuple[DslExpr, int]:
         tok = self.peek()
         if tok.type == "INT":
             self.advance()
             if tok.value not in ("0", "1"):
                 raise ParseError(f"literal {tok.value!r} is not a bit", tok.line, tok.col,
                                  expected=("0", "1"))
-            return Lit(int(tok.value))
+            return Lit(int(tok.value)), 1
         if tok.type == "LPAREN":
             self.advance()
-            expr = self.binary()
+            self.open = self.nested(tok, self.open + 1)
+            inner = self.binary()
+            self.open -= 1
             self.expect("RPAREN", "')'")
-            return expr
+            return inner
         if tok.type == "NAME":
             if tok.value == "parity":
-                return self.parity()
+                return self.parity(), 1
             if tok.value in ("x", "b"):
-                return self.reference()
+                return self.reference(), 1
             raise ParseError(f"unknown identifier {tok.value!r}", tok.line, tok.col,
                              expected=("x[i]", "b[j]", "parity", "0", "1", "'('"))
         raise ParseError(f"unexpected {tok.value or 'end of input'!r}", tok.line, tok.col,
@@ -295,7 +324,56 @@ def eval_dsl(expr: DslExpr, x: Bits, b: Bits) -> int:
     return left | right
 
 
+@lru_cache(maxsize=None)
+def branch_bit_masks(m: int) -> tuple[int, ...]:
+    """Bit-sliced branch register: entry j is the accept mask of b[j].
+
+    b[j] is bit m-1-j of key_of(b), so its mask repeats a block of w zeros
+    and then w ones (low bits first) with w = 2**(m-1-j)."""
+    full = full_mask(m)
+    masks = []
+    for j in range(m):
+        w = 1 << (m - 1 - j)
+        masks.append((((1 << w) - 1) << w) * (full // ((1 << 2 * w) - 1)))
+    return tuple(masks)
+
+
+def mask_dsl(expr: DslExpr, x: Bits, m: int) -> int:
+    """The accept mask of expr at input x over m branch bits: bit key_of(b)
+    is eval_dsl(expr, x, b), for all 2**m branches in O(|expr|) int ops."""
+    full = full_mask(m)
+    b_masks = branch_bit_masks(m)
+
+    def value(expr: DslExpr) -> int:
+        if isinstance(expr, Lit):
+            return full if expr.value else 0
+        if isinstance(expr, Ref):
+            if expr.reg == "b":
+                return b_masks[expr.index]
+            return full if x[expr.index] else 0
+        if isinstance(expr, Not):
+            return value(expr.child) ^ full
+        if isinstance(expr, Parity):
+            if expr.arg == "x":
+                return full if sum(x) & 1 else 0
+            acc = 0
+            for j, bit in enumerate(b_masks):
+                if expr.arg == "b" or (j < len(x) and x[j]):
+                    acc ^= bit
+            return acc
+        left = value(expr.left)
+        right = value(expr.right)
+        if expr.op == "&":
+            return left & right
+        if expr.op == "^":
+            return left ^ right
+        return left | right
+
+    return value(expr)
+
+
 def dsl_verifier(text: str, n: int, m: int, name: str | None = None) -> Verifier:
     """Compile an expression into a verifier over n input and m branch bits."""
     expr = parse_dsl(text, n, m)
-    return Verifier(n, m, lambda x, b: eval_dsl(expr, x, b), name=name or print_dsl(expr))
+    return Verifier(n, m, lambda x, b: eval_dsl(expr, x, b), name=name or print_dsl(expr),
+                    mask_fn=lambda x: mask_dsl(expr, x, m))

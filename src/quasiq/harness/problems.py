@@ -12,8 +12,7 @@ import json
 import os
 import random
 from dataclasses import dataclass
-
-import jsonschema
+from functools import lru_cache
 
 from quasiq.harness.dsl import dsl_verifier
 from quasiq.verifierkit import (
@@ -148,8 +147,6 @@ SCHEMA = {
         "dual": {"enum": ["given-pair", "derive-via-lemma"]},
     },
 }
-# Built once: jsonschema.validate re-checks SCHEMA against the metaschema per call.
-_SPEC_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 # Truth-table files. The schema stops at the arrays: under CPython 3.11 the
 # validator takes about 10 us per array item (0.3 s on an n = m = 8 table), so
@@ -167,7 +164,17 @@ TABLE_SCHEMA = {
         },
     },
 }
-_TABLE_VALIDATOR = jsonschema.Draft202012Validator(TABLE_SCHEMA)
+
+
+@lru_cache(maxsize=None)
+def _validator(table: bool):
+    """The validator of TABLE_SCHEMA or SCHEMA, built once (jsonschema.validate
+    would re-check the schema against the metaschema per call). jsonschema is
+    imported only here, where a spec or table file is read: a builtin problem
+    never loads it."""
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(TABLE_SCHEMA if table else SCHEMA)
 
 
 @dataclass
@@ -185,7 +192,9 @@ class ProblemSpec:
 
     @classmethod
     def from_json(cls, obj: dict, base_dir: str = ".") -> ProblemSpec:
-        error = jsonschema.exceptions.best_match(_SPEC_VALIDATOR.iter_errors(obj))
+        from jsonschema.exceptions import best_match
+
+        error = best_match(_validator(table=False).iter_errors(obj))
         if error is not None:
             raise SpecError(f"problem spec rejected by schema: {error.message}") from error
         verifier = obj["verifier"]
@@ -290,9 +299,11 @@ def read_table_file(path: str) -> dict:
         raise SpecError(f"cannot read table file {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"table file {path} is not valid JSON: {exc}") from exc
+    from jsonschema import ValidationError
+
     try:
-        _TABLE_VALIDATOR.validate(obj)
-    except jsonschema.ValidationError as exc:
+        _validator(table=True).validate(obj)
+    except ValidationError as exc:
         raise SpecError(f"table file {path} rejected by schema: {exc.message}") from exc
     for xlabel, blabels in obj["table"].items():
         try:

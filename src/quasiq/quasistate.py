@@ -638,19 +638,44 @@ class _NumeratorState:
 
             return permute
         if kind == "ORACLE":
+            # The verifier's accept mask for the x wires' value, looked up once
+            # per distinct value; the b wires' value is the bit to test in it.
             verifier, nx = gate.param
             xs = [self.width - 1 - w for w in gate.wires[:nx]]
-            bs = [self.width - 1 - w for w in gate.wires[nx:-1]]
+            x_mask = sum(1 << s for s in xs)
+            runs = self._runs(gate.wires[nx:-1])
             flip = self._mask(gate.wires[-1])
-            evaluate = verifier.eval
+            masks: dict[int, int] = {}
 
             def oracle(key: int) -> int:
-                xbits = tuple((key >> s) & 1 for s in xs)
-                bbits = tuple((key >> s) & 1 for s in bs)
-                return key ^ flip if evaluate(xbits, bbits) else key
+                x_value = key & x_mask
+                accept = masks.get(x_value)
+                if accept is None:
+                    accept = masks[x_value] = verifier.accept_mask(
+                        tuple((key >> s) & 1 for s in xs))
+                branch = 0
+                for shift, low, up in runs:
+                    branch |= (key >> shift & low) << up
+                return key ^ flip if accept >> branch & 1 else key
 
             return oracle
         raise ValueError(f"unknown gate kind {kind!r}")
+
+    def _runs(self, wires: tuple[int, ...]) -> list[tuple[int, int, int]]:
+        """Read the bits on `wires` as a big-endian integer in one shift and
+        mask per run of adjacent wires: the sum over the returned (shift,
+        low, up) of (key >> shift & low) << up."""
+        runs = []
+        end = len(wires)
+        while end:
+            start = end - 1
+            while start and wires[start - 1] == wires[start] - 1:
+                start -= 1
+            length = end - start
+            runs.append((self.width - 1 - wires[end - 1], (1 << length) - 1,
+                         len(wires) - end))
+            end = start
+        return runs
 
     def _move(self, key_map, cmask: int, cval: int) -> None:
         out: dict[int, tuple[int, int]] = {}

@@ -2,8 +2,9 @@
 
 A verifier is a pure boolean function f(x, b) giving the accept bit of
 branch b on input x; branch strings b have a fixed length m >= 1.  All gap
-quantities here come from exhaustive enumeration of the 2**m branches and
-serve as the ground truth the circuit simulations are checked against.
+quantities here count all 2**m branches of the verifier's truth table (its
+accept mask) and serve as the ground truth the circuit simulations are
+checked against.
 
 Half-gap convention: Delta = (R - A)/2 = R - 2**(m-1), where A and R count
 accepting and rejecting branches.  A dual pair (v0, v1) decides a language
@@ -42,12 +43,20 @@ class HalfGapPromiseError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Verifier:
-    """Boolean verifier f(x, b) for inputs of length n and branches of length m."""
+    """Boolean verifier f(x, b) for inputs of length n and branches of length m.
+
+    accept_mask(x) is the verifier's truth table at x, one int whose bit
+    key_of(b) is set iff branch b accepts. A source that knows its table
+    gives it as mask_fn; any other verifier has it from one enumeration of
+    eval_fn. eval stays the per-branch reference the mask is tested against.
+    """
 
     n: int
     m: int
     eval_fn: Callable[[Bits, Bits], int]
     name: str = "anonymous"
+    mask_fn: Callable[[Bits], int] | None = field(default=None, repr=False)
+    _masks: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -57,6 +66,27 @@ class Verifier:
 
     def eval(self, x: Bits, b: Bits) -> int:
         return 1 if self.eval_fn(x, b) else 0
+
+    def accept_mask(self, x: Bits) -> int:
+        """Accepting branches at x as a bitmask, computed once per input."""
+        x = tuple(x)
+        mask = self._masks.get(x)
+        if mask is None:
+            if self.mask_fn is not None:
+                mask = self.mask_fn(x)
+            else:
+                evaluate = self.eval_fn
+                # product yields the branches in key order, lowest key first
+                flags = "".join("1" if evaluate(x, b) else "0"
+                                for b in product((0, 1), repeat=self.m))
+                mask = int(flags[::-1], 2)
+            self._masks[x] = mask
+        return mask
+
+
+def full_mask(m: int) -> int:
+    """The accept mask of a verifier that accepts all 2**m branches."""
+    return (1 << (1 << m)) - 1
 
 
 @dataclass(frozen=True)
@@ -105,7 +135,8 @@ class GapReport:
 
 
 def gap_stats(v: Verifier, x: Bits) -> GapReport:
-    """Brute-force branch counts for verifier v at input x.
+    """Exact branch counts for verifier v at input x; A is the popcount of
+    its accept mask.
 
     The half-gap is computed both as (R - A)/2 and as R - 2**(m-1); the two
     must agree.
@@ -113,8 +144,7 @@ def gap_stats(v: Verifier, x: Bits) -> GapReport:
     if len(x) != v.n:
         raise ValueError(f"input length {len(x)} != verifier n = {v.n}")
     m = v.m
-    evaluate = v.eval
-    accepted = sum(evaluate(x, b) for b in product((0, 1), repeat=m))
+    accepted = v.accept_mask(x).bit_count()
     rejected = 2**m - accepted
     diff = rejected - accepted
     assert diff % 2 == 0
@@ -271,13 +301,15 @@ def validate_dual_pair(pair: DualVerifierPair) -> list[dict]:
 
 def const_verifier(n: int, m: int, bit: int, name: str | None = None) -> Verifier:
     name = name or ("constant-accept" if bit else "constant-reject")
-    return Verifier(n, m, lambda x, b: bit, name=name)
+    mask = full_mask(m) if bit else 0
+    return Verifier(n, m, lambda x, b: bit, name=name, mask_fn=lambda x: mask)
 
 
 def threshold_verifier(n: int, m: int, cutoff: int, name: str | None = None) -> Verifier:
     """Accept exactly the branches whose value (as a big-endian integer) is below cutoff."""
+    mask = (1 << min(max(cutoff, 0), 1 << m)) - 1
     return Verifier(n, m, lambda x, b: 1 if key_of(b) < cutoff else 0,
-                    name=name or f"below-{cutoff}")
+                    name=name or f"below-{cutoff}", mask_fn=lambda x: mask)
 
 
 def balanced_verifier(n: int, m: int, name: str = "balanced") -> Verifier:
@@ -285,7 +317,9 @@ def balanced_verifier(n: int, m: int, name: str = "balanced") -> Verifier:
 
 
 def negate_verifier(v: Verifier) -> Verifier:
-    return Verifier(v.n, v.m, lambda x, b: 1 - v.eval(x, b), name=f"not-{v.name}")
+    full = full_mask(v.m)
+    return Verifier(v.n, v.m, lambda x, b: 1 - v.eval(x, b), name=f"not-{v.name}",
+                    mask_fn=lambda x: v.accept_mask(x) ^ full)
 
 
 def allzero_verifier(n: int) -> Verifier:
@@ -304,6 +338,7 @@ def language_pair(n: int, m: int, language: Callable[[Bits], int], name: str) ->
     """Direct dual pair for a known language: the zero-gap side runs a balanced
     verifier, the nonzero side rejects every branch (half-gap 2**(m-1))."""
     half = 2 ** (m - 1)
+    low_half = (1 << half) - 1
 
     def v0_fn(x: Bits, b: Bits) -> int:
         return (1 if key_of(b) < half else 0) if language(x) else 0
@@ -311,8 +346,10 @@ def language_pair(n: int, m: int, language: Callable[[Bits], int], name: str) ->
     def v1_fn(x: Bits, b: Bits) -> int:
         return 0 if language(x) else (1 if key_of(b) < half else 0)
 
-    v0 = Verifier(n, m, v0_fn, name=f"{name}-v0")
-    v1 = Verifier(n, m, v1_fn, name=f"{name}-v1")
+    v0 = Verifier(n, m, v0_fn, name=f"{name}-v0",
+                  mask_fn=lambda x: low_half if language(x) else 0)
+    v1 = Verifier(n, m, v1_fn, name=f"{name}-v1",
+                  mask_fn=lambda x: 0 if language(x) else low_half)
     h = HalfGapFunction.power(2, 1, -1) if m == n else HalfGapFunction.tabulated({n: half})
     return DualVerifierPair(v0, v1, name=name, h_witness=h)
 
@@ -338,11 +375,14 @@ def equalize_branch_lengths(v: Verifier, target_m: int) -> Verifier:
 def branch_on_first_bit(when0: Verifier, when1: Verifier, name: str) -> Verifier:
     if (when0.n, when0.m) != (when1.n, when1.m):
         raise ValueError("branch arms must agree on (n, m)")
+    # b[0] is the top bit of key_of(b): the when1 branches are the upper half
+    shift = 1 << when0.m
     return Verifier(
         when0.n,
         when0.m + 1,
         lambda x, b: when1.eval(x, b[1:]) if b[0] else when0.eval(x, b[1:]),
         name=name,
+        mask_fn=lambda x: when0.accept_mask(x) | when1.accept_mask(x) << shift,
     )
 
 
@@ -406,11 +446,16 @@ def make_dual_lwpp(base: Verifier, h: HalfGapFunction,
 def table_verifier(n: int, m: int, table: Mapping[Bits, frozenset[int]],
                    name: str = "table") -> Verifier:
     """table maps each input-bit tuple to the set of accepted branch values."""
-    def eval_fn(x: Bits, b: Bits) -> int:
-        rows = table.get(x)
-        return 1 if rows is not None and key_of(b) in rows else 0
+    full = full_mask(m)
+    return _rows_verifier(n, m, {x: sum(1 << value for value in accepted) & full
+                                 for x, accepted in table.items()}, name)
 
-    return Verifier(n, m, eval_fn, name=name)
+
+def _rows_verifier(n: int, m: int, rows: Mapping[Bits, int], name: str) -> Verifier:
+    """A truth table stored as its rows' accept masks; an input without a
+    row rejects every branch."""
+    return Verifier(n, m, lambda x, b: rows.get(x, 0) >> key_of(b) & 1, name=name,
+                    mask_fn=lambda x: rows.get(x, 0))
 
 
 def table_to_json(v: Verifier) -> dict:
@@ -429,17 +474,17 @@ def table_to_json(v: Verifier) -> dict:
 
 def verifier_from_table_json(obj: dict, name: str = "table") -> Verifier:
     n, m = int(obj["n"]), int(obj["m"])
-    table: dict[Bits, frozenset[int]] = {}
+    rows: dict[Bits, int] = {}
     for xlabel, blabels in obj["table"].items():
         if len(xlabel) != n:
             raise ValueError(f"table key {xlabel!r} does not have length n = {n}")
-        rows = set()
+        mask = 0
         for blabel in blabels:
             if len(blabel) != m:
                 raise ValueError(f"branch {blabel!r} does not have length m = {m}")
-            rows.add(int(blabel, 2))
-        table[tuple(int(c) for c in xlabel)] = frozenset(rows)
-    return table_verifier(n, m, table, name=name)
+            mask |= 1 << int(blabel, 2)
+        rows[tuple(int(c) for c in xlabel)] = mask
+    return _rows_verifier(n, m, rows, name)
 
 
 def load_table_verifier(path: str, name: str | None = None) -> Verifier:
@@ -451,38 +496,43 @@ def load_table_verifier(path: str, name: str | None = None) -> Verifier:
 # -- seeded random generators -------------------------------------------------------
 
 
-def _random_subset(rng, size: int) -> set[int]:
-    return {value for value in range(size) if rng.getrandbits(1)}
-
-
 def random_dual_pair(n: int, m: int, rng, name: str | None = None) -> DualVerifierPair:
     """Rejection-sample a valid dual pair of truth-table verifiers.
 
     Per input: pick the language bit, then draw accept sets until the
     zero-gap side is exactly balanced and the other side is not.
+
+    An accept set takes one coin flip per branch value, in value order. A
+    flip is the top bit of one 32-bit output of the generator, which is
+    what getrandbits(1) returns, so one getrandbits(32 * 2**m) holds all
+    2**m flips (flip i is bit 32*i + 31) and leaves the generator where
+    2**m calls of getrandbits(1) would.
     """
     count = 2**m
     half = count // 2
-    t0: dict[Bits, frozenset[int]] = {}
-    t1: dict[Bits, frozenset[int]] = {}
+    flip_bits = (full_mask(m + 5) // 0xFFFFFFFF) << 31
+
+    def draw(balanced: bool) -> int:
+        while True:
+            words = rng.getrandbits(32 * count)
+            if ((words & flip_bits).bit_count() == half) == balanced:
+                # every 32nd binary digit, from flip count-1 down to flip 0
+                return int(format(words, f"0{32 * count}b")[::32], 2)
+
+    t0: dict[Bits, int] = {}
+    t1: dict[Bits, int] = {}
     for xkey in range(2**n):
         x = bits_of(xkey, n)
         member = rng.getrandbits(1)
-        while True:
-            balanced = _random_subset(rng, count)
-            if len(balanced) == half:
-                break
-        while True:
-            skewed = _random_subset(rng, count)
-            if len(skewed) != half:
-                break
+        balanced = draw(True)
+        skewed = draw(False)
         # v0 is gapless exactly on members, v1 exactly on non-members
-        t0[x] = frozenset(balanced if member else skewed)
-        t1[x] = frozenset(skewed if member else balanced)
+        t0[x] = balanced if member else skewed
+        t1[x] = skewed if member else balanced
     name = name or f"random-{n}x{m}"
     return DualVerifierPair(
-        table_verifier(n, m, t0, name=f"{name}-v0"),
-        table_verifier(n, m, t1, name=f"{name}-v1"),
+        _rows_verifier(n, m, t0, f"{name}-v0"),
+        _rows_verifier(n, m, t1, f"{name}-v1"),
         name=name,
     )
 

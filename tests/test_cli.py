@@ -1,5 +1,8 @@
 """CLI behavior: JSON output, exit codes, guardrails, fault injection."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -372,3 +375,56 @@ def test_lpwpp_rows_simulate_only_their_own_decider(monkeypatch, capsys):
                             "--construction", "lpwpp")
     assert code == EXIT_OK and obj["ok"] and len(obj["results"]) == 8
     assert len(created) == 8
+
+
+def test_lpwpp_gate_alphabet_is_checked_once_per_pair(monkeypatch, capsys):
+    """One decider per row for its run, plus one for the alphabet check."""
+    from quasiq import circuitgen
+
+    built = []
+    build = circuitgen.build_lpwpp_decider
+
+    def counting_build(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(circuitgen, "build_lpwpp_decider", counting_build)
+    monkeypatch.setattr(cli, "build_lpwpp_decider", counting_build)
+    code, obj, _ = run_json(capsys, "verify", "--problem", "parity", "--n", "3",
+                            "--construction", "lpwpp")
+    assert code == EXIT_OK and obj["ok"] and len(obj["results"]) == 8
+    assert len(built) == 9
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_fresh(code, *argv):
+    """Run `code` in a new interpreter that imports quasiq from this checkout."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("text", ["(" * 400 + "b[0]" + ")" * 400, "!" * 3000 + "b[0]",
+                                  " ^ ".join(["b[0]"] * 2000)],
+                         ids=["parentheses", "negations", "chain"])
+def test_deep_dsl_nesting_is_a_spec_error(tmp_path, text):
+    spec = {"name": "deep", "n": {"min": 1, "max": 2}, "m": {"affine": {"a": 1, "b": 0}},
+            "verifier": {"kind": "dsl", "base": text},
+            "h": {"kind": "power", "M": 2, "t": {"a": 1, "b": -1}}, "dual": "derive-via-lemma"}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(spec))
+    proc = run_fresh("import sys; from quasiq.harness.cli import main; sys.exit(main())",
+                     "gap", "--problem", str(path), "--input", "0")
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert "nested more than 100 levels deep at line 1, column" in proc.stderr
+
+
+def test_builtin_problem_never_imports_jsonschema():
+    proc = run_fresh("import sys; from quasiq.harness.cli import main; code = main(sys.argv[1:]); "
+                     "print('jsonschema' in sys.modules); sys.exit(code)",
+                     "gap", "--problem", "parity", "--input", "0")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from quasiq.harness.dsl import (
+    MAX_DEPTH,
     BinOp,
     Lit,
     Not,
@@ -151,3 +152,17 @@ def test_print_parse_fixpoint_on_random_asts():
 def test_verifier_from_dsl_checks_bounds():
     with pytest.raises(ParseError):
         dsl_verifier("x[3]", 2, 2)
+
+
+def test_nesting_limit_is_positioned():
+    deepest = "(" * MAX_DEPTH + "b[0]" + ")" * MAX_DEPTH
+    assert parse_dsl(deepest) == Ref("b", 0)
+    with pytest.raises(ParseError) as info:
+        parse_dsl("x[0] &\n" + "(" * (MAX_DEPTH + 1) + "b[0]" + ")" * (MAX_DEPTH + 1))
+    assert (info.value.line, info.value.col) == (2, MAX_DEPTH + 1)
+    chain = " ^ ".join(["b[0]"] * MAX_DEPTH)  # a tree MAX_DEPTH levels deep
+    assert eval_dsl(parse_dsl(chain), (), (1,)) == MAX_DEPTH % 2
+    with pytest.raises(ParseError, match=f"nested more than {MAX_DEPTH} levels deep"):
+        parse_dsl(chain + " ^ b[0]")
+    with pytest.raises(ParseError):
+        parse_dsl("!" * MAX_DEPTH + "b[0]")

@@ -1,5 +1,6 @@
 """The integer-numerator kernel that simulate_circuit runs on, checked state
 for state against the reference StateVector.apply."""
+import itertools
 import random
 import re
 
@@ -17,7 +18,7 @@ from quasiq.circuitgen import (
 )
 from quasiq.exactnum import Amplitude, ExactDivisionError
 from quasiq.quasistate import Gate, StateVector, WireError, _NumeratorState, key_of
-from quasiq.verifierkit import Verifier, random_dual_pair
+from quasiq.verifierkit import Verifier, random_dual_pair, table_verifier
 
 from test_acceptance import all_inputs, builtin_pairs, lemma_pairs
 
@@ -246,3 +247,17 @@ def gate_lists(draw):
 def test_random_gate_lists_match_the_reference(case):
     width, key, gates = case
     check_against_reference(width, key, gates)
+
+
+def test_oracle_reads_b_wires_in_any_order():
+    """The kernel reads the b register one run of adjacent wires at a time:
+    every order of three b wires (ascending, descending, split) must match."""
+    rng = random.Random(17)
+    table = {x: frozenset(v for v in range(8) if rng.getrandbits(1)) for x in ((0,), (1,))}
+    verifier = table_verifier(1, 3, table, name="asymmetric")
+    width = 5
+    for x_wire in range(width):
+        rest = [w for w in range(width) if w != x_wire]
+        for *b_wires, target in itertools.permutations(rest):
+            gate = Gate.oracle(verifier, (x_wire,), tuple(b_wires), target)
+            check_against_reference(width, 0b10110, spread(width) + [gate])

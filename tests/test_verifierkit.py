@@ -219,6 +219,39 @@ def test_random_dual_pair_generator_self_check():
         assert all(row["dual"] for row in rows)
 
 
+def coin_flip_dual_tables(n, m, rng):
+    """The sampler as first written, one getrandbits(1) per branch value: the
+    reference for the stream random_dual_pair must reproduce."""
+    count = 2**m
+
+    def subset():
+        return {value for value in range(count) if rng.getrandbits(1)}
+
+    rows = []
+    for _ in range(2**n):
+        member = rng.getrandbits(1)
+        while len(balanced := subset()) != count // 2:
+            pass
+        while len(skewed := subset()) == count // 2:
+            pass
+        rows.append((balanced, skewed) if member else (skewed, balanced))
+    return rows
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7])
+def test_random_dual_pair_keeps_the_coin_flip_stream(m):
+    for seed in range(5):
+        n = 1 + seed % 3
+        fast, slow = random.Random(seed), random.Random(seed)
+        pair = random_dual_pair(n, m, fast)
+        expected = coin_flip_dual_tables(n, m, slow)
+        assert fast.getstate() == slow.getstate()
+        for x, sides in zip(all_inputs(n), expected):
+            for verifier, accepted in zip((pair.v0, pair.v1), sides):
+                assert verifier.accept_mask(x) == sum(1 << value for value in accepted)
+                assert {v for v in range(2**m) if verifier.eval(x, bits_of(v, m))} == accepted
+
+
 def test_random_fixed_gap_base_feeds_the_lemma():
     rng = random.Random(99)
     for _ in range(6):
