@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from quasiq.exactnum import ZERO, Amplitude
+from quasiq.exactnum import HALF, ONE, ZERO, Amplitude
 from quasiq.quasistate import Gate, StateVector, _NumeratorState, bits_label, key_of, label_of
 from quasiq.verifierkit import DualVerifierPair, HalfGapFunction
 
@@ -332,16 +332,21 @@ def _decider_tail(pair: DualVerifierPair, n: int, scaling: list[Gate]) -> Circui
     return Circuit(wn.width, wn.registers, tuple(gates), checkpoints)
 
 
+def _witness_value(h, n: int) -> int:
+    """h(n) of a HalfGapFunction h, or h itself as a plain positive integer."""
+    hv = h.value(n) if isinstance(h, HalfGapFunction) else int(h)
+    if hv < 1:
+        raise ValueError(f"half-gap value must be positive, got {hv}")
+    return hv
+
+
 def build_lwpp_decider(pair: DualVerifierPair, h, n: int) -> Circuit:
     """Exact decider with the input-length-dependent gate diag(h(n), 1).
 
     h may be a HalfGapFunction or a plain positive integer (the value at n).
     """
-    hv = h.value(n) if isinstance(h, HalfGapFunction) else int(h)
-    if hv < 1:
-        raise ValueError(f"half-gap value must be positive, got {hv}")
     c = n + pair.m
-    return _decider_tail(pair, n, [Gate.a(c, hv)])
+    return _decider_tail(pair, n, [Gate.a(c, _witness_value(h, n))])
 
 
 def build_lpwpp_decider(pair: DualVerifierPair, base: int, t: int, n: int) -> Circuit:
@@ -370,22 +375,38 @@ def run_un(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
 
     success_mass is the mass of the b = 0...0, a = 1 block (the gap
     components); for a dual pair that block is a single term whose c bit is
-    the language bit.
+    the language bit. The b = 0...0 block must hold 1/2 on |c 0> and the
+    oracle's delta_c on |c 1>, the norm must stay 1, and the rest of the
+    state must carry mass below 1/2.
     """
-    n = pair.n
+    n, m = pair.n, pair.m
     lx = pair.language_bit(tuple(x_bits))
     circuit = build_un(pair, n)
     final, captured = simulate_circuit(circuit, x_bits, record)
-    pattern = bits_label(x_bits) + "0" * pair.m + "*1"
+    pattern = bits_label(x_bits) + "0" * m + "*1"
     block = final.match(pattern)
     success_mass = sum((amp * amp for _, amp in block), ZERO)
-    failure_mass = final.norm_sq() - success_mass
+    norm = final.norm_sq()
+    failure_mass = norm - success_mass
     c = circuit.wire("c")
     gap_block = StateVector(final.width, dict(block))
     answer = _single_wire_value(gap_block, c, "gap-amplitude block")
     if answer != lx:
         raise SimulationInvariantError(
             f"gap-amplitude block sits on c = {answer}, oracle says L(x) = {lx}")
+    prefix = key_of(x_bits) << (m + 2)  # |x 0^m 0 0>
+    for c, report in enumerate(pair.gap_reports(tuple(x_bits))):
+        got = final.amplitude(prefix | c << 1 | 1)
+        if got != report.delta:
+            raise SimulationInvariantError(
+                f"amplitude at c={c} is {got}, oracle delta is {report.delta}")
+        if final.amplitude(prefix | c << 1) != HALF:
+            raise SimulationInvariantError(f"amplitude of |{c}0> block is not 1/2")
+    if norm != ONE:
+        raise SimulationInvariantError("unitary circuit did not preserve the norm")
+    # The b = 0...0 block now holds 1/2 plus the gap mass, so the rest is failure_mass - 1/2.
+    if not failure_mass - HALF < HALF:
+        raise SimulationInvariantError("residual mass is not strictly below 1/2")
     return _outcome("un", x_bits, final, captured, answer, success_mass, failure_mass)
 
 
@@ -393,8 +414,9 @@ def run_zqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     """Zero-error run with p = 2^-m: success flag on a, answer on s.
 
     The exact success probability is certified strictly greater than 1/2
-    (success mass > failure mass), and the success-conditioned component is
-    checked to carry zero mass on the wrong answer.
+    (success mass > failure mass), the success-conditioned component is
+    checked to carry zero mass on the wrong answer, and the success mass must
+    be the square of the oracle's live delta.
     """
     n = pair.n
     lx = pair.language_bit(tuple(x_bits))  # DualityError on an invalid pair
@@ -414,6 +436,9 @@ def run_zqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     answer = None
     if failure_mass < success_mass:
         answer = _single_wire_value(conditional, s, "zero-error conditional")
+    live = pair.gap_reports(tuple(x_bits))[lx]
+    if success_mass != live.delta * live.delta:
+        raise SimulationInvariantError("success mass differs from the squared gap amplitude")
     return _outcome("fig3-zqp", x_bits, final, captured, answer, success_mass, failure_mass)
 
 
@@ -431,12 +456,9 @@ def run_posteqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
         raise PostselectionError(
             f"postselection mass is zero at x = {bits_label(x_bits)} "
             "(signals an invalid pair)")
-    pre_projection = captured["cycled"]
-    failure_mass = pre_projection.norm_sq() - success_mass
-    if not record:
-        captured = {}
-    elif record is not True:
-        captured = {k: v for k, v in captured.items() if k in set(record)}
+    failure_mass = captured["cycled"].norm_sq() - success_mass
+    if record is not True:
+        captured = {k: v for k, v in captured.items() if k in set(record or ())}
     s = circuit.wire("s")
     answer = _single_wire_value(final, s, "postselected state")
     if answer != lx:
@@ -477,12 +499,14 @@ def reduce_wires(state: StateVector, keep: tuple[int, ...]) -> StateVector:
 
 
 def run_wn(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
-    """Run the uncomputing circuit and verify ancilla restoration.
+    """Run the uncomputing circuit and verify ancilla restoration and the
+    closed form |x 0^m>(|000> + delta|L(x) 0 1>).
 
     success_mass is the mass of the s = 1 (gap-indicator) component; the
     answer is that component's c bit.
     """
-    n = pair.n
+    n, m = pair.n, pair.m
+    lx = pair.language_bit(tuple(x_bits))
     circuit = build_wn(pair, n)
     final, captured = simulate_circuit(circuit, x_bits, record)
     check_ancillas_restored(final, circuit)
@@ -492,34 +516,53 @@ def run_wn(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     answer = None
     if not indicator.is_zero():
         answer = _single_wire_value(indicator, c, "gap-indicator component")
+    prefix = key_of(x_bits) << (m + 3)
+    delta = pair.gap_reports(tuple(x_bits))[lx].delta
+    if final != StateVector(final.width, {prefix: ONE, prefix | lx << 2 | 1: delta}):
+        raise SimulationInvariantError(
+            "uncomputed state differs from |x>(|00> + delta|L>|1>) plus ancillas")
     return _outcome("wn", x_bits, final, captured, answer, success_mass, failure_mass)
 
 
-def _run_decider(circuit: Circuit, construction: str, x_bits, record) -> RunOutcome:
+def decider_term(pair: DualVerifierPair, x_bits, h: int) -> StateVector:
+    """Both exact deciders' closed-form output (h/2^m)|x 0^m 1 0 L(x)>."""
+    m = pair.m
+    key = key_of(x_bits) << (m + 3) | 0b100 | pair.language_bit(tuple(x_bits))
+    return StateVector.basis(pair.n + m + 3, key, Amplitude(h, 0, m))
+
+
+def _run_decider(circuit: Circuit, construction: str, pair: DualVerifierPair, h: int, x_bits,
+                 record, mismatch: str) -> RunOutcome:
+    """Run a decider built for witness value h: its output must be the single
+    term decider_term(pair, x, h), else ResidualTermError or the `mismatch`."""
     final, captured = simulate_circuit(circuit, x_bits, record)
-    width = circuit.width
-    x_label = bits_label(x_bits)
-    expected_prefix = x_label + "0" * circuit.registers["b"][1] + "1" + "0"
-    residuals = [
-        label_of(key, width)
-        for key, _ in final
-        if not label_of(key, width).startswith(expected_prefix)
-    ]
+    stem = key_of(x_bits) << (pair.m + 2) | 0b10  # |x 0^m 1 0>: every wire but the answer
+    residuals = [label_of(key, final.width) for key, _ in final if key >> 1 != stem]
     if residuals or len(final) != 1:
-        raise ResidualTermError(
-            f"decider output is not a single clean term at x = {x_label}; "
-            f"residual terms: {residuals or final.labels()}",
-            residuals=residuals or final.labels(),
-        )
-    ((key, _),) = final.items_sorted()
-    return _outcome(construction, x_bits, final, captured, key & 1, final.norm_sq(), ZERO)
+        residuals = residuals or final.labels()
+        raise ResidualTermError(f"decider output is not a single clean term at x = "
+                                f"{bits_label(x_bits)}; residual terms: {residuals}", residuals)
+    if final != decider_term(pair, x_bits, h):
+        raise SimulationInvariantError(mismatch)
+    answer = pair.language_bit(tuple(x_bits))
+    return _outcome(construction, x_bits, final, captured, answer, final.norm_sq(), ZERO)
 
 
 def run_lwpp(pair: DualVerifierPair, h, x_bits, record=False) -> RunOutcome:
     """Exact decider run; raises ResidualTermError when the half-gap witness
     fails to cancel the |00> tail."""
-    return _run_decider(build_lwpp_decider(pair, h, pair.n), "lwpp", x_bits, record)
+    hv = _witness_value(h, pair.n)
+    return _run_decider(build_lwpp_decider(pair, hv, pair.n), "lwpp", pair, hv, x_bits, record,
+                        "decider output is not the single term (h/2^m)|x>|1>|L(x)>")
 
 
 def run_lpwpp(pair: DualVerifierPair, base: int, t: int, x_bits, record=False) -> RunOutcome:
-    return _run_decider(build_lpwpp_decider(pair, base, t, pair.n), "lpwpp", x_bits, record)
+    """Exact decider run over the fixed gate alphabet, h = base**t; the circuit
+    must use no length-dependent gate."""
+    circuit = build_lpwpp_decider(pair, base, t, pair.n)
+    outcome = _run_decider(circuit, "lpwpp", pair, base**t, x_bits, record,
+                           "fixed-gate-set decider differs from the length-dependent one")
+    if "A" in gate_alphabet(circuit):
+        raise SimulationInvariantError(
+            "fixed-gate-set circuit still contains a length-dependent gate")
+    return outcome

@@ -12,24 +12,23 @@ input by verify and duals, and only at the input run by gap and simulate.
 
 Machine output goes to stdout as JSON; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification mismatch (including a circuit that
-fails its own exact self-check), 2 usage or spec error.
+fails its own exact self-check), 2 usage or spec error, 141 stdout closed
+before the output was written (as a shell reports a filter killed by SIGPIPE).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from quasiq.circuitgen import (
     AncillaRestorationError,
-    PostselectionError,
     ResidualTermError,
     SimulationInvariantError,
-    build_lpwpp_decider,
-    gate_alphabet,
+    decider_term,
     run_lpwpp,
     run_lwpp,
     run_posteqp,
@@ -38,8 +37,7 @@ from quasiq.circuitgen import (
     run_zqp,
     simulate_circuit,  # noqa: F401 -- unused; bench/layers.py traces it under this name
 )
-from quasiq.exactnum import HALF, ONE, Amplitude
-from quasiq.harness.dsl import ParseError
+from quasiq.exactnum import Amplitude
 from quasiq.harness.problems import (
     ProblemSpec,
     ResolvedProblem,
@@ -49,36 +47,22 @@ from quasiq.harness.problems import (
     read_table_file,
     resolve_problem,
 )
-from quasiq.quasistate import StateVector, bits_label, bits_of
-from quasiq.verifierkit import (
-    DualityError,
-    HalfGapPromiseError,
-    builtin_problems,
-    gap_stats,
-    validate_dual_pair,
-)
+from quasiq.quasistate import bits_label, bits_of
+from quasiq.verifierkit import builtin_problems, gap_stats, validate_dual_pair
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 DESK_SCALE_LIMIT = 20
 
 # A circuit whose exact output breaks its own invariant: a mismatch, not a
 # usage error.
 _SELF_CHECK_ERRORS = (ResidualTermError, AncillaRestorationError, SimulationInvariantError)
-
-_DOMAIN_ERRORS = (
-    SpecError,
-    ParseError,
-    DualityError,
-    HalfGapPromiseError,
-    ResidualTermError,
-    AncillaRestorationError,
-    PostselectionError,
-    SimulationInvariantError,
-    ValueError,
-)
+# Every other error raised on a bad problem or input (spec, parse, duality,
+# half-gap promise, postselection, register) is a ValueError.
+_DOMAIN_ERRORS = (ValueError, SimulationInvariantError)
 
 
 def _diag(message: str) -> None:
@@ -151,18 +135,16 @@ _WITNESS_FORMS = {"value": "a half-gap witness h(n)",
 
 @dataclass(frozen=True)
 class Construction:
-    """One construction as the CLI runs it and checks it against the oracle.
+    """One construction as the CLI runs it.
 
-    run(resolved, x, record, corrupt_h) gives the RunOutcome. check(resolved,
-    x, lx, outcome, corrupt_h) gives None when every exact cross-check of the
-    outcome with the oracle's language bit lx and gap reports passes, else a
-    mismatch description. witness is the half-gap witness read: None, "value"
-    for h(n), or "power" for the form M**t.
+    run(resolved, x, record, corrupt_h) gives the RunOutcome; the run_* it
+    calls checks the outcome against the oracle and raises on a mismatch.
+    witness is the half-gap witness read: None, "value" for h(n), or "power"
+    for the form M**t.
     """
 
     name: str
     run: Callable
-    check: Callable
     witness: str | None = None
 
     def available(self, resolved: ResolvedProblem) -> bool:
@@ -179,97 +161,17 @@ class Construction:
         return self
 
 
-def _check_un(resolved, x, lx, outcome, corrupt_h):
-    final, m = outcome.final_state, resolved.pair.m
-    for c, report in enumerate(resolved.pair.gap_reports(x)):
-        got = final.amplitude(outcome.input + "0" * m + str(c) + "1")
-        if got != report.delta:
-            return f"amplitude at c={c} is {got}, oracle delta is {report.delta}"
-        if final.amplitude(outcome.input + "0" * m + str(c) + "0") != HALF:
-            return f"amplitude of |{c}0> block is not 1/2"
-    if final.norm_sq() != ONE:
-        return "unitary circuit did not preserve the norm"
-    residual = final.filter_terms(lambda k: (k >> 2) & ((1 << m) - 1) != 0)
-    if not residual.norm_sq() < HALF:
-        return "residual mass is not strictly below 1/2"
-    if outcome.answer != lx:
-        return f"gap block sits on {outcome.answer}, oracle says {lx}"
-    return None
-
-
-def _check_zqp(resolved, x, lx, outcome, corrupt_h):
-    if outcome.answer != lx:
-        return f"zero-error answer {outcome.answer} != oracle {lx}"
-    if not outcome.failure_mass < outcome.success_mass:
-        return "success probability not certified above 1/2"
-    live = resolved.pair.gap_reports(x)[lx]
-    if outcome.success_mass != live.delta * live.delta:
-        return "success mass differs from the squared gap amplitude"
-    return None
-
-
-def _check_post(resolved, x, lx, outcome, corrupt_h):
-    if outcome.answer != lx:
-        return f"postselected answer {outcome.answer} != oracle {lx}"
-    if outcome.success_mass.is_zero():
-        return "postselection mass is zero"
-    return None
-
-
-def _check_wn(resolved, x, lx, outcome, corrupt_h):
-    pair = resolved.pair
-    prefix = outcome.input + "0" * pair.m
-    delta = pair.gap_reports(x)[lx].delta
-    expected = (StateVector.basis(outcome.width, prefix + "000")
-                + StateVector.basis(outcome.width, prefix + str(lx) + "01", delta))
-    if outcome.final_state != expected:
-        return "uncomputed state differs from |x>(|00> + delta|L>|1>) plus ancillas"
-    return None
-
-
-def _decider_term(resolved, outcome, lx, corrupt: bool) -> StateVector:
-    """Both exact deciders' closed-form output (h'/2^m)|x 0^m 1 0 L(x)>, with h' = h(n),
-    or h(n) + 1 for lpwpp under --corrupt-h (lwpp then runs on h(n) + 1 and raises)."""
-    m = resolved.pair.m
-    return StateVector.basis(outcome.width, outcome.input + "0" * m + "10" + str(lx),
-                             Amplitude(_h_value(resolved, corrupt), 0, m))
-
-
-def _check_lwpp(resolved, x, lx, outcome, corrupt_h):
-    if outcome.final_state != _decider_term(resolved, outcome, lx, False):
-        return "decider output is not the single term (h/2^m)|x>|1>|L(x)>"
-    return None
-
-
-@lru_cache(maxsize=1)
-def _has_length_dependent_gate(pair, base: int, t: int) -> bool:
-    """Whether the lpwpp decider of the pair uses diag(h, 1); a verify sweep
-    asks once per row, so the last pair's answer is kept."""
-    return "A" in gate_alphabet(build_lpwpp_decider(pair, base, t, pair.n))
-
-
-def _check_lpwpp(resolved, x, lx, outcome, corrupt_h):
-    if outcome.final_state != _decider_term(resolved, outcome, lx, corrupt_h):
-        return "fixed-gate-set decider differs from the length-dependent one"
-    if _has_length_dependent_gate(resolved.pair, resolved.h.base, resolved.h.exponent(resolved.n)):
-        return "fixed-gate-set circuit still contains a length-dependent gate"
-    return None
-
-
 # Each record calls its run_* through this module's binding, so a wrapper
 # installed on the module (a tracer, a test double) sees every run.
 CONSTRUCTION_TABLE = {c.name: c for c in (
-    Construction("un", lambda r, x, record, corrupt: run_un(r.pair, x, record), _check_un),
-    Construction("fig3-zqp", lambda r, x, record, corrupt: run_zqp(r.pair, x, record),
-                 _check_zqp),
-    Construction("fig3-post", lambda r, x, record, corrupt: run_posteqp(r.pair, x, record),
-                 _check_post),
-    Construction("wn", lambda r, x, record, corrupt: run_wn(r.pair, x, record), _check_wn),
+    Construction("un", lambda r, x, record, corrupt: run_un(r.pair, x, record)),
+    Construction("fig3-zqp", lambda r, x, record, corrupt: run_zqp(r.pair, x, record)),
+    Construction("fig3-post", lambda r, x, record, corrupt: run_posteqp(r.pair, x, record)),
+    Construction("wn", lambda r, x, record, corrupt: run_wn(r.pair, x, record)),
     Construction("lwpp", lambda r, x, record, corrupt:
-                 run_lwpp(r.pair, _h_value(r, corrupt), x, record), _check_lwpp, "value"),
+                 run_lwpp(r.pair, _h_value(r, corrupt), x, record), "value"),
     Construction("lpwpp", lambda r, x, record, corrupt:
-                 run_lpwpp(r.pair, r.h.base, r.h.exponent(r.n), x, record), _check_lpwpp,
-                 "power"),
+                 run_lpwpp(r.pair, r.h.base, r.h.exponent(r.n), x, record), "power"),
 )}
 CONSTRUCTIONS = tuple(CONSTRUCTION_TABLE)
 # The constructions --corrupt-h reaches: simulate bumps the value h(n) that
@@ -280,7 +182,7 @@ CORRUPTIBLE = {
 }
 
 
-def _check_corrupt_h(args, resolved: ResolvedProblem, constructions) -> None:
+def _require_corrupt_h_reader(args, resolved: ResolvedProblem, constructions) -> None:
     """--corrupt-h is a usage error unless some construction to be run reads it."""
     allowed = CORRUPTIBLE[args.command]
     if args.corrupt_h and not any(c.name in allowed for c in constructions):
@@ -318,7 +220,7 @@ def cmd_gap(args) -> int:
 def cmd_simulate(args) -> int:
     x = _parse_input(args.input, args.n)
     resolved = _load(args, [x])
-    _check_corrupt_h(args, resolved, [CONSTRUCTION_TABLE[args.construction]])
+    _require_corrupt_h_reader(args, resolved, [CONSTRUCTION_TABLE[args.construction]])
     outcome = _simulate_one(resolved, args.construction, x, args.checkpoints,
                             corrupt_h=args.corrupt_h)
     obj = outcome.to_json()
@@ -333,10 +235,18 @@ def cmd_simulate(args) -> int:
 
 
 def _verify_one(resolved: ResolvedProblem, construction: str, x, corrupt_h: bool) -> str | None:
-    """None when the exact cross-checks pass, else a mismatch description."""
+    """None when the row passes, else a mismatch description. The run checks
+    itself against the oracle; a row adds that its answer is L(x) (only a
+    fig3-zqp run that certifies no answer returns without one) and, under
+    --corrupt-h, compares an lpwpp decider with the bumped witness."""
     lx = resolved.pair.language_bit(x)
-    entry = CONSTRUCTION_TABLE[construction]
-    return entry.check(resolved, x, lx, entry.run(resolved, x, False, corrupt_h), corrupt_h)
+    outcome = CONSTRUCTION_TABLE[construction].run(resolved, x, False, corrupt_h)
+    if outcome.answer != lx:
+        return f"zero-error answer {outcome.answer} != oracle {lx}"
+    if (corrupt_h and construction == "lpwpp"
+            and outcome.final_state != decider_term(resolved.pair, x, _h_value(resolved, True))):
+        return "fixed-gate-set decider differs from the length-dependent one"
+    return None
 
 
 def cmd_verify(args) -> int:
@@ -349,7 +259,7 @@ def cmd_verify(args) -> int:
             _diag(f"skipping {', '.join(skipped)}: no usable half-gap witness")
     else:
         constructions = [CONSTRUCTION_TABLE[args.construction].require(resolved)]
-    _check_corrupt_h(args, resolved, constructions)
+    _require_corrupt_h_reader(args, resolved, constructions)
     results = []
     ok = True
     for construction in constructions:
@@ -470,7 +380,12 @@ def main(argv=None) -> int:
     if args.n is None and getattr(args, "input", None):
         args.n = len(args.input)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader left early, as `| head` does; drop what is buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _SELF_CHECK_ERRORS as exc:
         _diag(f"error: {exc}")
         return EXIT_MISMATCH

@@ -200,6 +200,9 @@ class ProblemSpec:
         verifier = obj["verifier"]
         dual = obj["dual"]
         has_base = "base" in verifier
+        if verifier["kind"] == "builtin" and dual == "derive-via-lemma":
+            raise SpecError(f"derive-via-lemma does not apply to builtin verifier "
+                            f"{verifier['name']!r}, which names its own pair; use given-pair")
         if verifier["kind"] != "builtin":
             if dual == "derive-via-lemma" and not has_base:
                 raise SpecError("derive-via-lemma needs a single 'base' verifier")
@@ -243,10 +246,15 @@ class ProblemSpec:
             raise SpecError(f"n = {n} outside declared range [{self.n_min}, {self.n_max}]")
 
     def m_of(self, n: int) -> int | None:
+        """The declared branching length at n (None when the spec gives none);
+        one below 1 is a SpecError."""
         if self.m_spec is None:
             return None
         if "affine" in self.m_spec:
-            return self.m_spec["affine"]["a"] * n + self.m_spec["affine"]["b"]
+            m = self.m_spec["affine"]["a"] * n + self.m_spec["affine"]["b"]
+            if m < 1:
+                raise SpecError(f"m(n) = {m} at n = {n}; the branching length must be at least 1")
+            return m
         table = self.m_spec["table"]
         if str(n) not in table:
             raise SpecError(f"m table has no entry for n = {n}")

@@ -204,13 +204,16 @@ class Gate:
     def control_mask(self, width: int) -> tuple[int, int]:
         """(mask, value) of the controls on a state of `width` wires, once the
         gate is checked to fit it: every wire in range, no control on a gate
-        wire, and an ORACLE's registers as wide as its verifier's."""
+        wire, and an ORACLE's wires distinct and its registers as wide as its
+        verifier's."""
         for w in self.all_wires():
             if not 0 <= w < width:
                 raise WireError(f"wire {w} out of range for width {width}")
         if set(w for w, _ in self.controls) & set(self.wires):
             raise WireError("control wires overlap gate wires")
         if self.kind == "ORACLE":
+            if len(set(self.wires)) != len(self.wires):
+                raise WireError("ORACLE wires must be distinct")
             verifier, nx = self.param
             nxw, nbw = len(self.wires[:nx]), len(self.wires[nx:-1])
             if (nxw, nbw) != (verifier.n, verifier.m):
@@ -245,10 +248,10 @@ class Gate:
         wires = tuple(obj["wires"])
         controls = tuple((w, p) for w, p in obj.get("controls", []))
         param = obj.get("param")
+        if kind == "PERM":  # through Gate.perm, which checks the relabeling
+            return cls.perm(wires, param).with_controls(controls)
         if kind in ("N", "NINV"):
             param = Amplitude.from_json(param)
-        elif kind == "PERM":
-            param = tuple(param)
         elif kind == "ORACLE":
             name, nx = param["verifier"], param["n_input_wires"]
             if verifiers is None or name not in verifiers:
@@ -477,18 +480,6 @@ _SHEAR_KINDS = frozenset(("S", "SINV", "D", "DINV"))
 _DIAG_KINDS = frozenset(("B", "BINV", "G", "GINV", "A", "AINV", "N", "NINV"))
 
 
-def _add_into(terms: dict, key: int, c0: int, c1: int) -> None:
-    """terms[key] += (c0, c1), dropping the key when the sum cancels."""
-    prev = terms.get(key)
-    if prev is not None:
-        c0 += prev[0]
-        c1 += prev[1]
-        if not (c0 or c1):
-            del terms[key]
-            return
-    terms[key] = (c0, c1)
-
-
 class _NumeratorState:
     """The exact simulator's working state: integer numerators over one
     shared power of sqrt(2).
@@ -573,10 +564,18 @@ class _NumeratorState:
             clear = m | self._mask(gate.wires[1])
             sign = -1 if kind == "D" else 1
         terms = self.terms
-        # Sources keep their keys and no target is a source, so one pass in place.
+        # Sources keep their keys and no target is a source, so one pass in
+        # place; a target whose sum cancels is dropped.
         sources = [(k, v) for k, v in terms.items() if k & m and k & cmask == cval]
         for key, (a0, a1) in sources:
-            _add_into(terms, key & ~clear, sign * a0, sign * a1)
+            target = key & ~clear
+            b0, b1 = terms.get(target, (0, 0))
+            b0 += sign * a0
+            b1 += sign * a1
+            if b0 or b1:
+                terms[target] = (b0, b1)
+            else:
+                del terms[target]
 
     def _diag(self, gate: Gate, cmask: int, cval: int) -> None:
         """diag(p, 1): multiply the |0> branch by p, or divide it exactly by
@@ -678,11 +677,14 @@ class _NumeratorState:
         return runs
 
     def _move(self, key_map, cmask: int, cval: int) -> None:
+        """Relabel the keys that pass the controls. Every key map is injective
+        and leaves the control wires alone (Gate.control_mask and Gate.perm
+        see to that), so no two terms meet and none needs adding."""
         out: dict[int, tuple[int, int]] = {}
-        for key, (a0, a1) in self.terms.items():
+        for key, value in self.terms.items():
             if key & cmask == cval:
                 key = key_map(key)
                 if key is None:
                     continue
-            _add_into(out, key, a0, a1)
+            out[key] = value
         self.terms = out

@@ -1,4 +1,5 @@
 """CLI behavior: JSON output, exit codes, guardrails, fault injection."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,8 +8,9 @@ import sys
 import pytest
 
 from quasiq.circuitgen import AncillaRestorationError, ResidualTermError, SimulationInvariantError
+from quasiq.exactnum import Amplitude
 from quasiq.harness import cli
-from quasiq.harness.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from quasiq.harness.cli import EXIT_BROKEN_PIPE, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from quasiq.quasistate import _NumeratorState
 
 
@@ -378,7 +380,7 @@ def test_lpwpp_rows_simulate_only_their_own_decider(monkeypatch, capsys):
 
 
 def test_lpwpp_gate_alphabet_is_checked_once_per_pair(monkeypatch, capsys):
-    """One decider per row for its run, plus one for the alphabet check."""
+    """One decider per row: the run checks the alphabet of the circuit it built."""
     from quasiq import circuitgen
 
     built = []
@@ -389,11 +391,41 @@ def test_lpwpp_gate_alphabet_is_checked_once_per_pair(monkeypatch, capsys):
         return build(*args)
 
     monkeypatch.setattr(circuitgen, "build_lpwpp_decider", counting_build)
-    monkeypatch.setattr(cli, "build_lpwpp_decider", counting_build)
     code, obj, _ = run_json(capsys, "verify", "--problem", "parity", "--n", "3",
                             "--construction", "lpwpp")
     assert code == EXIT_OK and obj["ok"] and len(obj["results"]) == 8
-    assert len(built) == 9
+    assert len(built) == 8
+
+
+def _double_every_nonzero_gap(monkeypatch):
+    """Make the oracle report twice every nonzero half-gap: L(x) stays as it
+    was, so only a run that compares its amplitudes with the oracle notices."""
+    from quasiq import verifierkit
+
+    real = verifierkit.gap_stats
+
+    def doubled(v, x):
+        report = real(v, x)
+        if report.Delta == 0:
+            return report
+        return dataclasses.replace(report, Delta=2 * report.Delta,
+                                   delta=Amplitude(2 * report.Delta, 0, report.m))
+
+    monkeypatch.setattr(verifierkit, "gap_stats", doubled)
+
+
+@pytest.mark.parametrize("construction", ["un", "fig3-zqp", "wn"])
+def test_simulate_and_verify_share_the_oracle_check(monkeypatch, capsys, construction):
+    _double_every_nonzero_gap(monkeypatch)
+    code, out, err = run_cli(capsys, "simulate", "--problem", "parity", "--input", "101",
+                             "--construction", construction)
+    assert (code, out) == (EXIT_MISMATCH, "")
+    assert err.startswith("error: ")
+    code, obj, _ = run_json(capsys, "verify", "--problem", "parity", "--n", "3",
+                            "--construction", construction)
+    assert code == EXIT_MISMATCH
+    (row,) = [row for row in obj["results"] if row["input"] == "101"]
+    assert row["detail"] == "SimulationInvariantError: " + err[len("error: "):].rstrip("\n")
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -428,3 +460,19 @@ def test_builtin_problem_never_imports_jsonschema():
                      "gap", "--problem", "parity", "--input", "0")
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that is gone before the first write: no traceback, and the
+    status a shell gives a filter killed by SIGPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from quasiq.harness.cli import main; "
+             "sys.exit(main())", "verify", "--problem", "parity", "--n", "6"],
+            env=dict(os.environ, PYTHONPATH=SRC), stdout=write_end, stderr=subprocess.PIPE,
+            text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, "")

@@ -62,6 +62,21 @@ SPECS = {
         "h": {"kind": "power", "M": 2, "t": {"a": 0, "b": 0}},
         "dual": "given-pair",
     },
+    # The builtin parity pair named through a spec file, without and with a
+    # half-gap witness of the spec's own (tabulated, so no lpwpp).
+    "parity-builtin.json": {
+        "name": "parity-builtin",
+        "n": {"min": 1, "max": 3},
+        "verifier": {"kind": "builtin", "name": "parity"},
+        "dual": "given-pair",
+    },
+    "parity-builtin-h.json": {
+        "name": "parity-builtin-h",
+        "n": {"min": 2, "max": 3},
+        "verifier": {"kind": "builtin", "name": "parity"},
+        "h": {"kind": "tabulated", "values": {"2": 2, "3": 4}},
+        "dual": "given-pair",
+    },
 }
 
 
@@ -100,6 +115,10 @@ def _commands() -> list[list[str]]:
     cmds.append(["gap", "--problem", "{tmp}/parity-dsl.json", "--input", "01"])
     cmds.append(["verify", "--problem", "{tmp}/parity-dsl.json", "--n", "2"])
     cmds.append(["verify", "--problem", "{tmp}/parity-dsl.json", "--n", "2", "--corrupt-h"])
+    for spec in ("parity-builtin.json", "parity-builtin-h.json"):
+        cmds.append(["gap", "--problem", "{tmp}/" + spec, "--input", "011"])
+        cmds.append(["verify", "--problem", "{tmp}/" + spec, "--n", "3"])
+    cmds.append(["verify", "--problem", "{tmp}/parity-builtin.json", "--n", "3", "--corrupt-h"])
     # errors whose stdout is empty and whose exit code is fixed
     cmds.append(["simulate", "--problem", "constant-reject", "--input", "00",
                  "--construction", "un"])

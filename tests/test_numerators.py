@@ -194,7 +194,10 @@ def test_wire_errors_match():
     (Gate.x(0, controls=((0, 1),)), "control wires overlap gate wires"),
     (Gate.oracle(ORACLE_VERIFIER, (0,), (1,), 2),
      "oracle arity mismatch: gate has 1+1 wires, verifier wants 1+2"),
-], ids=["range", "overlap", "arity"])
+    # b[0] and the target share wire 0, so the oracle's key map is no permutation
+    (Gate.oracle(Verifier(0, 1, lambda x, b: b[0]), (), (0,), 0),
+     "ORACLE wires must be distinct"),
+], ids=["range", "overlap", "arity", "oracle-overlap"])
 def test_gate_fit_messages_match(gate, message):
     with pytest.raises(WireError, match=re.escape(message)):
         StateVector.basis(3, 0).apply(gate)

@@ -77,6 +77,12 @@ def test_schema_rejects_malformed_specs():
     with pytest.raises(SpecError):  # dsl needs an explicit m
         ProblemSpec.from_json(bad)
 
+    bad = dict(GOOD_LEMMA_SPEC)
+    bad["verifier"] = {"kind": "builtin", "name": "parity"}
+    with pytest.raises(SpecError, match="derive-via-lemma does not apply to builtin verifier "
+                                        "'parity'"):
+        ProblemSpec.from_json(bad)
+
 
 def test_spec_json_round_trip():
     spec = ProblemSpec.from_json(GOOD_LEMMA_SPEC)
@@ -125,6 +131,14 @@ def test_m_table_lookup():
     assert spec.m_of(2) == 2
     with pytest.raises(SpecError):
         spec.m_of(3)
+
+
+def test_m_below_one_is_named():
+    spec = ProblemSpec.from_json({**GOOD_PAIR_SPEC, "m": {"affine": {"a": -5, "b": 2}}})
+    with pytest.raises(SpecError, match=r"m\(n\) = -8 at n = 2"):
+        spec.m_of(2)
+    with pytest.raises(SpecError, match=r"m\(n\) = -8 at n = 2"):
+        resolve_problem(spec, 2)
 
 
 def test_table_file_spec(tmp_path):
