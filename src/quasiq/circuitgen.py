@@ -27,6 +27,7 @@ term by term.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from weakref import WeakKeyDictionary
 
 from quasiq.exactnum import HALF, ONE, ZERO, Amplitude
 from quasiq.quasistate import Gate, StateVector, _NumeratorState, bits_label, key_of, label_of
@@ -142,17 +143,32 @@ def simulate_circuit(circuit: Circuit, x_bits, record=False) -> tuple[StateVecto
             by_position.setdefault(pos, []).append(label)
 
     # Gates run on integer numerators; StateVectors are built only for the
-    # recorded checkpoints and the final state.
+    # recorded checkpoints and the final state. A run of H gates with the same
+    # controls on distinct wires, and no recorded checkpoint inside it, is
+    # applied as one layer.
     state = _NumeratorState(circuit.width, key_of(x_bits) << (circuit.width - n))
     captured: dict[str, StateVector] = {}
-    for idx in range(len(circuit.gates) + 1):
-        if idx:
-            state.apply(circuit.gates[idx - 1])
+    gates = circuit.gates
+    idx = 0
+    while True:
         labels = by_position.get(idx, ())
         snapshot = state.to_state() if labels else None
         for label in labels:
             captured[label] = snapshot
-    return state.to_state() if snapshot is None else snapshot, captured
+        if idx == len(gates):
+            return state.to_state() if snapshot is None else snapshot, captured
+        gate = gates[idx]
+        idx += 1
+        if gate.kind != "H":
+            state.apply(gate)
+            continue
+        run, wires = [gate], {gate.wires[0]}
+        while (idx < len(gates) and idx not in by_position and gates[idx].kind == "H"
+               and gates[idx].controls == gate.controls and gates[idx].wires[0] not in wires):
+            run.append(gates[idx])
+            wires.add(gates[idx].wires[0])
+            idx += 1
+        state.apply_layer(run)
 
 
 @dataclass
@@ -363,6 +379,21 @@ def build_lpwpp_decider(pair: DualVerifierPair, base: int, t: int, n: int) -> Ci
 # -- runs -------------------------------------------------------------------------
 
 
+# Circuits already built, by pair: a circuit depends only on its pair and its
+# builder's arguments, and verify runs each construction on every input of one
+# pair. The keys are weak, so the circuits go with their pair.
+_BUILT: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _built(pair: DualVerifierPair, build, *args) -> Circuit:
+    """build(pair, *args), built once per pair, builder and arguments."""
+    circuits = _BUILT.setdefault(pair, {})
+    key = (build, args)
+    if key not in circuits:
+        circuits[key] = build(pair, *args)
+    return circuits[key]
+
+
 def _single_wire_value(state: StateVector, wire: int, context: str) -> int:
     values = {(key >> (state.width - 1 - wire)) & 1 for key, _ in state}
     if len(values) != 1:
@@ -381,7 +412,7 @@ def run_un(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     """
     n, m = pair.n, pair.m
     lx = pair.language_bit(tuple(x_bits))
-    circuit = build_un(pair, n)
+    circuit = _built(pair, build_un, n)
     final, captured = simulate_circuit(circuit, x_bits, record)
     pattern = bits_label(x_bits) + "0" * m + "*1"
     block = final.match(pattern)
@@ -420,7 +451,7 @@ def run_zqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     """
     n = pair.n
     lx = pair.language_bit(tuple(x_bits))  # DualityError on an invalid pair
-    circuit = build_fig3(pair, n, "bm")
+    circuit = _built(pair, build_fig3, n, "bm")
     final, captured = simulate_circuit(circuit, x_bits, record)
     a, s = circuit.wire("a"), circuit.wire("s")
     success_mass, conditional = final.project(a, 1)
@@ -447,7 +478,7 @@ def run_posteqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     supported entirely on the correct answer and have nonzero mass."""
     n = pair.n
     lx = pair.language_bit(tuple(x_bits))
-    circuit = build_fig3(pair, n, "proj1")
+    circuit = _built(pair, build_fig3, n, "proj1")
     # The pre-projection state is always captured to report the rejected mass.
     wanted = True if record is True else set(record or ()) | {"cycled"}
     final, captured = simulate_circuit(circuit, x_bits, wanted)
@@ -507,7 +538,7 @@ def run_wn(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     """
     n, m = pair.n, pair.m
     lx = pair.language_bit(tuple(x_bits))
-    circuit = build_wn(pair, n)
+    circuit = _built(pair, build_wn, n)
     final, captured = simulate_circuit(circuit, x_bits, record)
     check_ancillas_restored(final, circuit)
     c, s = circuit.wire("c"), circuit.wire("s")
@@ -552,14 +583,15 @@ def run_lwpp(pair: DualVerifierPair, h, x_bits, record=False) -> RunOutcome:
     """Exact decider run; raises ResidualTermError when the half-gap witness
     fails to cancel the |00> tail."""
     hv = _witness_value(h, pair.n)
-    return _run_decider(build_lwpp_decider(pair, hv, pair.n), "lwpp", pair, hv, x_bits, record,
+    circuit = _built(pair, build_lwpp_decider, hv, pair.n)
+    return _run_decider(circuit, "lwpp", pair, hv, x_bits, record,
                         "decider output is not the single term (h/2^m)|x>|1>|L(x)>")
 
 
 def run_lpwpp(pair: DualVerifierPair, base: int, t: int, x_bits, record=False) -> RunOutcome:
     """Exact decider run over the fixed gate alphabet, h = base**t; the circuit
     must use no length-dependent gate."""
-    circuit = build_lpwpp_decider(pair, base, t, pair.n)
+    circuit = _built(pair, build_lpwpp_decider, base, t, pair.n)
     outcome = _run_decider(circuit, "lpwpp", pair, base**t, x_bits, record,
                            "fixed-gate-set decider differs from the length-dependent one")
     if "A" in gate_alphabet(circuit):

@@ -358,7 +358,12 @@ def resolve_problem(spec_or_name: ProblemSpec | str, n: int, seed: int | None = 
     spec.check_n(n)
     source = spec.verifier
     if source["kind"] == "builtin":
-        resolved = _resolve_builtin(builtin_entry(source["name"]), n, seed, inputs)
+        entry = builtin_entry(source["name"])
+        declared = spec.m_of(n)
+        if declared is not None and declared != entry.m_of(n):
+            raise SpecError(f"spec {spec.name!r} declares m = {declared} at n = {n}, "
+                            f"but builtin {entry.name!r} has m = {entry.m_of(n)}")
+        resolved = _resolve_builtin(entry, n, seed, inputs)
         if spec.h is not None:
             resolved.h = spec.h
         resolved.name = spec.name

@@ -12,11 +12,17 @@ polarities; a multiply-controlled X is just X with controls.
 
 Circuits run on a private kernel over integer numerators with one shared
 power of sqrt(2) (_NumeratorState, at the end of this module);
-StateVector.apply is the reference it is tested against.
+StateVector.apply is the per-gate reference it is tested against. The kernel
+applies a run of H gates that share their controls as one layer of L wires:
+an unnormalized Walsh-Hadamard transform on two dense integer lists of length
+2**L per group of terms, one group at a time, so memory holds the terms plus
+one group's lists. A term that fails the controls is multiplied by sqrt2**L.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import add, neg, or_, sub
 from typing import Iterable, Iterator
 
 from quasiq.exactnum import HALF, INV_SQRT2, ONE, TWO, ZERO, Amplitude, ExactDivisionError
@@ -305,10 +311,15 @@ class StateVector:
         return sorted((k, a) for k, a in self.terms.items() if k & mask == value)
 
     def norm_sq(self) -> Amplitude:
-        total = ZERO
+        """The sum of the squared amplitudes, added in integers over the
+        largest exponent: (c0 + c1*sqrt2)**2 = c0**2 + 2*c1**2 + 2*c0*c1*sqrt2."""
+        top = max((a.e for a in self.terms.values()), default=0)
+        s0 = s1 = 0
         for a in self.terms.values():
-            total = total + a * a
-        return total
+            shift = 2 * (top - a.e)
+            s0 += (a.c0 * a.c0 + 2 * a.c1 * a.c1) << shift
+            s1 += a.c0 * a.c1 << shift + 1
+        return Amplitude(s0, s1, 2 * top)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
@@ -517,7 +528,7 @@ class _NumeratorState:
         cmask, cval = gate.control_mask(self.width)
         kind = gate.kind
         if kind == "H":
-            self._hadamard(self._mask(gate.wires[0]), cmask, cval)
+            self._hadamards(gate.wires, cmask, cval)
         elif kind in _SHEAR_KINDS:
             self._shear(gate, cmask, cval)
         elif kind in _DIAG_KINDS:
@@ -525,32 +536,63 @@ class _NumeratorState:
         else:
             self._move(self._key_map(gate), cmask, cval)
 
-    def _hadamard(self, m: int, cmask: int, cval: int) -> None:
-        """Unnormalized butterfly (a + b, a - b); the 1/sqrt2 goes into k, so
-        a term that fails a control is multiplied by sqrt2 instead."""
+    def apply_layer(self, gates: list[Gate]) -> None:
+        """Apply a run of H gates that share their controls and act on
+        distinct wires, as one layer. Each gate is checked to fit the state."""
+        for gate in gates:
+            cmask, cval = gate.control_mask(self.width)
+        self._hadamards(tuple(gate.wires[0] for gate in gates), cmask, cval)
+
+    def _hadamards(self, wires: tuple[int, ...], cmask: int, cval: int) -> None:
+        """H on each of the distinct `wires`: one unnormalized Walsh-Hadamard
+        transform of size 2**L per group of terms that agree off the layer
+        wires, on two dense lists for one group at a time. The 1/sqrt2**L goes
+        into k, so a term that fails the controls is multiplied by sqrt2**L
+        instead."""
+        size = len(wires)
+        half = size >> 1
+        runs = self._runs(tuple(sorted(wires)))
+        layer = sum(low << shift for shift, low, _ in runs)
+        # place[i]: the layer-wire bits of a key whose dense index is i, built
+        # one run of adjacent wires at a time from the lowest index bits up. It
+        # has 2**L entries and lives for this call only.
+        place = None
+        for shift, low, _ in runs:
+            high = range(0, (low + 1) << shift, 1 << shift)
+            place = high if place is None else [h | p for h in high for p in place]
         terms = self.terms
         out = {}
+        groups: dict[int, list[int]] = {}
+        rest_mask = ~layer
         for key, (a0, a1) in terms.items():
             if key & cmask != cval:
-                out[key] = (a1 << 1, a0)
-            elif key & m:
-                if key ^ m not in terms:  # else handled with its |0> partner
-                    out[key ^ m] = (a0, a1)
-                    out[key] = (-a0, -a1)
+                out[key] = (a1 << (half + 1), a0 << half) if size & 1 else (a0 << half, a1 << half)
+                continue
+            group = groups.get(key & rest_mask)
+            if group is None:
+                groups[key & rest_mask] = [key]
             else:
-                partner = terms.get(key | m)
-                if partner is None:
-                    out[key] = out[key | m] = (a0, a1)
-                    continue
-                b0, b1 = partner
-                s0, s1 = a0 + b0, a1 + b1
-                if s0 or s1:
-                    out[key] = (s0, s1)
-                d0, d1 = a0 - b0, a1 - b1
-                if d0 or d1:
-                    out[key | m] = (d0, d1)
+                group.append(key)
+        indices = range(len(place))
+        for rest, keys in groups.items():
+            c0 = [0] * len(place)
+            c1 = [0] * len(place)
+            ones, zeros = -1, -1  # index bits that are 1, or 0, in every term
+            for key in keys:
+                index = 0
+                for shift, low, up in runs:
+                    index |= (key >> shift & low) << up
+                c0[index], c1[index] = terms[key]
+                ones &= index
+                zeros &= ~index
+            c0 = nonzero = _walsh_hadamard(c0, size, ones, zeros)
+            if any(c1):
+                c1 = _walsh_hadamard(c1, size, ones, zeros)
+                nonzero = map(or_, c0, c1)
+            for index in compress(indices, nonzero):
+                out[rest | place[index]] = c0[index], c1[index]
         self.terms = out
-        self.k += 1
+        self.k += size
 
     def _shear(self, gate: Gate, cmask: int, cval: int) -> None:
         """S adds the |1> amplitude into |0> (SINV subtracts it); D subtracts
@@ -688,3 +730,22 @@ class _NumeratorState:
                     continue
             out[key] = value
         self.terms = out
+
+
+def _walsh_hadamard(v: list[int], passes: int, ones: int, zeros: int) -> list[int]:
+    """The unnormalized transform H^{(x)passes} of v (length 2**passes), in
+    natural index order: pass p butterflies index bit p, which a perfect
+    shuffle has brought to the bottom, and moves it to the top (Fino and
+    Algazi, 1976). Where bit p is 1 (in `ones`) or 0 (in `zeros`) on every
+    nonzero entry, half the pairs are zero and the pass only copies."""
+    for p in range(passes):
+        if zeros >> p & 1:
+            e = v[0::2]
+            v = [*e, *e]
+        elif ones >> p & 1:
+            o = v[1::2]
+            v = [*o, *map(neg, o)]
+        else:
+            e, o = v[0::2], v[1::2]
+            v = [*map(add, e, o), *map(sub, e, o)]
+    return v

@@ -289,6 +289,21 @@ def test_n_below_one_names_the_flag(capsys, n):
     assert "--n must be at least 1" in err and out == ""
 
 
+@pytest.mark.parametrize("m, code", [({"affine": {"a": 0, "b": 5}}, EXIT_USAGE),
+                                     ({"affine": {"a": 1, "b": 0}}, EXIT_OK)])
+def test_builtin_spec_must_declare_the_builtin_m(tmp_path, capsys, m, code):
+    spec = {"name": "bm", "n": {"min": 1, "max": 3}, "m": m,
+            "verifier": {"kind": "builtin", "name": "parity"}, "dual": "given-pair"}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    got, out, err = run_cli(capsys, "gap", "--problem", str(path), "--input", "01")
+    assert got == code
+    if code == EXIT_USAGE:
+        assert "declares m = 5 at n = 2, but builtin 'parity' has m = 2" in err and out == ""
+    else:
+        assert json.loads(out)["m"] == 2
+
+
 @pytest.mark.parametrize("m", [None, {"affine": {"a": 0, "b": 3}}])
 def test_missing_table_file_is_a_spec_error(tmp_path, capsys, m):
     spec = {
@@ -380,7 +395,8 @@ def test_lpwpp_rows_simulate_only_their_own_decider(monkeypatch, capsys):
 
 
 def test_lpwpp_gate_alphabet_is_checked_once_per_pair(monkeypatch, capsys):
-    """One decider per row: the run checks the alphabet of the circuit it built."""
+    """One decider per pair: every row runs, and checks the alphabet of, the
+    circuit built for the first row."""
     from quasiq import circuitgen
 
     built = []
@@ -394,7 +410,7 @@ def test_lpwpp_gate_alphabet_is_checked_once_per_pair(monkeypatch, capsys):
     code, obj, _ = run_json(capsys, "verify", "--problem", "parity", "--n", "3",
                             "--construction", "lpwpp")
     assert code == EXIT_OK and obj["ok"] and len(obj["results"]) == 8
-    assert len(built) == 8
+    assert len(built) == 1
 
 
 def _double_every_nonzero_gap(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from quasiq.circuitgen import (
+    Circuit,
     build_fig3,
     build_lpwpp_decider,
     build_lwpp_decider,
@@ -17,7 +18,7 @@ from quasiq.circuitgen import (
     simulate_circuit,
 )
 from quasiq.exactnum import Amplitude, ExactDivisionError
-from quasiq.quasistate import Gate, StateVector, WireError, _NumeratorState, key_of
+from quasiq.quasistate import Gate, StateVector, WireError, _NumeratorState, bits_of, key_of
 from quasiq.verifierkit import Verifier, random_dual_pair, table_verifier
 
 from test_acceptance import all_inputs, builtin_pairs, lemma_pairs
@@ -264,3 +265,91 @@ def test_oracle_reads_b_wires_in_any_order():
         for *b_wires, target in itertools.permutations(rest):
             gate = Gate.oracle(verifier, (x_wire,), tuple(b_wires), target)
             check_against_reference(width, 0b10110, spread(width) + [gate])
+
+
+# -- Hadamard layers --------------------------------------------------------------
+
+
+@st.composite
+def layered_circuits(draw):
+    """Runs of H gates between random gates, with checkpoints at random
+    positions and some of them recorded. A run may repeat a wire, use wires
+    that are not adjacent, and give some of its gates other controls."""
+    width = draw(st.integers(2, 6))
+    gates = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            gates.append(draw(random_gate(width)))
+            continue
+        wires = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width + 1))
+        free = [w for w in range(width) if w not in wires]
+        shared = tuple((w, draw(st.integers(0, 1)))
+                       for w in free[:draw(st.integers(0, min(2, len(free))))])
+        for w in wires:
+            controls = shared
+            if shared and not draw(st.integers(0, 4)):
+                controls = draw(st.sampled_from([shared[:1], shared[::-1],
+                                                 ((shared[0][0], 1 - shared[0][1]),)]))
+            gates.append(Gate.h(w, controls))
+    positions = draw(st.lists(st.integers(0, len(gates)), max_size=4))
+    checkpoints = tuple((f"cp{i}", pos) for i, pos in enumerate(positions))
+    record = draw(st.sets(st.sampled_from([label for label, _ in checkpoints]))) if positions else set()
+    circuit = Circuit(width, {"x": (0, width)}, tuple(gates), checkpoints)
+    return circuit, draw(st.integers(0, 2**width - 1)), record
+
+
+@settings(max_examples=300, deadline=None)
+@given(layered_circuits())
+def test_hadamard_layers_match_the_reference_at_every_recorded_checkpoint(case):
+    circuit, key, record = case
+    x = bits_of(key, circuit.width)
+    try:
+        expected = reference_states(circuit.width, key, circuit.gates)
+    except Exception as exc:  # an exact division that leaves the ring
+        with pytest.raises(type(exc)):
+            simulate_circuit(circuit, x, record)
+        return
+    final, captured = simulate_circuit(circuit, x, record)
+    assert final == expected[-1]
+    assert set(captured) == record
+    for label, pos in circuit.checkpoints:
+        if label in record:
+            assert captured[label] == expected[pos], label
+
+
+def test_a_fit_error_inside_a_run_raises_the_reference_error():
+    # The middle gate's control sits on its own wire; the controls are shared,
+    # so the three gates form one run.
+    controls = ((2, 1),)
+    gates = (Gate.h(0, controls), Gate.h(2, controls), Gate.h(1, controls))
+    circuit = Circuit(3, {"x": (0, 3)}, gates)
+    with pytest.raises(WireError, match="control wires overlap gate wires"):
+        reference_states(3, 0b001, gates)
+    with pytest.raises(WireError, match="control wires overlap gate wires"):
+        simulate_circuit(circuit, (0, 0, 1))
+    with pytest.raises(WireError, match="wire 5 out of range for width 3"):
+        _NumeratorState(3, 0).apply_layer([Gate.h(0), Gate.h(5), Gate.h(1)])
+
+
+def test_a_run_of_hadamards_is_one_kernel_call(monkeypatch):
+    """The un circuit opens with H on b and c and closes with H on b and a:
+    two layers, and three when the checkpoint psi_2 between the last two
+    runs is recorded."""
+    pair = builtin_pairs()[-1][0]
+    circuit = build_un(pair, pair.n)
+    b = circuit.register_wires("b")
+    c, a = circuit.wire("c"), circuit.wire("a")
+    calls = []
+    layer = _NumeratorState._hadamards
+
+    def counting(self, wires, cmask, cval):
+        calls.append(sorted(wires))
+        layer(self, wires, cmask, cval)
+
+    monkeypatch.setattr(_NumeratorState, "_hadamards", counting)
+    x = (0,) * pair.n
+    simulate_circuit(circuit, x)
+    assert calls == [sorted(b + (c,)), sorted(b + (a,))]
+    calls.clear()
+    simulate_circuit(circuit, x, record=True)
+    assert calls == [sorted(b + (c,)), list(b), [a]]

@@ -2,7 +2,9 @@
 import json
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from quasiq.exactnum import HALF, INV_SQRT2, ONE, ZERO, Amplitude
 from quasiq.quasistate import (
@@ -71,6 +73,21 @@ def test_d_gate_on_10():
 def test_norm_sq_examples():
     assert StateVector.basis(1, "0").apply(Gate.h(0)).norm_sq() == ONE
     assert StateVector.zero_state(3).norm_sq() == ZERO
+
+
+COEFFS = st.one_of(st.integers(-40, 40), st.integers(-2**80, 2**80))
+AMPLITUDES = st.builds(Amplitude, COEFFS, COEFFS, st.integers(0, 70))
+
+
+@given(st.dictionaries(st.integers(0, 15), AMPLITUDES, max_size=12))
+def test_norm_sq_matches_the_amplitude_fold(terms):
+    """The integer sum gives the value, and so the canonical triple, of a
+    fold of Amplitude products."""
+    state = StateVector(4, terms)
+    total = ZERO
+    for a in state.terms.values():
+        total = total + a * a
+    assert state.norm_sq() == total
 
 
 def test_amplitude_of_patterns():
