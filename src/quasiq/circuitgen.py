@@ -185,8 +185,9 @@ class RunOutcome:
     width: int
     checkpoints: dict[str, StateVector] = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
+    def to_json(self, final_state: bool = True, checkpoints: bool = True) -> dict:
+        """The outcome as JSON; a state left out by its flag is not serialized."""
+        obj = {
             "construction": self.construction,
             "input": self.input,
             "verdict": self.verdict,
@@ -194,9 +195,13 @@ class RunOutcome:
             "success_mass": self.success_mass.to_json(),
             "failure_mass": self.failure_mass.to_json(),
             "width": self.width,
-            "final_state": self.final_state.to_json(),
-            "checkpoints": {label: s.to_json() for label, s in sorted(self.checkpoints.items())},
         }
+        if final_state:
+            obj["final_state"] = self.final_state.to_json()
+        if checkpoints:
+            obj["checkpoints"] = {label: state.to_json()
+                                  for label, state in sorted(self.checkpoints.items())}
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> RunOutcome:

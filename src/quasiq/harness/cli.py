@@ -223,13 +223,9 @@ def cmd_simulate(args) -> int:
     _require_corrupt_h_reader(args, resolved, [CONSTRUCTION_TABLE[args.construction]])
     outcome = _simulate_one(resolved, args.construction, x, args.checkpoints,
                             corrupt_h=args.corrupt_h)
-    obj = outcome.to_json()
+    obj = outcome.to_json(final_state=args.dump_state, checkpoints=args.checkpoints)
     obj["problem"] = resolved.name
     obj["seed"] = args.seed
-    if not args.dump_state:
-        del obj["final_state"]
-    if not args.checkpoints:
-        del obj["checkpoints"]
     _emit(obj, args.json)
     return EXIT_OK
 

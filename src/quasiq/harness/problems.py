@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -166,15 +167,79 @@ TABLE_SCHEMA = {
 }
 
 
+def _is_int(value) -> bool:
+    """JSON Schema "integer", narrowed to a Python int that is not a bool: a
+    float such as 1.0, which Draft 2020-12 counts as an integer, would reach
+    shifts and ranges that need an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_TYPES = {"object": lambda v: isinstance(v, dict), "array": lambda v: isinstance(v, list),
+          "string": lambda v: isinstance(v, str), "integer": _is_int}
+# The keywords _conforms reads; tests check that SCHEMA and TABLE_SCHEMA use
+# no other, since an unread keyword would let an invalid file through.
+_KEYWORDS = frozenset({"type", "required", "properties", "additionalProperties",
+                       "patternProperties", "propertyNames", "pattern", "oneOf", "const",
+                       "enum", "minimum", "minLength"})
+
+
+def _same(value, constant) -> bool:
+    """JSON equality of scalars: a bool is never equal to a number."""
+    return isinstance(value, bool) is isinstance(constant, bool) and value == constant
+
+
+def _conforms(schema: dict | bool, value) -> bool:
+    """Whether value is valid under schema (a part of SCHEMA or TABLE_SCHEMA),
+    by the Draft 2020-12 rules of the _KEYWORDS and the "integer" of _is_int,
+    as _validator judges it. Spec and table files are checked here first, so a
+    valid one never loads jsonschema, which only words the reject messages."""
+    if isinstance(schema, bool):
+        return schema
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        return False
+    if "const" in schema and not _same(value, schema["const"]):
+        return False
+    if "enum" in schema and not any(_same(value, each) for each in schema["enum"]):
+        return False
+    if "oneOf" in schema and sum(_conforms(each, value) for each in schema["oneOf"]) != 1:
+        return False
+    if isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            return False
+        # re.search, as jsonschema matches: "4\n" and other Unicode digits pass ^\d+$
+        return "pattern" not in schema or re.search(schema["pattern"], value) is not None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return not ("minimum" in schema and value < schema["minimum"])
+    if not isinstance(value, dict):
+        return True
+    if any(key not in value for key in schema.get("required", ())):
+        return False
+    properties = schema.get("properties", {})
+    patterns = schema.get("patternProperties", {})
+    for key, item in value.items():
+        if not _conforms(schema.get("propertyNames", True), key):
+            return False
+        matched = [sub for pattern, sub in patterns.items() if re.search(pattern, key)]
+        if key in properties:
+            matched.append(properties[key])
+        if not matched:
+            matched.append(schema.get("additionalProperties", True))
+        if not all(_conforms(sub, item) for sub in matched):
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def _validator(table: bool):
-    """The validator of TABLE_SCHEMA or SCHEMA, built once (jsonschema.validate
-    would re-check the schema against the metaschema per call). jsonschema is
-    imported only here, where a spec or table file is read: a builtin problem
-    never loads it."""
-    import jsonschema
+    """The validator of TABLE_SCHEMA or SCHEMA, with "integer" as in _is_int,
+    built once (jsonschema.validate would re-check the schema against the
+    metaschema per call). jsonschema is imported only here, to word the message
+    for a file that _conforms rejects."""
+    from jsonschema import Draft202012Validator, validators
 
-    return jsonschema.Draft202012Validator(TABLE_SCHEMA if table else SCHEMA)
+    integer = Draft202012Validator.TYPE_CHECKER.redefine("integer", lambda _, v: _is_int(v))
+    cls = validators.extend(Draft202012Validator, type_checker=integer)
+    return cls(TABLE_SCHEMA if table else SCHEMA)
 
 
 @dataclass
@@ -192,11 +257,12 @@ class ProblemSpec:
 
     @classmethod
     def from_json(cls, obj: dict, base_dir: str = ".") -> ProblemSpec:
-        from jsonschema.exceptions import best_match
+        if not _conforms(SCHEMA, obj):
+            from jsonschema.exceptions import best_match
 
-        error = best_match(_validator(table=False).iter_errors(obj))
-        if error is not None:
-            raise SpecError(f"problem spec rejected by schema: {error.message}") from error
+            error = best_match(_validator(table=False).iter_errors(obj))
+            if error is not None:
+                raise SpecError(f"problem spec rejected by schema: {error.message}") from error
         verifier = obj["verifier"]
         dual = obj["dual"]
         has_base = "base" in verifier
@@ -307,12 +373,13 @@ def read_table_file(path: str) -> dict:
         raise SpecError(f"cannot read table file {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"table file {path} is not valid JSON: {exc}") from exc
-    from jsonschema import ValidationError
+    if not _conforms(TABLE_SCHEMA, obj):
+        from jsonschema import ValidationError
 
-    try:
-        _validator(table=True).validate(obj)
-    except ValidationError as exc:
-        raise SpecError(f"table file {path} rejected by schema: {exc.message}") from exc
+        try:
+            _validator(table=True).validate(obj)
+        except ValidationError as exc:
+            raise SpecError(f"table file {path} rejected by schema: {exc.message}") from exc
     for xlabel, blabels in obj["table"].items():
         try:
             stray = "".join(blabels).strip("01")

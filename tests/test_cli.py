@@ -5,13 +5,17 @@ import os
 import subprocess
 import sys
 
+import jsonschema
 import pytest
+from test_problems import GOOD_LEMMA_SPEC, GOOD_PAIR_SPEC, _edit
 
 from quasiq.circuitgen import AncillaRestorationError, ResidualTermError, SimulationInvariantError
 from quasiq.exactnum import Amplitude
 from quasiq.harness import cli
 from quasiq.harness.cli import EXIT_BROKEN_PIPE, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from quasiq.harness.problems import SCHEMA
 from quasiq.quasistate import _NumeratorState
+from quasiq.verifierkit import allzero_verifier, table_to_json
 
 
 def run_cli(capsys, *argv):
@@ -470,12 +474,53 @@ def test_deep_dsl_nesting_is_a_spec_error(tmp_path, text):
     assert "nested more than 100 levels deep at line 1, column" in proc.stderr
 
 
-def test_builtin_problem_never_imports_jsonschema():
-    proc = run_fresh("import sys; from quasiq.harness.cli import main; code = main(sys.argv[1:]); "
-                     "print('jsonschema' in sys.modules); sys.exit(code)",
-                     "gap", "--problem", "parity", "--input", "0")
+# Runs the CLI, then prints whether jsonschema was imported.
+IMPORT_PROBE = ("import sys; from quasiq.harness.cli import main; code = main(sys.argv[1:]); "
+                "print('jsonschema' in sys.modules); sys.exit(code)")
+TABLE_LEMMA_SPEC = {"name": "allzero-table", "n": {"min": 2, "max": 2},
+                    "verifier": {"kind": "table-file", "base": "allzero-n2.json"},
+                    "h": {"kind": "tabulated", "values": {"2": 2}}, "dual": "derive-via-lemma"}
+
+
+def _spec_file(tmp_path, spec: dict) -> str:
+    """The path of `spec` written to tmp_path, beside the table file it may name."""
+    (tmp_path / "allzero-n2.json").write_text(json.dumps(table_to_json(allzero_verifier(2))))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize("spec", [None, GOOD_PAIR_SPEC, TABLE_LEMMA_SPEC],
+                         ids=["builtin", "dsl-pair", "table-lemma"])
+def test_a_valid_problem_never_imports_jsonschema(tmp_path, spec):
+    problem = "parity" if spec is None else _spec_file(tmp_path, spec)
+    proc = run_fresh(IMPORT_PROBE, "simulate", "--problem", problem, "--input", "00",
+                     "--construction", "un")
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_a_malformed_spec_imports_jsonschema_for_its_message(tmp_path):
+    spec = {**GOOD_PAIR_SPEC, "name": ""}
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(spec, SCHEMA)
+    proc = run_fresh(IMPORT_PROBE, "gap", "--problem", _spec_file(tmp_path, spec), "--input", "00")
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout.splitlines()[-1] == "True"
+    assert proc.stderr == f"error: problem spec rejected by schema: {expected.value.message}\n"
+
+
+@pytest.mark.parametrize("path, value", [(("m", "affine", "a"), 1.0), (("h", "M"), 2.0)],
+                         ids=["m-affine", "h-power"])
+def test_an_integer_given_as_a_float_is_a_spec_error(tmp_path, path, value):
+    """Draft 2020-12 counts 1.0 as an integer; quasiq's schema does not, since
+    a float m or M would end in a TypeError deep in the run."""
+    spec = _edit(GOOD_LEMMA_SPEC if path[0] == "h" else GOOD_PAIR_SPEC, path, value)
+    proc = run_fresh("import sys; from quasiq.harness.cli import main; sys.exit(main())",
+                     "verify", "--problem", _spec_file(tmp_path, spec), "--n", "2")
+    assert proc.returncode == EXIT_USAGE
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"error: problem spec rejected by schema: {value} is not of type 'integer'\n"
 
 
 def test_closed_stdout_exits_quietly():

@@ -1,14 +1,24 @@
 """Problem-spec schema validation, loading, and resolution."""
+import copy
 import json
 
+import hypothesis.strategies as st
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from test_golden import SPECS
 
 from quasiq.harness.problems import (
+    _KEYWORDS,
+    _TYPES,
     SCHEMA,
+    TABLE_SCHEMA,
     ProblemSpec,
     SpecError,
+    _conforms,
+    _validator,
     load_problem_file,
+    read_table_file,
     resolve_problem,
 )
 from quasiq.quasistate import bits_of
@@ -230,3 +240,131 @@ def test_schema_diagnostic_is_what_jsonschema_validate_reports(spec):
     with pytest.raises(SpecError) as got:
         ProblemSpec.from_json(spec)
     assert str(got.value) == f"problem spec rejected by schema: {expected.value.message}"
+
+
+# -- the fast schema check against jsonschema --------------------------------------
+
+TABLE = table_to_json(allzero_verifier(2))
+DOCUMENTS = [GOOD_LEMMA_SPEC, GOOD_PAIR_SPEC, TABLE, *SPECS.values()]
+EDGE_VALUES = [True, 1.0, 0, -1, "", [], {}, None, "12\n", "\u0664"]  # the last is Arabic-Indic 4
+EDGE_KEYS = ["extra", "2", "01", "", "12\n", "\u0664"]
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) in a JSON document, the root first."""
+    yield path, doc
+    if isinstance(doc, dict):
+        children = doc.items()
+    else:
+        children = enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A spec or table document with one to three mutations: a dropped key or
+    item, an unknown key added, or a value swapped for an edge value."""
+    doc = copy.deepcopy(draw(st.sampled_from(DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(_nodes(doc))))
+        value = copy.deepcopy(draw(st.sampled_from(EDGE_VALUES)))
+        kind = draw(st.sampled_from(["drop", "add", "swap"]))
+        if kind == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(EDGE_KEYS))] = value
+        elif not path:
+            doc = value
+        else:
+            parent = dict(_nodes(doc))[path[:-1]]
+            if kind == "drop":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_fast_check_agrees_with_jsonschema(doc):
+    for table, schema in ((False, SCHEMA), (True, TABLE_SCHEMA)):
+        assert _conforms(schema, doc) == _validator(table).is_valid(doc)
+
+
+def _edit(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("table, doc, valid", [
+    (False, GOOD_LEMMA_SPEC, True),
+    (False, _edit(GOOD_LEMMA_SPEC, ("m", "affine", "a"), 1.0), False),
+    (False, _edit(GOOD_LEMMA_SPEC, ("m", "affine", "a"), True), False),
+    (False, _edit(GOOD_LEMMA_SPEC, ("h", "M"), 2.0), False),
+    (False, _edit(GOOD_LEMMA_SPEC, ("n", "min"), 0), False),
+    (False, _edit(GOOD_LEMMA_SPEC, ("n", "max"), -1), False),
+    (False, _edit(GOOD_LEMMA_SPEC, ("name",), ""), False),
+    (False, _edit(GOOD_LEMMA_SPEC, ("dual",), True), False),
+    (False, _edit(GOOD_LEMMA_SPEC, ("verifier", "kind"), None), False),
+    (False, _edit(GOOD_LEMMA_SPEC, ("verifier", "base"), []), False),
+    (False, _edit(GOOD_LEMMA_SPEC, ("h", "t"), {}), False),
+    (False, _edit(GOOD_PAIR_SPEC, ("m",), {"table": {"4\n": 2}}), True),
+    (False, _edit(GOOD_PAIR_SPEC, ("m",), {"table": {"\u0664": 2}}), True),
+    (False, _edit(GOOD_PAIR_SPEC, ("m",), {"table": {"": 2}}), False),
+    (False, _edit(GOOD_PAIR_SPEC, ("m",), {"table": {"1": 2.0}}), False),
+    (False, _edit(GOOD_LEMMA_SPEC, ("h",), {"kind": "tabulated", "values": {"1": True}}), False),
+    (True, TABLE, True),
+    (True, _edit(TABLE, ("m",), 2.0), False),
+    (True, _edit(TABLE, ("n",), True), False),
+    (True, _edit(TABLE, ("n",), 0), True),
+    (True, _edit(TABLE, ("table", "01\n"), []), True),
+    (True, _edit(TABLE, ("table", "12\n"), []), False),
+    (True, _edit(TABLE, ("table", ""), []), True),
+    (True, _edit(TABLE, ("table", "00"), {}), False),
+    (True, _edit(TABLE, ("table", "00"), None), False),
+], ids=["good", "float", "bool", "float-M", "zero", "negative", "empty-name", "bool-enum",
+        "null-const", "array-string", "empty-object", "newline-key", "unicode-digit",
+        "empty-key", "float-table", "bool-values", "table", "table-float-m", "table-bool-n",
+        "table-zero-n", "table-newline-key", "table-bad-key", "table-empty-key",
+        "table-object-row", "table-null-row"])
+def test_fast_check_edge_cases(table, doc, valid):
+    """re.search for patterns, so "4\\n" and Unicode digits match ^\\d+$; a bool
+    or a float is never an integer."""
+    assert _conforms(TABLE_SCHEMA if table else SCHEMA, doc) is valid
+    assert _validator(table).is_valid(doc) is valid
+
+
+def _keywords(schema):
+    """The keywords of a schema and of every subschema it holds."""
+    if isinstance(schema, bool):
+        return
+    for keyword, value in schema.items():
+        yield keyword, value
+        if keyword in ("properties", "patternProperties"):
+            subschemas = value.values()
+        elif keyword == "oneOf":
+            subschemas = value
+        elif keyword in ("additionalProperties", "propertyNames"):
+            subschemas = [value]
+        else:
+            subschemas = ()
+        for sub in subschemas:
+            yield from _keywords(sub)
+
+
+def test_fast_check_reads_every_keyword_of_the_schemas():
+    """A keyword the fast check does not read (a later "maximum", say) would
+    let a file through that the schema rejects."""
+    used = [*_keywords(SCHEMA), *_keywords(TABLE_SCHEMA)]
+    assert {keyword for keyword, _ in used} == _KEYWORDS
+    assert {value for keyword, value in used if keyword == "type"} <= set(_TYPES)
+
+
+def test_a_float_integer_in_a_table_file_is_a_spec_error(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({**TABLE, "m": 2.0}), encoding="utf-8")
+    with pytest.raises(SpecError, match=r"rejected by schema: 2\.0 is not of type 'integer'$"):
+        read_table_file(str(path))
