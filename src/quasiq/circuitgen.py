@@ -1,7 +1,7 @@
 """Compile dual verifier pairs into gap-amplitude circuits and run them.
 
-Five constructions share one wire layout, registers in the fixed order
-x (n wires), b (m wires), c, a, and s (when present):
+Five builders make six constructions on one wire layout, registers in the
+fixed order x (n wires), b (m wires), c, a, and s (when present):
 
 * the unitary gap-amplitude circuit: Hadamards on b and c, the two verifier
   oracles XORed onto a (conditioned on c = 0 resp. c = 1), Hadamards on b,
@@ -22,7 +22,8 @@ x (n wires), b (m wires), c, a, and s (when present):
 
 Checkpoints label the intermediate states (psi_1..psi_3, flagged, cycled,
 phi_1..phi_4, swapped, scaled) so each displayed identity can be checked
-term by term.
+term by term. Circuits nest, un -> fig3 and wn -> both deciders; a child run
+on the x its parent last ran on starts from the parent's final state.
 """
 from __future__ import annotations
 
@@ -71,17 +72,23 @@ class SimulationInvariantError(RuntimeError):
 
 @dataclass
 class Circuit:
-    """Gate list on named registers, with labeled checkpoint positions."""
+    """Gate list on named registers, with labeled checkpoint positions. A child
+    circuit starts with its parent's gates, on the same wires plus extra ones
+    last; `last` is (x key, numerator terms, k) after the circuit's last run."""
 
     width: int
     registers: dict[str, tuple[int, int]]
     gates: tuple[Gate, ...]
     checkpoints: tuple[tuple[str, int], ...] = ()
+    parent: Circuit | None = field(default=None, compare=False, repr=False)
+    last: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         labels = [label for label, _ in self.checkpoints]
         if len(labels) != len(set(labels)):
             raise ValueError("checkpoint labels must be unique")
+        if self.parent is not None and self.gates[:len(self.parent.gates)] != self.parent.gates:
+            raise ValueError("a circuit must start with its parent's gates")
         for gate in self.gates:
             for w in gate.all_wires():
                 if not 0 <= w < self.width:
@@ -145,17 +152,26 @@ def simulate_circuit(circuit: Circuit, x_bits, record=False) -> tuple[StateVecto
     # Gates run on integer numerators; StateVectors are built only for the
     # recorded checkpoints and the final state. A run of H gates with the same
     # controls on distinct wires, and no recorded checkpoint inside it, is
-    # applied as one layer.
-    state = _NumeratorState(circuit.width, key_of(x_bits) << (circuit.width - n))
+    # applied as one layer. A child run on the x its parent last ran on, with
+    # no recorded checkpoint before the fork, starts from the parent's final
+    # terms, shared, as no gate changes a terms dict in place.
+    xkey = key_of(x_bits)
+    state = _NumeratorState(circuit.width, xkey << (circuit.width - n))
     captured: dict[str, StateVector] = {}
-    gates = circuit.gates
-    idx = 0
+    gates, idx, parent = circuit.gates, 0, circuit.parent
+    if (parent and parent.last and parent.last[0] == xkey
+            and min(by_position, default=len(gates)) >= len(parent.gates)):
+        _, terms, state.k = parent.last
+        lift = circuit.width - parent.width
+        state.terms = {key << lift: value for key, value in terms.items()} if lift else terms
+        idx = len(parent.gates)
     while True:
         labels = by_position.get(idx, ())
         snapshot = state.to_state() if labels else None
         for label in labels:
             captured[label] = snapshot
         if idx == len(gates):
+            circuit.last = (xkey, state.terms, state.k)
             return state.to_state() if snapshot is None else snapshot, captured
         gate = gates[idx]
         idx += 1
@@ -236,6 +252,21 @@ def _outcome(construction: str, x_bits, final: StateVector, captured: dict, answ
 # -- circuit builders -------------------------------------------------------------
 
 
+# Circuits already built, by pair and builder arguments, shared by every run of
+# a pair and by the child builders, whose parent is thus the circuit the runs
+# use. The keys are weak, so the circuits go with their pair.
+_BUILT: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _built(pair: DualVerifierPair, build, *args) -> Circuit:
+    """build(pair, *args), built once per pair, builder and arguments."""
+    circuits = _BUILT.setdefault(pair, {})
+    key = (build, args)
+    if key not in circuits:
+        circuits[key] = build(pair, *args)
+    return circuits[key]
+
+
 def _registers(n: int, m: int, with_s: bool) -> dict[str, tuple[int, int]]:
     regs = {"x": (0, n), "b": (n, m), "c": (n + m, 1), "a": (n + m + 1, 1)}
     if with_s:
@@ -282,7 +313,7 @@ def build_fig3(pair: DualVerifierPair, n: int, gate_choice: str = "bm",
     """
     if gate_choice not in GATE_CHOICES:
         raise ValueError(f"gate_choice must be one of {GATE_CHOICES}")
-    un = build_un(pair, n)
+    un = _built(pair, build_un, n)
     m = pair.m
     flag, c, a, s = _success_flag_block(pair, n)
     gates = list(un.gates) + flag
@@ -305,7 +336,7 @@ def build_fig3(pair: DualVerifierPair, n: int, gate_choice: str = "bm",
         ("cycled", pos_cycled),
         ("final", len(gates)),
     )
-    return Circuit(n + m + 3, _registers(n, m, with_s=True), tuple(gates), checkpoints)
+    return Circuit(n + m + 3, _registers(n, m, with_s=True), tuple(gates), checkpoints, un)
 
 
 def build_wn(pair: DualVerifierPair, n: int) -> Circuit:
@@ -314,7 +345,7 @@ def build_wn(pair: DualVerifierPair, n: int) -> Circuit:
 
     Every surviving output component returns the b register and a to 0.
     """
-    un = build_un(pair, n)
+    un = _built(pair, build_un, n)
     m = pair.m
     flag, c, a, s = _success_flag_block(pair, n)
     gates = list(un.gates)
@@ -331,11 +362,11 @@ def build_wn(pair: DualVerifierPair, n: int) -> Circuit:
         ("phi_3", pos_phi3),
         ("phi_4", len(gates)),
     )
-    return Circuit(n + m + 3, _registers(n, m, with_s=True), tuple(gates), checkpoints)
+    return Circuit(n + m + 3, _registers(n, m, with_s=True), tuple(gates), checkpoints, un)
 
 
 def _decider_tail(pair: DualVerifierPair, n: int, scaling: list[Gate]) -> Circuit:
-    wn = build_wn(pair, n)
+    wn = _built(pair, build_wn, n)
     m = pair.m
     c, s = n + m, n + m + 2
     gates = list(wn.gates)
@@ -350,7 +381,7 @@ def _decider_tail(pair: DualVerifierPair, n: int, scaling: list[Gate]) -> Circui
         ("scaled", pos_scaled),
         ("final", len(gates)),
     )
-    return Circuit(wn.width, wn.registers, tuple(gates), checkpoints)
+    return Circuit(wn.width, wn.registers, tuple(gates), checkpoints, wn)
 
 
 def _witness_value(h, n: int) -> int:
@@ -378,25 +409,14 @@ def build_lpwpp_decider(pair: DualVerifierPair, base: int, t: int, n: int) -> Ci
     if t < 0:
         raise ValueError("exponent t must be nonnegative")
     c = n + pair.m
-    return _decider_tail(pair, n, [Gate.g(c, base) for _ in range(t)])
+    circuit = _decider_tail(pair, n, [Gate.g(c, base) for _ in range(t)])
+    if "A" in gate_alphabet(circuit):
+        raise SimulationInvariantError(
+            "fixed-gate-set circuit still contains a length-dependent gate")
+    return circuit
 
 
 # -- runs -------------------------------------------------------------------------
-
-
-# Circuits already built, by pair: a circuit depends only on its pair and its
-# builder's arguments, and verify runs each construction on every input of one
-# pair. The keys are weak, so the circuits go with their pair.
-_BUILT: WeakKeyDictionary = WeakKeyDictionary()
-
-
-def _built(pair: DualVerifierPair, build, *args) -> Circuit:
-    """build(pair, *args), built once per pair, builder and arguments."""
-    circuits = _BUILT.setdefault(pair, {})
-    key = (build, args)
-    if key not in circuits:
-        circuits[key] = build(pair, *args)
-    return circuits[key]
 
 
 def _single_wire_value(state: StateVector, wire: int, context: str) -> int:
@@ -597,9 +617,5 @@ def run_lpwpp(pair: DualVerifierPair, base: int, t: int, x_bits, record=False) -
     """Exact decider run over the fixed gate alphabet, h = base**t; the circuit
     must use no length-dependent gate."""
     circuit = _built(pair, build_lpwpp_decider, base, t, pair.n)
-    outcome = _run_decider(circuit, "lpwpp", pair, base**t, x_bits, record,
-                           "fixed-gate-set decider differs from the length-dependent one")
-    if "A" in gate_alphabet(circuit):
-        raise SimulationInvariantError(
-            "fixed-gate-set circuit still contains a length-dependent gate")
-    return outcome
+    return _run_decider(circuit, "lpwpp", pair, base**t, x_bits, record,
+                        "fixed-gate-set decider differs from the length-dependent one")

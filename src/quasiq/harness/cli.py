@@ -256,11 +256,12 @@ def cmd_verify(args) -> int:
     else:
         constructions = [CONSTRUCTION_TABLE[args.construction].require(resolved)]
     _require_corrupt_h_reader(args, resolved, constructions)
+    # Input-major, so each child run starts from its parent's state; rows are sorted back.
     results = []
     ok = True
-    for construction in constructions:
-        for xkey in range(2**resolved.n):
-            x = bits_of(xkey, resolved.n)
+    for xkey in range(2**resolved.n):
+        x = bits_of(xkey, resolved.n)
+        for construction in constructions:
             try:
                 detail = _verify_one(resolved, construction.name, x, args.corrupt_h)
             except _DOMAIN_ERRORS as exc:
@@ -271,6 +272,8 @@ def cmd_verify(args) -> int:
                 row["detail"] = detail
                 ok = False
             results.append(row)
+    order = [c.name for c in constructions]
+    results.sort(key=lambda row: order.index(row["construction"]))
     _emit(
         {
             "problem": resolved.name,

@@ -605,9 +605,9 @@ class _NumeratorState:
         else:
             clear = m | self._mask(gate.wires[1])
             sign = -1 if kind == "D" else 1
-        terms = self.terms
-        # Sources keep their keys and no target is a source, so one pass in
-        # place; a target whose sum cancels is dropped.
+        # Sources keep their keys and no target is a source, so one pass over a
+        # copy (the old dict may be shared); a target whose sum cancels is dropped.
+        terms = dict(self.terms)
         sources = [(k, v) for k, v in terms.items() if k & m and k & cmask == cval]
         for key, (a0, a1) in sources:
             target = key & ~clear
@@ -618,6 +618,7 @@ class _NumeratorState:
                 terms[target] = (b0, b1)
             else:
                 del terms[target]
+        self.terms = terms
 
     def _diag(self, gate: Gate, cmask: int, cval: int) -> None:
         """diag(p, 1): multiply the |0> branch by p, or divide it exactly by

@@ -4,10 +4,15 @@ Every expected state here is rebuilt directly from verifier evaluations and
 the branch-counting oracle (sums over branch strings, explicit Hadamard sign
 formulas), never from the gate machinery under test.
 """
+import dataclasses
 import json
 import random
+from functools import partial
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
+from test_acceptance import builtin_pairs, lemma_pairs
 
 from quasiq.exactnum import HALF, ONE, ZERO, Amplitude
 from quasiq.quasistate import Gate, StateVector, bits_of, key_of
@@ -29,6 +34,7 @@ from quasiq.circuitgen import (
     RegisterMismatchError,
     ResidualTermError,
     RunOutcome,
+    _built,
     build_fig3,
     build_lpwpp_decider,
     build_lwpp_decider,
@@ -505,3 +511,104 @@ def test_run_outcome_json_round_trip():
 def test_checkpoint_labels_unique():
     with pytest.raises(ValueError):
         Circuit(1, {"x": (0, 1)}, (), (("dup", 0), ("dup", 0)))
+
+
+# -- shared prefixes --------------------------------------------------------------
+
+
+def full_run(circuit, x):
+    """Final and every checkpoint state of `circuit` run alone from |x 0...0>."""
+    return simulate_circuit(dataclasses.replace(circuit, parent=None), x, record=True)
+
+
+@pytest.mark.parametrize("head", [Gate.s(3), Gate.d(3, 1)], ids=["S", "D"])
+def test_a_tail_that_starts_with_a_shear_leaves_the_parent_state_alone(head):
+    """S and D change their terms in place no more than any other gate: a
+    child of the same width shares its parent's final terms, and neither the
+    parent's record nor a second child's run sees the first child's gates."""
+    parent = Circuit(4, {"x": (0, 2)}, (Gate.h(2), Gate.h(3), Gate.cnot(0, 2)))
+    first = Circuit(4, parent.registers, parent.gates + (head, Gate.h(1)), parent=parent)
+    second = Circuit(4, parent.registers, parent.gates + (Gate.x(3),), parent=parent)
+    x = (1, 0)
+    parent_final, _ = simulate_circuit(parent, x)
+    record = dict(parent.last[1])
+    assert simulate_circuit(first, x)[0] == full_run(first, x)[0]
+    assert first.last[1] != record and parent.last[1] == record
+    assert simulate_circuit(second, x)[0] == full_run(second, x)[0]
+    assert parent.last[1] == record and simulate_circuit(parent, x)[0] == parent_final
+
+
+def test_a_child_must_start_with_its_parents_gates():
+    parent = Circuit(2, {"x": (0, 1)}, (Gate.h(1),))
+    with pytest.raises(ValueError, match="parent's gates"):
+        Circuit(2, parent.registers, (Gate.x(1), Gate.h(1)), parent=parent)
+
+
+def sweep_pairs():
+    """The acceptance-sweep pairs and a few seeded random dual pairs, m <= 4."""
+    pairs = [pair for pair, _ in builtin_pairs()] + [pair for pair, _ in lemma_pairs()]
+    pairs += [random_dual_pair(1 + i % 3, 1 + i % 4, random.Random(1000 + i), name=f"random-{i}")
+              for i in range(4)]
+    return [pair for pair in pairs if pair.m <= 4]
+
+
+def pair_runs(pair):
+    """(run(x, record) -> (final, checkpoints), circuit it simulates) for every
+    construction the pair supports, and the lwpp decider built from h + 1,
+    which shares the wn parent and fails its own check, so it is run alone."""
+    n = pair.n
+
+    def outcome(run):
+        def go(x, record):
+            result = run(x, record)
+            return result.final_state, result.checkpoints
+        return go
+
+    runs = [(outcome(partial(run_un, pair)), _built(pair, build_un, n)),
+            (outcome(partial(run_zqp, pair)), _built(pair, build_fig3, n, "bm")),
+            (outcome(partial(run_posteqp, pair)), _built(pair, build_fig3, n, "proj1")),
+            (outcome(partial(run_wn, pair)), _built(pair, build_wn, n))]
+    h = pair.h_witness
+    if h is not None:
+        hv = h.value(n)
+        runs.append((outcome(partial(run_lwpp, pair, hv)), _built(pair, build_lwpp_decider, hv, n)))
+        bumped = _built(pair, build_lwpp_decider, hv + 1, n)
+        runs.append((partial(simulate_circuit, bumped), bumped))
+        if h.kind == "power":
+            base, t = h.base, h.exponent(n)
+            runs.append((outcome(partial(run_lpwpp, pair, base, t)),
+                         _built(pair, build_lpwpp_decider, base, t, n)))
+    return runs
+
+
+SWEEP = [(pair, pair_runs(pair)) for pair in sweep_pairs()]
+FULL_RUNS: dict = {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_runs_in_any_order_match_runs_from_the_start(data):
+    """Whatever ran before it, each run gives the final state and checkpoints
+    of the same circuit run alone; a step that records every checkpoint takes
+    the full path wherever a checkpoint lies before the fork. Each example
+    interleaves one or two pairs on a few inputs, so that children often find
+    their parent's state."""
+    chosen = data.draw(st.lists(st.integers(0, len(SWEEP) - 1), min_size=1, max_size=2,
+                                unique=True))
+    steps = data.draw(st.lists(st.tuples(st.sampled_from(chosen), st.integers(0, 6),
+                                         st.integers(0, 1), st.booleans()),
+                               min_size=8, max_size=40))
+    for _, runs in SWEEP:
+        for _, circuit in runs:
+            circuit.last = None
+    for pair_index, which, xkey, record in steps:
+        pair, runs = SWEEP[pair_index]
+        run, circuit = runs[which % len(runs)]
+        x = bits_of(xkey % 2**pair.n, pair.n)
+        key = (pair_index, which % len(runs), x)
+        if key not in FULL_RUNS:
+            FULL_RUNS[key] = full_run(circuit, x)
+        final, checkpoints = run(x, record)
+        assert final == FULL_RUNS[key][0]
+        if record:
+            assert checkpoints == FULL_RUNS[key][1]

@@ -398,6 +398,37 @@ def test_lpwpp_rows_simulate_only_their_own_decider(monkeypatch, capsys):
     assert len(created) == 8
 
 
+def test_verify_simulates_each_shared_prefix_once_per_input(monkeypatch, capsys):
+    """verify runs un, then fig3-zqp, fig3-post and wn from un's final state,
+    then lwpp and lpwpp from wn's: per input, the two oracles of un and the
+    two of wn's inverse block, where six runs from |x 0...0> apply 18."""
+    oracles = []
+    apply = _NumeratorState.apply
+
+    def counting_apply(self, gate):
+        if gate.kind == "ORACLE":
+            oracles.append(gate)
+        apply(self, gate)
+
+    monkeypatch.setattr(_NumeratorState, "apply", counting_apply)
+    code, obj, _ = run_json(capsys, "verify", "--problem", "parity", "--n", "3")
+    assert code == EXIT_OK and obj["ok"] and len(obj["results"]) == 6 * 8
+    assert len(oracles) == 4 * 8
+
+
+def test_an_lpwpp_circuit_with_a_length_dependent_gate_fails_every_row(monkeypatch, capsys):
+    """The builder checks the gate alphabet; a circuit that fails it is never
+    kept, so every row builds it again and fails."""
+    from quasiq.quasistate import Gate
+
+    monkeypatch.setattr(Gate, "g", classmethod(lambda cls, wire, base: cls.a(wire, base)))
+    code, obj, _ = run_json(capsys, "verify", "--problem", "parity", "--n", "3",
+                            "--construction", "lpwpp")
+    assert code == EXIT_MISMATCH and len(obj["results"]) == 8
+    assert {row["detail"] for row in obj["results"]} == {
+        "SimulationInvariantError: fixed-gate-set circuit still contains a length-dependent gate"}
+
+
 def test_lpwpp_gate_alphabet_is_checked_once_per_pair(monkeypatch, capsys):
     """One decider per pair: every row runs, and checks the alphabet of, the
     circuit built for the first row."""
