@@ -87,6 +87,10 @@ class Circuit:
         labels = [label for label, _ in self.checkpoints]
         if len(labels) != len(set(labels)):
             raise ValueError("checkpoint labels must be unique")
+        for label, pos in self.checkpoints:
+            if not 0 <= pos <= len(self.gates):
+                raise ValueError(f"checkpoint {label!r} at position {pos} lies outside "
+                                 f"0..{len(self.gates)}")
         if self.parent is not None and self.gates[:len(self.parent.gates)] != self.parent.gates:
             raise ValueError("a circuit must start with its parent's gates")
         for gate in self.gates:
@@ -138,53 +142,35 @@ def simulate_circuit(circuit: Circuit, x_bits, record=False) -> tuple[StateVecto
     n = circuit.registers["x"][1]
     if len(x_bits) != n:
         raise RegisterMismatchError(f"input has {len(x_bits)} bits, x register has {n} wires")
-    if record is True:
-        wanted = set(circuit.checkpoint_labels())
-    elif record:
-        wanted = set(record)
-    else:
-        wanted = set()
+    wanted = set(circuit.checkpoint_labels()) if record is True else set(record or ())
     by_position: dict[int, list[str]] = {}
     for label, pos in circuit.checkpoints:
         if label in wanted:
             by_position.setdefault(pos, []).append(label)
 
-    # Gates run on integer numerators; StateVectors are built only for the
-    # recorded checkpoints and the final state. A run of H gates with the same
-    # controls on distinct wires, and no recorded checkpoint inside it, is
-    # applied as one layer. A child run on the x its parent last ran on, with
-    # no recorded checkpoint before the fork, starts from the parent's final
-    # terms, shared, as no gate changes a terms dict in place.
+    # Gates run on integer numerators, one segment between recorded
+    # checkpoints at a time; StateVectors are built only at the end of each
+    # segment. A child run on the x its parent last ran on, with no recorded
+    # checkpoint before the fork, starts from the parent's final terms,
+    # shared, as no gate changes a terms dict in place.
     xkey = key_of(x_bits)
     state = _NumeratorState(circuit.width, xkey << (circuit.width - n))
     captured: dict[str, StateVector] = {}
-    gates, idx, parent = circuit.gates, 0, circuit.parent
+    gates, start, parent = circuit.gates, 0, circuit.parent
     if (parent and parent.last and parent.last[0] == xkey
             and min(by_position, default=len(gates)) >= len(parent.gates)):
         _, terms, state.k = parent.last
         lift = circuit.width - parent.width
         state.terms = {key << lift: value for key, value in terms.items()} if lift else terms
-        idx = len(parent.gates)
-    while True:
-        labels = by_position.get(idx, ())
-        snapshot = state.to_state() if labels else None
-        for label in labels:
+        start = len(parent.gates)
+    for stop in sorted({*by_position, len(gates)}):
+        state.run(gates[start:stop])
+        start = stop
+        snapshot = state.to_state()
+        for label in by_position.get(stop, ()):
             captured[label] = snapshot
-        if idx == len(gates):
-            circuit.last = (xkey, state.terms, state.k)
-            return state.to_state() if snapshot is None else snapshot, captured
-        gate = gates[idx]
-        idx += 1
-        if gate.kind != "H":
-            state.apply(gate)
-            continue
-        run, wires = [gate], {gate.wires[0]}
-        while (idx < len(gates) and idx not in by_position and gates[idx].kind == "H"
-               and gates[idx].controls == gate.controls and gates[idx].wires[0] not in wires):
-            run.append(gates[idx])
-            wires.add(gates[idx].wires[0])
-            idx += 1
-        state.apply_layer(run)
+    circuit.last = (xkey, state.terms, state.k)
+    return snapshot, captured
 
 
 @dataclass

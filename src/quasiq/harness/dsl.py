@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import and_, or_, xor
 from typing import Union
 
 from quasiq.verifierkit import Verifier, full_mask
@@ -73,6 +74,7 @@ class Parity:
 DslExpr = Union[Lit, Ref, Not, BinOp, Parity]
 
 _PRECEDENCE = {"|": 1, "^": 2, "&": 3}
+_OPS = {"&": and_, "^": xor, "|": or_}
 
 # The most '(' and '!' open at once, and the deepest expression tree, the
 # parser accepts: it, the printer and both evaluators recurse once per level.
@@ -315,13 +317,7 @@ def eval_dsl(expr: DslExpr, x: Bits, b: Bits) -> int:
         for v in values:
             acc ^= v
         return acc
-    left = eval_dsl(expr.left, x, b)
-    right = eval_dsl(expr.right, x, b)
-    if expr.op == "&":
-        return left & right
-    if expr.op == "^":
-        return left ^ right
-    return left | right
+    return _OPS[expr.op](eval_dsl(expr.left, x, b), eval_dsl(expr.right, x, b))
 
 
 @lru_cache(maxsize=None)
@@ -361,13 +357,7 @@ def mask_dsl(expr: DslExpr, x: Bits, m: int) -> int:
                 if expr.arg == "b" or (j < len(x) and x[j]):
                     acc ^= bit
             return acc
-        left = value(expr.left)
-        right = value(expr.right)
-        if expr.op == "&":
-            return left & right
-        if expr.op == "^":
-            return left ^ right
-        return left | right
+        return _OPS[expr.op](value(expr.left), value(expr.right))
 
     return value(expr)
 

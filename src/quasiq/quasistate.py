@@ -12,11 +12,14 @@ polarities; a multiply-controlled X is just X with controls.
 
 Circuits run on a private kernel over integer numerators with one shared
 power of sqrt(2) (_NumeratorState, at the end of this module);
-StateVector.apply is the per-gate reference it is tested against. The kernel
-applies a run of H gates that share their controls as one layer of L wires:
-an unnormalized Walsh-Hadamard transform on two dense integer lists of length
-2**L per group of terms, one group at a time, so memory holds the terms plus
-one group's lists. A term that fails the controls is multiplied by sqrt2**L.
+StateVector.apply is the per-gate reference it is tested against. One table,
+_KINDS, holds the per-kind facts that Gate.inverse and the kernel read: kernel
+family, inverse kind and shear sign. The kernel's `run` applies a gate list,
+each run of H gates that share their controls and act on distinct wires as
+one layer of L wires: an unnormalized Walsh-Hadamard transform on two dense
+integer lists of length 2**L per group of terms, one group at a time, so
+memory holds the terms plus one group's lists. A term that fails the
+controls is multiplied by sqrt2**L.
 """
 from __future__ import annotations
 
@@ -83,14 +86,18 @@ def compile_pattern(pattern: str) -> tuple[int, int]:
     return mask, value
 
 
-_SELF_INVERSE = {"H", "X", "ORACLE", "PROJ0", "PROJ1"}
-_INVERSE_KIND = {
-    "S": "SINV", "SINV": "S",
-    "B": "BINV", "BINV": "B",
-    "G": "GINV", "GINV": "G",
-    "A": "AINV", "AINV": "A",
-    "N": "NINV", "NINV": "N",
-    "D": "DINV", "DINV": "D",
+# kind -> (kernel family, inverse kind or None, shear sign: what S and D add
+# into their target, +1 or -1 times the source). StateVector.apply ignores it.
+_KINDS = {
+    "H": ("H", "H", 0),
+    "X": ("move", "X", 0), "PERM": ("move", "PERM", 0), "ORACLE": ("move", "ORACLE", 0),
+    "PROJ0": ("move", None, 0), "PROJ1": ("move", None, 0),
+    "S": ("shear", "SINV", 1), "SINV": ("shear", "S", -1),
+    "D": ("shear", "DINV", -1), "DINV": ("shear", "D", 1),
+    "B": ("diag", "BINV", 0), "BINV": ("diag", "B", 0),
+    "G": ("diag", "GINV", 0), "GINV": ("diag", "G", 0),
+    "A": ("diag", "AINV", 0), "AINV": ("diag", "A", 0),
+    "N": ("diag", "NINV", 0), "NINV": ("diag", "N", 0),
 }
 
 
@@ -183,15 +190,14 @@ class Gate:
         return Gate(self.kind, self.wires, self.controls + tuple(extra), self.param)
 
     def inverse(self) -> Gate:
-        if self.kind in _SELF_INVERSE:
-            if self.kind.startswith("PROJ"):
-                raise NotInvertibleError("projectors are not invertible")
-            return self
-        if self.kind == "PERM":
+        kind, inverse = self.kind, _KINDS[self.kind][1]
+        if inverse is None:
+            raise NotInvertibleError("projectors are not invertible")
+        if kind == "PERM":
             return Gate("PERM", self.param, self.controls, self.wires)
-        if self.kind in ("N", "NINV") and self.param.is_zero():
+        if kind in ("N", "NINV") and self.param.is_zero():
             raise NotInvertibleError("N(0) is not invertible")
-        return Gate(_INVERSE_KIND[self.kind], self.wires, self.controls, self.param)
+        return self if inverse == kind else Gate(inverse, self.wires, self.controls, self.param)
 
     def label(self) -> str:
         """Display name; controlled X renders as CNOT/TOFFOLI/MCX."""
@@ -487,10 +493,6 @@ class StateVector:
 
 # -- integer-numerator kernel -------------------------------------------------------
 
-_SHEAR_KINDS = frozenset(("S", "SINV", "D", "DINV"))
-_DIAG_KINDS = frozenset(("B", "BINV", "G", "GINV", "A", "AINV", "N", "NINV"))
-
-
 class _NumeratorState:
     """The exact simulator's working state: integer numerators over one
     shared power of sqrt(2).
@@ -526,12 +528,14 @@ class _NumeratorState:
 
     def apply(self, gate: Gate) -> None:
         cmask, cval = gate.control_mask(self.width)
-        kind = gate.kind
-        if kind == "H":
+        if gate.kind not in _KINDS:
+            raise ValueError(f"unknown gate kind {gate.kind!r}")
+        family = _KINDS[gate.kind][0]
+        if family == "H":
             self._hadamards(gate.wires, cmask, cval)
-        elif kind in _SHEAR_KINDS:
+        elif family == "shear":
             self._shear(gate, cmask, cval)
-        elif kind in _DIAG_KINDS:
+        elif family == "diag":
             self._diag(gate, cmask, cval)
         else:
             self._move(self._key_map(gate), cmask, cval)
@@ -542,6 +546,24 @@ class _NumeratorState:
         for gate in gates:
             cmask, cval = gate.control_mask(self.width)
         self._hadamards(tuple(gate.wires[0] for gate in gates), cmask, cval)
+
+    def run(self, gates) -> None:
+        """Apply `gates` in order, each run of H gates that share their
+        controls and act on distinct wires as one layer."""
+        i, end = 0, len(gates)
+        while i < end:
+            gate = gates[i]
+            i += 1
+            if gate.kind != "H":
+                self.apply(gate)
+                continue
+            layer, wires = [gate], {gate.wires[0]}
+            while (i < end and gates[i].kind == "H" and gates[i].controls == gate.controls
+                   and gates[i].wires[0] not in wires):
+                layer.append(gates[i])
+                wires.add(gates[i].wires[0])
+                i += 1
+            self.apply_layer(layer)
 
     def _hadamards(self, wires: tuple[int, ...], cmask: int, cval: int) -> None:
         """H on each of the distinct `wires`: one unnormalized Walsh-Hadamard
@@ -597,14 +619,9 @@ class _NumeratorState:
     def _shear(self, gate: Gate, cmask: int, cval: int) -> None:
         """S adds the |1> amplitude into |0> (SINV subtracts it); D subtracts
         the |1?> amplitudes into |00> (DINV adds them)."""
-        kind = gate.kind
+        sign = _KINDS[gate.kind][2]
         m = self._mask(gate.wires[0])
-        if kind in ("S", "SINV"):
-            clear = m
-            sign = 1 if kind == "S" else -1
-        else:
-            clear = m | self._mask(gate.wires[1])
-            sign = -1 if kind == "D" else 1
+        clear = m | self._mask(gate.wires[-1])  # one wire for S, two for D
         # Sources keep their keys and no target is a source, so one pass over a
         # copy (the old dict may be shared); a target whose sum cancels is dropped.
         terms = dict(self.terms)
@@ -679,29 +696,27 @@ class _NumeratorState:
                 return new
 
             return permute
-        if kind == "ORACLE":
-            # The verifier's accept mask for the x wires' value, looked up once
-            # per distinct value; the b wires' value is the bit to test in it.
-            verifier, nx = gate.param
-            xs = [self.width - 1 - w for w in gate.wires[:nx]]
-            x_mask = sum(1 << s for s in xs)
-            runs = self._runs(gate.wires[nx:-1])
-            flip = self._mask(gate.wires[-1])
-            masks: dict[int, int] = {}
+        # ORACLE: the verifier's accept mask for the x wires' value, looked up once
+        # per distinct value; the b wires' value is the bit to test in it.
+        verifier, nx = gate.param
+        xs = [self.width - 1 - w for w in gate.wires[:nx]]
+        x_mask = sum(1 << s for s in xs)
+        runs = self._runs(gate.wires[nx:-1])
+        flip = self._mask(gate.wires[-1])
+        masks: dict[int, int] = {}
 
-            def oracle(key: int) -> int:
-                x_value = key & x_mask
-                accept = masks.get(x_value)
-                if accept is None:
-                    accept = masks[x_value] = verifier.accept_mask(
-                        tuple((key >> s) & 1 for s in xs))
-                branch = 0
-                for shift, low, up in runs:
-                    branch |= (key >> shift & low) << up
-                return key ^ flip if accept >> branch & 1 else key
+        def oracle(key: int) -> int:
+            x_value = key & x_mask
+            accept = masks.get(x_value)
+            if accept is None:
+                accept = masks[x_value] = verifier.accept_mask(
+                    tuple((key >> s) & 1 for s in xs))
+            branch = 0
+            for shift, low, up in runs:
+                branch |= (key >> shift & low) << up
+            return key ^ flip if accept >> branch & 1 else key
 
-            return oracle
-        raise ValueError(f"unknown gate kind {kind!r}")
+        return oracle
 
     def _runs(self, wires: tuple[int, ...]) -> list[tuple[int, int, int]]:
         """Read the bits on `wires` as a big-endian integer in one shift and

@@ -7,6 +7,7 @@ formulas), never from the gate machinery under test.
 import dataclasses
 import json
 import random
+import re
 from functools import partial
 
 import hypothesis.strategies as st
@@ -511,6 +512,21 @@ def test_run_outcome_json_round_trip():
 def test_checkpoint_labels_unique():
     with pytest.raises(ValueError):
         Circuit(1, {"x": (0, 1)}, (), (("dup", 0), ("dup", 0)))
+
+
+@pytest.mark.parametrize("pos", [-1, 2, 5])
+def test_a_checkpoint_must_lie_within_the_gate_list(pos):
+    """A checkpoint outside 0..len(gates) would never be captured, though
+    checkpoint_labels() lists it: the circuit, and its JSON form, are refused."""
+    message = re.escape(f"checkpoint 'late' at position {pos} lies outside 0..1")
+    with pytest.raises(ValueError, match=message):
+        Circuit(1, {"x": (0, 1)}, (Gate.h(0),), (("late", pos),))
+    circuit = Circuit(1, {"x": (0, 1)}, (Gate.h(0),), (("start", 0), ("end", 1)))
+    assert set(simulate_circuit(circuit, (0,), record=True)[1]) == {"start", "end"}
+    dump = circuit.to_json()
+    dump["checkpoints"].append(["late", pos])
+    with pytest.raises(ValueError, match=message):
+        Circuit.from_json(dump)
 
 
 # -- shared prefixes --------------------------------------------------------------

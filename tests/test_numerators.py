@@ -18,7 +18,16 @@ from quasiq.circuitgen import (
     simulate_circuit,
 )
 from quasiq.exactnum import Amplitude, ExactDivisionError
-from quasiq.quasistate import Gate, StateVector, WireError, _NumeratorState, bits_of, key_of
+from quasiq.quasistate import (
+    _KINDS,
+    Gate,
+    NotInvertibleError,
+    StateVector,
+    WireError,
+    _NumeratorState,
+    bits_of,
+    key_of,
+)
 from quasiq.verifierkit import Verifier, random_dual_pair, table_verifier
 
 from test_acceptance import all_inputs, builtin_pairs, lemma_pairs
@@ -253,6 +262,59 @@ def test_random_gate_lists_match_the_reference(case):
     check_against_reference(width, key, gates)
 
 
+def a_gate_of_kind(kind):
+    """A gate of `kind` with no controls, on the wires (and with the
+    parameter) of the first EVERY_KIND gate of that kind or of its forward
+    kind; H's wire for a kind with neither."""
+    samples = {}
+    for gate in EVERY_KIND:
+        samples.setdefault(gate.kind, gate)
+    template = samples.get(kind) or samples.get(kind.removesuffix("INV"), Gate.h(2))
+    return Gate(kind, template.wires, (), template.param)
+
+
+def test_the_kind_table_covers_the_reference_and_the_strategy():
+    """_KINDS holds exactly the kinds StateVector.apply knows, which are the
+    kinds random_gate draws. Every wire holds 1, so no diag gate divides."""
+    candidates = set(_KINDS) | set(KINDS) | {"Y", "CZ", "SWAP", "h"}
+    known = set()
+    for kind in candidates:
+        try:
+            StateVector.basis(5, 0b11111).apply(a_gate_of_kind(kind))
+        except ValueError as exc:
+            assert "unknown gate kind" in str(exc), kind
+        else:
+            known.add(kind)
+    assert set(_KINDS) == known == set(KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_every_inverse_undoes_itself(kind):
+    gate = a_gate_of_kind(kind)
+    if _KINDS[kind][1] is None:
+        with pytest.raises(NotInvertibleError):
+            gate.inverse()
+        return
+    assert gate.inverse().inverse() == gate
+    assert _KINDS[gate.inverse().kind][1] == kind
+
+
+def check_run_against_apply(width, key, gates):
+    """_NumeratorState.run must leave the terms and k that applying the gates
+    one at a time leaves, or raise the same exception type."""
+    one_by_one = _NumeratorState(width, key)
+    try:
+        for gate in gates:
+            one_by_one.apply(gate)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            _NumeratorState(width, key).run(gates)
+        return
+    kernel = _NumeratorState(width, key)
+    kernel.run(gates)
+    assert (kernel.terms, kernel.k) == (one_by_one.terms, one_by_one.k)
+
+
 def test_oracle_reads_b_wires_in_any_order():
     """The kernel reads the b register one run of adjacent wires at a time:
     every order of three b wires (ascending, descending, split) must match."""
@@ -315,6 +377,13 @@ def test_hadamard_layers_match_the_reference_at_every_recorded_checkpoint(case):
     for label, pos in circuit.checkpoints:
         if label in record:
             assert captured[label] == expected[pos], label
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(gate_lists(), layered_circuits().map(
+    lambda case: (case[0].width, case[1], case[0].gates))))
+def test_run_matches_applying_one_gate_at_a_time(case):
+    check_run_against_apply(*case)
 
 
 def test_a_fit_error_inside_a_run_raises_the_reference_error():
