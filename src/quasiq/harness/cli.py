@@ -12,8 +12,10 @@ input by verify and duals, and only at the input run by gap and simulate.
 
 Machine output goes to stdout as JSON; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification mismatch (including a circuit that
-fails its own exact self-check), 2 usage or spec error, 141 stdout closed
-before the output was written (as a shell reports a filter killed by SIGPIPE).
+fails its own exact self-check), 2 usage or spec error, 3 internal error (a
+bug: one stderr line, `internal error: <type>: <message>`, no traceback), 141
+stdout closed before the output was written (as a shell reports a filter
+killed by SIGPIPE).
 """
 from __future__ import annotations
 
@@ -53,6 +55,7 @@ from quasiq.verifierkit import builtin_problems, gap_stats, validate_dual_pair
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141
 
 DESK_SCALE_LIMIT = 20
@@ -391,6 +394,9 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         _diag(f"error: {exc}")
         return EXIT_USAGE
+    except Exception as exc:  # any other exception is a bug in quasiq, not in the input
+        _diag(f"internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

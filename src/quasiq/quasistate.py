@@ -8,21 +8,21 @@ Gates cover four families: unitary (H and the classical permutations),
 invertible non-unitary (S, B, G, A, N, D and their inverses), projective
 (PROJ0/PROJ1), and classical oracle gates that XOR a verifier's output onto
 a target wire.  Any gate may carry coherent controls with explicit
-polarities; a multiply-controlled X is just X with controls.
+polarities; a multiply-controlled X is just X with controls. One table,
+_KINDS, holds the per-kind facts: a Gate checks its shape against it once,
+when it is made, and Gate.inverse, the JSON form and the kernel read it.
 
 Circuits run on a private kernel over integer numerators with one shared
-power of sqrt(2) (_NumeratorState, at the end of this module);
-StateVector.apply is the per-gate reference it is tested against. One table,
-_KINDS, holds the per-kind facts that Gate.inverse and the kernel read: kernel
-family, inverse kind and shear sign. The kernel's `run` applies a gate list,
-each run of H gates that share their controls and act on distinct wires as
-one layer of L wires: an unnormalized Walsh-Hadamard transform on two dense
-integer lists of length 2**L per group of terms, one group at a time, so
-memory holds the terms plus one group's lists. A term that fails the
-controls is multiplied by sqrt2**L.
+power of sqrt(2) (_NumeratorState, at the end of this module). Its one entry
+point, `run`, applies a gate list: each run of H gates that share their
+controls and act on distinct wires as one unnormalized Walsh-Hadamard layer
+on dense integer lists, one group of terms at a time, and every other gate
+through its kind's family method. StateVector.apply is the per-gate
+reference the kernel is tested against.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress
 from operator import add, neg, or_, sub
@@ -86,18 +86,38 @@ def compile_pattern(pattern: str) -> tuple[int, int]:
     return mask, value
 
 
-# kind -> (kernel family, inverse kind or None, shear sign: what S and D add
-# into their target, +1 or -1 times the source). StateVector.apply ignores it.
+# The facts about one gate kind. family: the _NumeratorState method that
+# applies it (runs of H gates go to _hadamards as layers). inverse: the inverse
+# kind, None for a projector. sign: what S and D add into their target times the
+# source, or the power of p in diag(p, 1), as +1 or -1. arity: the wire count,
+# None for any. param: the (to JSON, from JSON) pair of the parameter, None for
+# a kind without one. StateVector.apply reads none of it.
+_Kind = namedtuple("_Kind", "family inverse sign arity param", defaults=(0, 1, None))
+
+
+def _oracle_from_json(obj: dict, verifiers: dict | None) -> tuple:
+    name = obj["verifier"]
+    if verifiers is None or name not in verifiers:
+        raise KeyError(f"no verifier named {name!r} to rebind the oracle gate")
+    return verifiers[name], obj["n_input_wires"]
+
+
+_INT = (lambda p: p, lambda obj, verifiers: obj)
+_AMP = (Amplitude.to_json, lambda obj, verifiers: Amplitude.from_json(obj))
 _KINDS = {
-    "H": ("H", "H", 0),
-    "X": ("move", "X", 0), "PERM": ("move", "PERM", 0), "ORACLE": ("move", "ORACLE", 0),
-    "PROJ0": ("move", None, 0), "PROJ1": ("move", None, 0),
-    "S": ("shear", "SINV", 1), "SINV": ("shear", "S", -1),
-    "D": ("shear", "DINV", -1), "DINV": ("shear", "D", 1),
-    "B": ("diag", "BINV", 0), "BINV": ("diag", "B", 0),
-    "G": ("diag", "GINV", 0), "GINV": ("diag", "G", 0),
-    "A": ("diag", "AINV", 0), "AINV": ("diag", "A", 0),
-    "N": ("diag", "NINV", 0), "NINV": ("diag", "N", 0),
+    "H": _Kind("_hadamards", "H"),
+    "X": _Kind("_move", "X"),
+    "PERM": _Kind("_move", "PERM", 0, None, (list, lambda obj, verifiers: tuple(obj))),
+    "ORACLE": _Kind("_move", "ORACLE", 0, None, (
+        lambda p: {"verifier": getattr(p[0], "name", "?"), "n_input_wires": p[1]},
+        _oracle_from_json)),
+    "PROJ0": _Kind("_move", None), "PROJ1": _Kind("_move", None),
+    "S": _Kind("_shear", "SINV", 1), "SINV": _Kind("_shear", "S", -1),
+    "D": _Kind("_shear", "DINV", -1, 2), "DINV": _Kind("_shear", "D", 1, 2),
+    "B": _Kind("_diag", "BINV", 1), "BINV": _Kind("_diag", "B", -1),
+    "G": _Kind("_diag", "GINV", 1, 1, _INT), "GINV": _Kind("_diag", "G", -1, 1, _INT),
+    "A": _Kind("_diag", "AINV", 1, 1, _INT), "AINV": _Kind("_diag", "A", -1, 1, _INT),
+    "N": _Kind("_diag", "NINV", 1, 1, _AMP), "NINV": _Kind("_diag", "N", -1, 1, _AMP),
 }
 
 
@@ -114,6 +134,28 @@ class Gate:
     wires: tuple[int, ...]
     controls: tuple[tuple[int, int], ...] = ()
     param: object = None
+
+    def __post_init__(self):
+        """Check all but the wire range (control_mask's, as it needs the width):
+        a known kind, its wire count, distinct wires, no control on a gate wire,
+        a PERM that relabels its own wires, ORACLE registers as its verifier's."""
+        kind, wires = self.kind, self.wires
+        row = _KINDS.get(kind)
+        if row is None:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if row.arity is not None and len(wires) != row.arity:
+            raise WireError(f"{kind} acts on {row.arity} wire(s), not {len(wires)}")
+        if len(set(wires)) != len(wires):
+            raise WireError(f"{kind} wires must be distinct")
+        if any(w in wires for w, _ in self.controls):
+            raise WireError("control wires overlap gate wires")
+        if kind == "PERM" and sorted(wires) != sorted(self.param):
+            raise WireError("PERM must relabel distinct wires within the same set")
+        if kind == "ORACLE":
+            v, nx = self.param
+            if (nx, len(wires)) != (v.n, v.n + v.m + 1):
+                raise WireError(f"oracle arity mismatch: gate has {len(wires[:nx])}+"
+                                f"{len(wires[nx:-1])} wires, verifier wants {v.n}+{v.m}")
 
     # -- constructors --------------------------------------------------------
 
@@ -159,8 +201,6 @@ class Gate:
 
     @classmethod
     def d(cls, first: int, second: int, controls=()) -> Gate:
-        if first == second:
-            raise WireError("D needs two distinct wires")
         return cls("D", (first, second), tuple(controls))
 
     @classmethod
@@ -169,10 +209,7 @@ class Gate:
 
     @classmethod
     def perm(cls, sources: Iterable[int], dests: Iterable[int]) -> Gate:
-        src, dst = tuple(sources), tuple(dests)
-        if len(set(src)) != len(src) or sorted(src) != sorted(dst):
-            raise WireError("PERM must relabel distinct wires within the same set")
-        return cls("PERM", src, (), dst)
+        return cls("PERM", tuple(sources), (), tuple(dests))
 
     @classmethod
     def swap(cls, w1: int, w2: int) -> Gate:
@@ -190,7 +227,7 @@ class Gate:
         return Gate(self.kind, self.wires, self.controls + tuple(extra), self.param)
 
     def inverse(self) -> Gate:
-        kind, inverse = self.kind, _KINDS[self.kind][1]
+        kind, inverse = self.kind, _KINDS[self.kind].inverse
         if inverse is None:
             raise NotInvertibleError("projectors are not invertible")
         if kind == "PERM":
@@ -214,23 +251,11 @@ class Gate:
         return self.wires + tuple(w for w, _ in self.controls)
 
     def control_mask(self, width: int) -> tuple[int, int]:
-        """(mask, value) of the controls on a state of `width` wires, once the
-        gate is checked to fit it: every wire in range, no control on a gate
-        wire, and an ORACLE's wires distinct and its registers as wide as its
-        verifier's."""
+        """(mask, value) of the controls on a state of `width` wires, once every
+        wire is checked to lie in range; the gate checked the rest when made."""
         for w in self.all_wires():
             if not 0 <= w < width:
                 raise WireError(f"wire {w} out of range for width {width}")
-        if set(w for w, _ in self.controls) & set(self.wires):
-            raise WireError("control wires overlap gate wires")
-        if self.kind == "ORACLE":
-            if len(set(self.wires)) != len(self.wires):
-                raise WireError("ORACLE wires must be distinct")
-            verifier, nx = self.param
-            nxw, nbw = len(self.wires[:nx]), len(self.wires[nx:-1])
-            if (nxw, nbw) != (verifier.n, verifier.m):
-                raise WireError(f"oracle arity mismatch: gate has {nxw}+{nbw} wires, "
-                                f"verifier wants {verifier.n}+{verifier.m}")
         cmask = cval = 0
         for w, pol in self.controls:
             bit = 1 << (width - 1 - w)
@@ -243,33 +268,18 @@ class Gate:
         obj: dict = {"kind": self.kind, "label": self.label(), "wires": list(self.wires)}
         if self.controls:
             obj["controls"] = [[w, p] for w, p in self.controls]
-        if self.kind in ("G", "GINV", "A", "AINV"):
-            obj["param"] = self.param
-        elif self.kind in ("N", "NINV"):
-            obj["param"] = self.param.to_json()
-        elif self.kind == "PERM":
-            obj["param"] = list(self.param)
-        elif self.kind == "ORACLE":
-            verifier, nx = self.param
-            obj["param"] = {"verifier": getattr(verifier, "name", "?"), "n_input_wires": nx}
+        codec = _KINDS[self.kind].param
+        if codec:
+            obj["param"] = codec[0](self.param)
         return obj
 
     @classmethod
     def from_json(cls, obj: dict, verifiers: dict | None = None) -> Gate:
         kind = obj["kind"]
-        wires = tuple(obj["wires"])
-        controls = tuple((w, p) for w, p in obj.get("controls", []))
-        param = obj.get("param")
-        if kind == "PERM":  # through Gate.perm, which checks the relabeling
-            return cls.perm(wires, param).with_controls(controls)
-        if kind in ("N", "NINV"):
-            param = Amplitude.from_json(param)
-        elif kind == "ORACLE":
-            name, nx = param["verifier"], param["n_input_wires"]
-            if verifiers is None or name not in verifiers:
-                raise KeyError(f"no verifier named {name!r} to rebind the oracle gate")
-            param = (verifiers[name], nx)
-        return cls(kind, wires, controls, param)
+        codec = _KINDS[kind].param if kind in _KINDS else None  # Gate() names a bad kind
+        param = codec[1](obj.get("param"), verifiers) if codec else None
+        return cls(kind, tuple(obj["wires"]), tuple((w, p) for w, p in obj.get("controls", [])),
+                   param)
 
 
 class StateVector:
@@ -526,46 +536,26 @@ class _NumeratorState:
     def _mask(self, wire: int) -> int:
         return 1 << (self.width - 1 - wire)
 
-    def apply(self, gate: Gate) -> None:
-        cmask, cval = gate.control_mask(self.width)
-        if gate.kind not in _KINDS:
-            raise ValueError(f"unknown gate kind {gate.kind!r}")
-        family = _KINDS[gate.kind][0]
-        if family == "H":
-            self._hadamards(gate.wires, cmask, cval)
-        elif family == "shear":
-            self._shear(gate, cmask, cval)
-        elif family == "diag":
-            self._diag(gate, cmask, cval)
-        else:
-            self._move(self._key_map(gate), cmask, cval)
-
-    def apply_layer(self, gates: list[Gate]) -> None:
-        """Apply a run of H gates that share their controls and act on
-        distinct wires, as one layer. Each gate is checked to fit the state."""
-        for gate in gates:
-            cmask, cval = gate.control_mask(self.width)
-        self._hadamards(tuple(gate.wires[0] for gate in gates), cmask, cval)
-
     def run(self, gates) -> None:
-        """Apply `gates` in order, each run of H gates that share their
-        controls and act on distinct wires as one layer."""
+        """Apply `gates` in order: each run of H gates that share their controls
+        and act on distinct wires as one layer, any other gate by its family."""
         i, end = 0, len(gates)
         while i < end:
             gate = gates[i]
             i += 1
+            cmask, cval = gate.control_mask(self.width)
             if gate.kind != "H":
-                self.apply(gate)
+                getattr(self, _KINDS[gate.kind].family)(gate, cmask, cval)
                 continue
-            layer, wires = [gate], {gate.wires[0]}
+            wires = [gate.wires[0]]
             while (i < end and gates[i].kind == "H" and gates[i].controls == gate.controls
                    and gates[i].wires[0] not in wires):
-                layer.append(gates[i])
-                wires.add(gates[i].wires[0])
+                gates[i].control_mask(self.width)  # the wire-range check
+                wires.append(gates[i].wires[0])
                 i += 1
-            self.apply_layer(layer)
+            self._hadamards(wires, cmask, cval)
 
-    def _hadamards(self, wires: tuple[int, ...], cmask: int, cval: int) -> None:
+    def _hadamards(self, wires: list[int], cmask: int, cval: int) -> None:
         """H on each of the distinct `wires`: one unnormalized Walsh-Hadamard
         transform of size 2**L per group of terms that agree off the layer
         wires, on two dense lists for one group at a time. The 1/sqrt2**L goes
@@ -619,7 +609,7 @@ class _NumeratorState:
     def _shear(self, gate: Gate, cmask: int, cval: int) -> None:
         """S adds the |1> amplitude into |0> (SINV subtracts it); D subtracts
         the |1?> amplitudes into |00> (DINV adds them)."""
-        sign = _KINDS[gate.kind][2]
+        sign = _KINDS[gate.kind].sign
         m = self._mask(gate.wires[0])
         clear = m | self._mask(gate.wires[-1])  # one wire for S, two for D
         # Sources keep their keys and no target is a source, so one pass over a
@@ -638,14 +628,13 @@ class _NumeratorState:
         self.terms = terms
 
     def _diag(self, gate: Gate, cmask: int, cval: int) -> None:
-        """diag(p, 1): multiply the |0> branch by p, or divide it exactly by
-        p for the inverse kinds; powers of two go into k."""
-        kind = gate.kind
-        if kind in ("B", "BINV"):
-            p = HALF
-        else:
-            p = gate.param if kind in ("N", "NINV") else Amplitude(gate.param, 0, 0)
-        if kind.endswith("INV"):
+        """diag(p**sign, 1): multiply the |0> branch by p, or divide it exactly
+        by p for an inverse kind; powers of two go into k. p is 1/2 for B, the
+        integer parameter for G and A, and the Amplitude for N."""
+        p = gate.param if _KINDS[gate.kind].param else HALF  # B takes no parameter
+        if not isinstance(p, Amplitude):
+            p = Amplitude(p, 0, 0)
+        if _KINDS[gate.kind].sign < 0:
             u0, u1, odd, shift = p.reciprocal()
         else:
             u0, u1, odd, shift = p.c0, p.c1, 1, -p.e
@@ -678,7 +667,7 @@ class _NumeratorState:
         if kind == "X":
             m = self._mask(gate.wires[0])
             return lambda key: key ^ m
-        if kind in ("PROJ0", "PROJ1"):
+        if kind.startswith("PROJ"):
             m = self._mask(gate.wires[0])
             want = m if kind == "PROJ1" else 0
             return lambda key: key if key & m == want else None
@@ -734,10 +723,11 @@ class _NumeratorState:
             end = start
         return runs
 
-    def _move(self, key_map, cmask: int, cval: int) -> None:
-        """Relabel the keys that pass the controls. Every key map is injective
-        and leaves the control wires alone (Gate.control_mask and Gate.perm
-        see to that), so no two terms meet and none needs adding."""
+    def _move(self, gate: Gate, cmask: int, cval: int) -> None:
+        """Relabel the keys that pass the controls by the gate's key map. Every
+        key map is injective and leaves the control wires alone (Gate checks
+        that when it is made), so no two terms meet and none needs adding."""
+        key_map = self._key_map(gate)
         out: dict[int, tuple[int, int]] = {}
         for key, value in self.terms.items():
             if key & cmask == cval:

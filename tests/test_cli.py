@@ -12,7 +12,14 @@ from test_problems import GOOD_LEMMA_SPEC, GOOD_PAIR_SPEC, _edit
 from quasiq.circuitgen import AncillaRestorationError, ResidualTermError, SimulationInvariantError
 from quasiq.exactnum import Amplitude
 from quasiq.harness import cli
-from quasiq.harness.cli import EXIT_BROKEN_PIPE, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from quasiq.harness.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_INTERNAL,
+    EXIT_MISMATCH,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
 from quasiq.harness.problems import SCHEMA
 from quasiq.quasistate import _NumeratorState
 from quasiq.verifierkit import allzero_verifier, table_to_json
@@ -352,6 +359,49 @@ def test_malformed_table_file_is_a_spec_error(tmp_path, capsys, table):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message", [
+    (json.dumps(table_to_json(allzero_verifier(3))), "table file {path} is for n = 3, not 2"),
+    ("{not json", "table file {path} is not valid JSON: "),
+    (json.dumps({"n": 2, "table": {}}),
+     "table file {path} rejected by schema: 'm' is a required property"),
+], ids=["other-n", "not-json", "no-m"])
+def test_a_bad_table_file_is_a_spec_error_that_names_it(tmp_path, capsys, text, message):
+    base = tmp_path / "base.json"
+    base.write_text(text, encoding="utf-8")
+    spec = {**TABLE_LEMMA_SPEC, "verifier": {"kind": "table-file", "base": "base.json"}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run_cli(capsys, "verify", "--problem", str(path), "--n", "2")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: " + message.format(path=base))
+
+
+def test_a_spec_file_that_is_not_json_is_a_spec_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text("{not json", encoding="utf-8")
+    code, out, err = run_cli(capsys, "gap", "--problem", str(path), "--input", "00")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"error: problem file {path} is not valid JSON: ")
+
+
+def test_an_input_of_another_length_than_n_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "gap", "--problem", "parity", "--input", "01", "--n", "3")
+    assert code == EXIT_USAGE and out == ""
+    assert err == "error: --input has 2 bits but n = 3\n"
+
+
+def test_an_unexpected_exception_exits_3_with_one_line(monkeypatch, capsys):
+    """An error main does not map is a bug: exit 3 and one stderr line, never
+    a traceback."""
+    def broken(verifier, x):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "gap_stats", broken)
+    code, out, err = run_cli(capsys, "gap", "--problem", "parity", "--input", "01")
+    assert code == EXIT_INTERNAL == 3 and out == ""
+    assert err == "internal error: KeyError: 'boom'\n"
+
+
 def test_n_range_is_checked_before_table_files_are_read(tmp_path, capsys):
     spec = {
         "name": "missing-table",
@@ -403,14 +453,14 @@ def test_verify_simulates_each_shared_prefix_once_per_input(monkeypatch, capsys)
     then lwpp and lpwpp from wn's: per input, the two oracles of un and the
     two of wn's inverse block, where six runs from |x 0...0> apply 18."""
     oracles = []
-    apply = _NumeratorState.apply
+    move = _NumeratorState._move
 
-    def counting_apply(self, gate):
+    def counting_move(self, gate, cmask, cval):
         if gate.kind == "ORACLE":
             oracles.append(gate)
-        apply(self, gate)
+        move(self, gate, cmask, cval)
 
-    monkeypatch.setattr(_NumeratorState, "apply", counting_apply)
+    monkeypatch.setattr(_NumeratorState, "_move", counting_move)
     code, obj, _ = run_json(capsys, "verify", "--problem", "parity", "--n", "3")
     assert code == EXIT_OK and obj["ok"] and len(obj["results"]) == 6 * 8
     assert len(oracles) == 4 * 8

@@ -1,6 +1,7 @@
 """Gate semantics, inverses, projection, and state dump format."""
 import json
 import random
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given
 
 from quasiq.exactnum import HALF, INV_SQRT2, ONE, ZERO, Amplitude
 from quasiq.quasistate import (
+    _KINDS,
     Gate,
     NotInvertibleError,
     ProjectionError,
@@ -176,9 +178,9 @@ def test_oracle_is_basis_permutation_and_self_inverse():
 
 def test_oracle_arity_mismatch():
     v = TableVerifier(2, 2, set())
-    gate = Gate.oracle(v, (0,), (1, 2), 3)
-    with pytest.raises(WireError):
-        StateVector.basis(4, 0).apply(gate)
+    with pytest.raises(WireError, match=re.escape(
+            "oracle arity mismatch: gate has 1+2 wires, verifier wants 2+2")):
+        Gate.oracle(v, (0,), (1, 2), 3)
 
 
 def test_oracle_respects_control_polarity():
@@ -283,18 +285,72 @@ def test_dump_is_sorted_and_byte_stable():
     assert StateVector.from_json(dump) == state
 
 
+PROBE = TableVerifier(1, 2, set(), name="probe")
+
+
 def test_gate_json_round_trip():
-    v = TableVerifier(1, 2, set(), name="probe")
-    gates = [
+    """Every kind, each forward kind with its inverse, survives to_json and
+    from_json through JSON text."""
+    forward = [
         Gate.h(0),
         Gate.mcx(((0, 0), (1, 1)), 2),
+        Gate.s(1, controls=((0, 1),)),
+        Gate.b(2),
+        Gate.g(1, 3),
+        Gate.a(0, 7, controls=((2, 0),)),
         Gate.n(1, Amplitude(1, 0, 3)),
+        Gate.n(1, Amplitude(3, -1, 1)),
+        Gate.d(1, 2),
         Gate.perm((0, 1, 2), (2, 0, 1)),
-        Gate.oracle(v, (0,), (1, 2), 3, controls=((4, 0),)),
+        Gate.oracle(PROBE, (0,), (1, 2), 3, controls=((4, 0),)),
     ]
+    gates = forward + [gate.inverse() for gate in forward] + [Gate.proj(0, 0), Gate.proj(3, 1)]
+    assert {gate.kind for gate in gates} == set(_KINDS)
     for gate in gates:
-        rebuilt = Gate.from_json(gate.to_json(), verifiers={"probe": v})
+        rebuilt = Gate.from_json(json.loads(json.dumps(gate.to_json())), verifiers={"probe": PROBE})
+        assert rebuilt == gate
         assert rebuilt.to_json() == gate.to_json()
+
+
+@pytest.mark.parametrize("verifiers", [None, {}, {"other": PROBE}])
+def test_an_oracle_naming_a_missing_verifier_raises_key_error(verifiers):
+    dump = Gate.oracle(PROBE, (0,), (1, 2), 3).to_json()
+    with pytest.raises(KeyError, match="no verifier named 'probe'"):
+        Gate.from_json(dump, verifiers)
+
+
+# kind, wires, controls, param, its JSON form, the error and its message.
+MALFORMED_GATES = {
+    "unknown-kind": ("Y", (0,), (), None, None, ValueError, "unknown gate kind 'Y'"),
+    "h-two-wires": ("H", (0, 1), (), None, None, WireError, "H acts on 1 wire(s), not 2"),
+    "d-one-wire": ("D", (1,), (), None, None, WireError, "D acts on 2 wire(s), not 1"),
+    "repeated-wire": ("D", (1, 1), (), None, None, WireError, "D wires must be distinct"),
+    "overlap": ("X", (0,), ((0, 1),), None, None, WireError, "control wires overlap gate wires"),
+    "perm-not-a-relabelling": ("PERM", (0, 1), (), (1, 2), [1, 2], WireError,
+                               "PERM must relabel distinct wires within the same set"),
+    "arity": ("ORACLE", (0, 1, 2), (), (PROBE, 1), {"verifier": "probe", "n_input_wires": 1},
+              WireError, "oracle arity mismatch: gate has 1+1 wires, verifier wants 1+2"),
+    "x-width": ("ORACLE", (0, 1, 2, 3), (), (PROBE, 2), {"verifier": "probe", "n_input_wires": 2},
+                WireError, "oracle arity mismatch: gate has 2+1 wires, verifier wants 1+2"),
+    # b[0] and the target share wire 1, so the oracle's key map is no permutation
+    "oracle-overlap": ("ORACLE", (0, 1, 2, 1), (), (PROBE, 1),
+                       {"verifier": "probe", "n_input_wires": 1},
+                       WireError, "ORACLE wires must be distinct"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_GATES.values(), ids=MALFORMED_GATES)
+def test_a_malformed_gate_raises_when_made(case):
+    """A shape that fits no state is refused when the gate is made, from its
+    fields or from JSON, before any state sees it."""
+    kind, wires, controls, param, param_json, error, message = case
+    with pytest.raises(error, match=re.escape(message)):
+        Gate(kind, wires, controls, param)
+    dump = {"kind": kind, "wires": list(wires), "controls": [list(c) for c in controls]}
+    if param_json is not None:
+        dump["param"] = param_json
+    with pytest.raises(error, match=re.escape(message)):
+        Gate.from_json(dump, verifiers={"probe": PROBE})
 
 
 def test_gate_labels():
