@@ -22,8 +22,10 @@ fixed order x (n wires), b (m wires), c, a, and s (when present):
 
 Checkpoints label the intermediate states (psi_1..psi_3, flagged, cycled,
 phi_1..phi_4, swapped, scaled) so each displayed identity can be checked
-term by term. Circuits nest, un -> fig3 and wn -> both deciders; a child run
-on the x its parent last ran on starts from the parent's final state.
+term by term. Circuits nest, un -> fig3 and wn -> both deciders: each builder
+names only its own labelled segments, and _chain appends them to the parent's
+gates and places a checkpoint where each ends. A child run on the x its
+parent last ran on starts from the parent's final state.
 """
 from __future__ import annotations
 
@@ -253,11 +255,17 @@ def _built(pair: DualVerifierPair, build, *args) -> Circuit:
     return circuits[key]
 
 
-def _registers(n: int, m: int, with_s: bool) -> dict[str, tuple[int, int]]:
-    regs = {"x": (0, n), "b": (n, m), "c": (n + m, 1), "a": (n + m + 1, 1)}
-    if with_s:
-        regs["s"] = (n + m + 2, 1)
-    return regs
+def _chain(parent: Circuit | None, width: int, registers: dict[str, tuple[int, int]],
+           segments, checkpoints=()) -> Circuit:
+    """The parent's gates, then each (gates, label) segment in turn, with
+    checkpoint `label` where its segment ends (an empty segment labels the
+    fork); `checkpoints` come first, at positions already counted."""
+    gates = list(parent.gates) if parent else []
+    checkpoints = list(checkpoints)
+    for segment, label in segments:
+        gates.extend(segment)
+        checkpoints.append((label, len(gates)))
+    return Circuit(width, registers, tuple(gates), tuple(checkpoints), parent)
 
 
 def build_un(pair: DualVerifierPair, n: int) -> Circuit:
@@ -265,29 +273,22 @@ def build_un(pair: DualVerifierPair, n: int) -> Circuit:
     if pair.n != n:
         raise RegisterMismatchError(f"pair expects n = {pair.n}, circuit built for n = {n}")
     m = pair.m
-    regs = _registers(n, m, with_s=False)
-    b_wires = tuple(range(n, n + m))
+    x_wires, b_wires = tuple(range(n)), tuple(range(n, n + m))
     c, a = n + m, n + m + 1
-    x_wires = tuple(range(n))
-    gates: list[Gate] = [Gate.h(w) for w in b_wires]
-    gates.append(Gate.h(c))
-    gates.append(Gate.oracle(pair.v0, x_wires, b_wires, a, controls=((c, 0),)))
-    gates.append(Gate.oracle(pair.v1, x_wires, b_wires, a, controls=((c, 1),)))
-    pos_psi1 = len(gates)
-    gates.extend(Gate.h(w) for w in b_wires)
-    pos_psi2 = len(gates)
-    gates.append(Gate.h(a))
-    checkpoints = (("psi_1", pos_psi1), ("psi_2", pos_psi2), ("psi_3", len(gates)))
-    return Circuit(n + m + 2, regs, tuple(gates), checkpoints)
+    b_layer = [Gate.h(w) for w in b_wires]
+    oracles = [Gate.oracle(pair.v0, x_wires, b_wires, a, controls=((c, 0),)),
+               Gate.oracle(pair.v1, x_wires, b_wires, a, controls=((c, 1),))]
+    registers = {"x": (0, n), "b": (n, m), "c": (c, 1), "a": (a, 1)}
+    return _chain(None, n + m + 2, registers, (
+        ([*b_layer, Gate.h(c), *oracles], "psi_1"),
+        (b_layer, "psi_2"),
+        ([Gate.h(a)], "psi_3"),
+    ))
 
 
-def _success_flag_block(pair: DualVerifierPair, n: int) -> tuple[list[Gate], int, int, int]:
+def _success_flag(un: Circuit) -> Gate:
     """The MCX that writes the success flag: controls b = 0...0 and a = 1, target s."""
-    m = pair.m
-    b_wires = tuple(range(n, n + m))
-    c, a, s = n + m, n + m + 1, n + m + 2
-    controls = tuple((w, 0) for w in b_wires) + ((a, 1),)
-    return [Gate.mcx(controls, s)], c, a, s
+    return Gate.mcx([(w, 0) for w in un.register_wires("b")] + [(un.wire("a"), 1)], un.width)
 
 
 def build_fig3(pair: DualVerifierPair, n: int, gate_choice: str = "bm",
@@ -301,28 +302,21 @@ def build_fig3(pair: DualVerifierPair, n: int, gate_choice: str = "bm",
         raise ValueError(f"gate_choice must be one of {GATE_CHOICES}")
     un = _built(pair, build_un, n)
     m = pair.m
-    flag, c, a, s = _success_flag_block(pair, n)
-    gates = list(un.gates) + flag
-    pos_flagged = len(gates)
-    # Relabel the last three wires: the flag moves to a (second-to-last) and
-    # the answer bit held on c moves to s (last).
-    gates.append(Gate.perm((c, a, s), (s, c, a)))
-    pos_cycled = len(gates)
+    c, a, s = n + m, n + m + 1, n + m + 2
     if gate_choice == "bm":
-        gates.extend(Gate.b(a) for _ in range(m))
+        stage = [Gate.b(a)] * m
     elif gate_choice == "n":
-        if not isinstance(p, Amplitude):
-            raise ValueError("gate_choice 'n' needs an exact ring element p")
-        gates.append(Gate.n(a, p))
+        stage = [Gate.n(a, p)]  # Gate refuses a p that is no Amplitude
     else:
-        gates.append(Gate.proj(a, 1))
-    checkpoints = (
-        ("psi_3", len(un.gates)),
-        ("flagged", pos_flagged),
-        ("cycled", pos_cycled),
-        ("final", len(gates)),
-    )
-    return Circuit(n + m + 3, _registers(n, m, with_s=True), tuple(gates), checkpoints, un)
+        stage = [Gate.proj(a, 1)]
+    # The cycle relabels the last three wires: the flag moves to a
+    # (second-to-last) and the answer bit held on c moves to s (last).
+    return _chain(un, un.width + 1, {**un.registers, "s": (s, 1)}, (
+        ([], "psi_3"),
+        ([_success_flag(un)], "flagged"),
+        ([Gate.perm((c, a, s), (s, c, a))], "cycled"),
+        (stage, "final"),
+    ))
 
 
 def build_wn(pair: DualVerifierPair, n: int) -> Circuit:
@@ -333,41 +327,24 @@ def build_wn(pair: DualVerifierPair, n: int) -> Circuit:
     """
     un = _built(pair, build_un, n)
     m = pair.m
-    flag, c, a, s = _success_flag_block(pair, n)
-    gates = list(un.gates)
-    pos_phi1 = len(gates)
-    gates.extend(flag)
-    pos_phi2 = len(gates)
-    gates.append(Gate.s(s))
-    pos_phi3 = len(gates)
-    gates.extend(g.inverse().with_controls(((s, 0),)) for g in reversed(un.gates))
-    gates.append(Gate.cnot(s, a))
-    checkpoints = (
-        ("phi_1", pos_phi1),
-        ("phi_2", pos_phi2),
-        ("phi_3", pos_phi3),
-        ("phi_4", len(gates)),
-    )
-    return Circuit(n + m + 3, _registers(n, m, with_s=True), tuple(gates), checkpoints, un)
+    a, s = n + m + 1, n + m + 2
+    uncompute = [g.inverse().with_controls(((s, 0),)) for g in reversed(un.gates)]
+    return _chain(un, un.width + 1, {**un.registers, "s": (s, 1)}, (
+        ([], "phi_1"),
+        ([_success_flag(un)], "phi_2"),
+        ([Gate.s(s)], "phi_3"),
+        ([*uncompute, Gate.cnot(s, a)], "phi_4"),
+    ))
 
 
 def _decider_tail(pair: DualVerifierPair, n: int, scaling: list[Gate]) -> Circuit:
     wn = _built(pair, build_wn, n)
-    m = pair.m
-    c, s = n + m, n + m + 2
-    gates = list(wn.gates)
-    gates.append(Gate.swap(c, s))
-    pos_swapped = len(gates)
-    gates.extend(Gate.b(c) for _ in range(m))
-    gates.extend(scaling)
-    pos_scaled = len(gates)
-    gates.append(Gate.d(c, s))
-    checkpoints = wn.checkpoints + (
-        ("swapped", pos_swapped),
-        ("scaled", pos_scaled),
-        ("final", len(gates)),
-    )
-    return Circuit(wn.width, wn.registers, tuple(gates), checkpoints, wn)
+    c, s = wn.wire("c"), wn.wire("s")
+    return _chain(wn, wn.width, wn.registers, (
+        ([Gate.swap(c, s)], "swapped"),
+        ([Gate.b(c)] * pair.m + scaling, "scaled"),
+        ([Gate.d(c, s)], "final"),
+    ), wn.checkpoints)
 
 
 def _witness_value(h, n: int) -> int:
@@ -521,23 +498,6 @@ def check_ancillas_restored(state: StateVector, circuit: Circuit) -> None:
             term = label_of(key, state.width)
             raise AncillaRestorationError(
                 f"component |{term}> leaves an ancilla nonzero", term=term)
-
-
-def reduce_wires(state: StateVector, keep: tuple[int, ...]) -> StateVector:
-    """Relabel onto the kept wires only; all dropped wires must be 0."""
-    dropped_mask = 0
-    for w in range(state.width):
-        if w not in keep:
-            dropped_mask |= 1 << (state.width - 1 - w)
-    terms = {}
-    for key, amp in state:
-        if key & dropped_mask:
-            raise ValueError(f"cannot drop nonzero wire in |{label_of(key, state.width)}>")
-        new_key = 0
-        for w in keep:
-            new_key = (new_key << 1) | ((key >> (state.width - 1 - w)) & 1)
-        terms[new_key] = amp
-    return StateVector(len(keep), terms)
 
 
 def run_wn(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:

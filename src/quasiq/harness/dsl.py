@@ -96,6 +96,9 @@ _SINGLE = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",
            "&": "AMP", "^": "CARET", "|": "PIPE", "!": "BANG"}
 
 
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes '²' and '٣'
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     line, col = 1, 1
@@ -116,9 +119,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i] in _DIGITS:
                 i += 1
             tokens.append(_Token("INT", text[start:i], line, col))
             col += i - start

@@ -343,11 +343,6 @@ class ResolvedProblem:
             raise SpecError(f"problem {self.name!r} does not define a dual pair")
         return self.pair
 
-    def require_h(self) -> HalfGapFunction:
-        if self.h is None:
-            raise SpecError(f"problem {self.name!r} carries no half-gap witness")
-        return self.h
-
 
 def load_problem_file(path: str) -> ProblemSpec:
     try:

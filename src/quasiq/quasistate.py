@@ -90,9 +90,12 @@ def compile_pattern(pattern: str) -> tuple[int, int]:
 # applies it (runs of H gates go to _hadamards as layers). inverse: the inverse
 # kind, None for a projector. sign: what S and D add into their target times the
 # source, or the power of p in diag(p, 1), as +1 or -1. arity: the wire count,
-# None for any. param: the (to JSON, from JSON) pair of the parameter, None for
-# a kind without one. StateVector.apply reads none of it.
+# None for any. param: the _Param of the kind's parameter, None for a kind
+# without one. StateVector.apply reads none of it.
 _Kind = namedtuple("_Kind", "family inverse sign arity param", defaults=(0, 1, None))
+# A parameter's codec, to_json and from_json(obj, verifiers), and the type
+# test `accepts` that Gate applies when made, with `what` naming the type.
+_Param = namedtuple("_Param", "to_json from_json accepts what")
 
 
 def _oracle_from_json(obj: dict, verifiers: dict | None) -> tuple:
@@ -102,15 +105,19 @@ def _oracle_from_json(obj: dict, verifiers: dict | None) -> tuple:
     return verifiers[name], obj["n_input_wires"]
 
 
-_INT = (lambda p: p, lambda obj, verifiers: obj)
-_AMP = (Amplitude.to_json, lambda obj, verifiers: Amplitude.from_json(obj))
+_INT = _Param(lambda p: p, lambda obj, verifiers: obj, lambda p: type(p) is int, "an int")
+_AMP = _Param(Amplitude.to_json, lambda obj, verifiers: Amplitude.from_json(obj),
+              lambda p: isinstance(p, Amplitude), "an Amplitude")
 _KINDS = {
     "H": _Kind("_hadamards", "H"),
     "X": _Kind("_move", "X"),
-    "PERM": _Kind("_move", "PERM", 0, None, (list, lambda obj, verifiers: tuple(obj))),
-    "ORACLE": _Kind("_move", "ORACLE", 0, None, (
+    "PERM": _Kind("_move", "PERM", 0, None, _Param(
+        list, lambda obj, verifiers: tuple(obj), lambda p: isinstance(p, tuple), "a tuple")),
+    "ORACLE": _Kind("_move", "ORACLE", 0, None, _Param(
         lambda p: {"verifier": getattr(p[0], "name", "?"), "n_input_wires": p[1]},
-        _oracle_from_json)),
+        _oracle_from_json,
+        lambda p: isinstance(p, tuple) and len(p) == 2 and type(p[1]) is int,
+        "a (verifier, int)")),
     "PROJ0": _Kind("_move", None), "PROJ1": _Kind("_move", None),
     "S": _Kind("_shear", "SINV", 1), "SINV": _Kind("_shear", "S", -1),
     "D": _Kind("_shear", "DINV", -1, 2), "DINV": _Kind("_shear", "D", 1, 2),
@@ -138,21 +145,25 @@ class Gate:
     def __post_init__(self):
         """Check all but the wire range (control_mask's, as it needs the width):
         a known kind, its wire count, distinct wires, no control on a gate wire,
-        a PERM that relabels its own wires, ORACLE registers as its verifier's."""
-        kind, wires = self.kind, self.wires
+        a parameter of the kind's type (none if it has no codec), a PERM that
+        relabels its own wires, ORACLE registers as its verifier's."""
+        kind, wires, param = self.kind, self.wires, self.param
         row = _KINDS.get(kind)
         if row is None:
             raise ValueError(f"unknown gate kind {kind!r}")
+        if not (row.param.accepts(param) if row.param else param is None):
+            raise ValueError(f"{kind} takes {row.param.what if row.param else 'no'} "
+                             f"parameter, got {param!r}")
         if row.arity is not None and len(wires) != row.arity:
             raise WireError(f"{kind} acts on {row.arity} wire(s), not {len(wires)}")
         if len(set(wires)) != len(wires):
             raise WireError(f"{kind} wires must be distinct")
         if any(w in wires for w, _ in self.controls):
             raise WireError("control wires overlap gate wires")
-        if kind == "PERM" and sorted(wires) != sorted(self.param):
+        if kind == "PERM" and sorted(wires) != sorted(param):
             raise WireError("PERM must relabel distinct wires within the same set")
         if kind == "ORACLE":
-            v, nx = self.param
+            v, nx = param
             if (nx, len(wires)) != (v.n, v.n + v.m + 1):
                 raise WireError(f"oracle arity mismatch: gate has {len(wires[:nx])}+"
                                 f"{len(wires[nx:-1])} wires, verifier wants {v.n}+{v.m}")
@@ -270,14 +281,16 @@ class Gate:
             obj["controls"] = [[w, p] for w, p in self.controls]
         codec = _KINDS[self.kind].param
         if codec:
-            obj["param"] = codec[0](self.param)
+            obj["param"] = codec.to_json(self.param)
         return obj
 
     @classmethod
     def from_json(cls, obj: dict, verifiers: dict | None = None) -> Gate:
-        kind = obj["kind"]
-        codec = _KINDS[kind].param if kind in _KINDS else None  # Gate() names a bad kind
-        param = codec[1](obj.get("param"), verifiers) if codec else None
+        """The gate of a to_json dump; Gate() names a bad kind or a missing param."""
+        kind, param = obj["kind"], obj.get("param")
+        codec = _KINDS[kind].param if kind in _KINDS else None
+        if codec and param is not None:
+            param = codec.from_json(param, verifiers)
         return cls(kind, tuple(obj["wires"]), tuple((w, p) for w, p in obj.get("controls", [])),
                    param)
 
@@ -298,10 +311,6 @@ class StateVector:
                 raise WireError(f"label width {len(key)} != state width {width}")
             key = key_of_label(key)
         return cls(width, {key: amp})
-
-    @classmethod
-    def zero_state(cls, width: int) -> StateVector:
-        return cls(width, {})
 
     # -- inspection ----------------------------------------------------------
 
@@ -361,9 +370,6 @@ class StateVector:
         for k, a in other.terms.items():
             out[k] = out.get(k, ZERO) + a
         return StateVector(self.width, out)
-
-    def __sub__(self, other: StateVector) -> StateVector:
-        return self + other.scale(Amplitude(-1, 0, 0))
 
     def scale(self, factor: Amplitude) -> StateVector:
         return StateVector(self.width, {k: a * factor for k, a in self.terms.items()})

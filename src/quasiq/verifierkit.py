@@ -14,7 +14,6 @@ of the non-vanishing side is what the circuits reproduce as an amplitude.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Mapping
@@ -485,12 +484,6 @@ def verifier_from_table_json(obj: dict, name: str = "table") -> Verifier:
             mask |= 1 << int(blabel, 2)
         rows[tuple(int(c) for c in xlabel)] = mask
     return _rows_verifier(n, m, rows, name)
-
-
-def load_table_verifier(path: str, name: str | None = None) -> Verifier:
-    with open(path, "rt", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return verifier_from_table_json(obj, name=name or path)
 
 
 # -- seeded random generators -------------------------------------------------------

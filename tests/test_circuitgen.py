@@ -5,6 +5,7 @@ the branch-counting oracle (sums over branch strings, explicit Hadamard sign
 formulas), never from the gate machinery under test.
 """
 import dataclasses
+import hashlib
 import json
 import random
 import re
@@ -43,7 +44,6 @@ from quasiq.circuitgen import (
     build_wn,
     check_ancillas_restored,
     gate_alphabet,
-    reduce_wires,
     run_lpwpp,
     run_lwpp,
     run_posteqp,
@@ -385,21 +385,6 @@ def test_wn_checkpoints_match_displayed_chain():
                 width, label(x, m, lx, 0, 1), delta)
 
 
-def test_run_wn_reduced_output():
-    pair = allzero_pair(2)
-    for x in all_inputs(2):
-        outcome = run_wn(pair, x)
-        circuit = build_wn(pair, 2)
-        keep = circuit.register_wires("x") + (circuit.wire("c"), circuit.wire("s"))
-        reduced = reduce_wires(outcome.final_state, keep)
-        lx = pair.language_bit(x)
-        delta = gap_stats(pair.side(lx), x).delta
-        xs = "".join(str(v) for v in x)
-        assert reduced == StateVector.basis(4, xs + "00") + StateVector.basis(
-            4, xs + str(lx) + "1", delta)
-        assert outcome.answer == lx
-
-
 def test_wn_ancilla_failure_reports_term():
     pair = allzero_pair(1)
     circuit = build_wn(pair, 1)
@@ -500,6 +485,29 @@ def test_circuit_json_round_trip():
     final_a, _ = simulate_circuit(circuit, (1,))
     final_b, _ = simulate_circuit(rebuilt, (1,))
     assert final_a == final_b
+
+
+# sha256 of every construction's JSON form (each circuit's parent too) on the
+# pairs below; a change to any gate, its order or a checkpoint moves it.
+PINNED_CONSTRUCTIONS_SHA256 = "198c9da3962234c493d83e3be6a5596c126e69bfbb91f8b5aae5a71ec6690d51"
+
+
+def test_every_construction_keeps_its_gates_and_checkpoints():
+    problems = builtin_problems()
+    pairs = [problems[name].pair(n) for name in ("parity", "allzero") for n in (1, 2, 3)]
+    pairs += [random_dual_pair(2, 3, random.Random(seed)) for seed in (11, 12)]
+    p = Amplitude(3, 1, 2)
+    digest = hashlib.sha256()
+    for pair in pairs:
+        n = pair.n
+        for circuit in (build_un(pair, n), build_fig3(pair, n, "bm"),
+                        build_fig3(pair, n, "proj1"), build_fig3(pair, n, "n", p),
+                        build_wn(pair, n), build_lwpp_decider(pair, 3, n),
+                        build_lpwpp_decider(pair, 2, 2, n)):
+            for dumped in (circuit, circuit.parent):
+                text = json.dumps(dumped and dumped.to_json(), sort_keys=True)
+                digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_CONSTRUCTIONS_SHA256
 
 
 def test_run_outcome_json_round_trip():

@@ -85,6 +85,14 @@ def test_error_position_tracks_lines():
     assert info.value.col == 3
 
 
+@pytest.mark.parametrize("text", ["x[\u00b2]", "x[\u0663]"], ids=["superscript-two", "arabic-three"])
+def test_only_ascii_digits_are_numbers(text):
+    """A character that str.isdigit takes but is not 0-9 is no number."""
+    with pytest.raises(ParseError, match="unexpected character") as info:
+        parse_dsl(text, 4, 4)
+    assert (info.value.line, info.value.col) == (1, 3)
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse_dsl("x[0] x[1]")

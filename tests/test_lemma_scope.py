@@ -16,8 +16,8 @@ from quasiq.quasistate import bits_of
 from quasiq.verifierkit import (
     HalfGapFunction,
     HalfGapPromiseError,
-    load_table_verifier,
     make_dual_lwpp,
+    verifier_from_table_json,
 )
 
 # n = 2, m = 3, h = 2: Delta = R - 4 must be 0 (4 accepted branches) or 2
@@ -104,8 +104,9 @@ def test_sweeping_commands_still_check_every_input(one_bad_spec, capsys, command
 
 def test_library_callers_still_check_every_input(one_bad_spec, tmp_path):
     h = HalfGapFunction.power(2, 0, 1)
+    base = json.loads((tmp_path / "one-bad-base.json").read_text())
     with pytest.raises(HalfGapPromiseError) as info:
-        make_dual_lwpp(load_table_verifier(str(tmp_path / "one-bad-base.json")), h)
+        make_dual_lwpp(verifier_from_table_json(base), h)
     assert info.value.witness == BAD_INPUT
     with pytest.raises(HalfGapPromiseError) as info:
         resolve_problem(load_problem_file(one_bad_spec), 2)

@@ -204,8 +204,6 @@ def test_single_verifier_problem():
     assert len(resolved.verifiers) == 1
     with pytest.raises(SpecError):
         resolved.require_pair()
-    with pytest.raises(SpecError):
-        resolved.require_h()
 
 
 def _with(**changes):

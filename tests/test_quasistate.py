@@ -74,7 +74,7 @@ def test_d_gate_on_10():
 
 def test_norm_sq_examples():
     assert StateVector.basis(1, "0").apply(Gate.h(0)).norm_sq() == ONE
-    assert StateVector.zero_state(3).norm_sq() == ZERO
+    assert StateVector(3).norm_sq() == ZERO
 
 
 COEFFS = st.one_of(st.integers(-40, 40), st.integers(-2**80, 2**80))
@@ -121,7 +121,7 @@ def test_project_no_mass():
 
 def test_project_zero_state_raises():
     with pytest.raises(ProjectionError):
-        StateVector.zero_state(2).project(0, 1)
+        StateVector(2).project(0, 1)
 
 
 def test_wire_range_checked():
@@ -336,6 +336,25 @@ MALFORMED_GATES = {
     "oracle-overlap": ("ORACLE", (0, 1, 2, 1), (), (PROBE, 1),
                        {"verifier": "probe", "n_input_wires": 1},
                        WireError, "ORACLE wires must be distinct"),
+    # A kind with a parameter needs one of its type; a kind without one takes none.
+    "perm-no-param": ("PERM", (0, 1), (), None, None, ValueError,
+                      "PERM takes a tuple parameter, got None"),
+    "oracle-no-param": ("ORACLE", (0, 1, 2, 3), (), None, None, ValueError,
+                        "ORACLE takes a (verifier, int) parameter, got None"),
+    "oracle-str-width": ("ORACLE", (0, 1, 2, 3), (), (PROBE, "1"),
+                         {"verifier": "probe", "n_input_wires": "1"}, ValueError,
+                         "ORACLE takes a (verifier, int) parameter"),
+    "n-no-param": ("N", (0,), (), None, None, ValueError,
+                   "N takes an Amplitude parameter, got None"),
+    "ninv-float-param": ("NINV", (0,), (), 0.5, None, ValueError,
+                         "NINV takes an Amplitude parameter"),
+    "g-no-param": ("G", (0,), (), None, None, ValueError, "G takes an int parameter, got None"),
+    "ginv-no-param": ("GINV", (0,), (), None, None, ValueError, "GINV takes an int parameter"),
+    "a-no-param": ("A", (0,), (), None, None, ValueError, "A takes an int parameter, got None"),
+    "g-str-param": ("G", (0,), (), "x", "x", ValueError, "G takes an int parameter, got 'x'"),
+    "ainv-bool-param": ("AINV", (0,), (), True, True, ValueError,
+                        "AINV takes an int parameter, got True"),
+    "h-with-param": ("H", (0,), (), 2, 2, ValueError, "H takes no parameter, got 2"),
 }
 
 
