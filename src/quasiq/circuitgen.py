@@ -29,11 +29,12 @@ parent last ran on starts from the parent's final state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from weakref import WeakKeyDictionary
 
 from quasiq.exactnum import HALF, ONE, ZERO, Amplitude
-from quasiq.quasistate import Gate, StateVector, _NumeratorState, bits_label, key_of, label_of
+from quasiq.quasistate import (Gate, StateVector, _NumeratorState, bits_label, key_of, label_of,
+                               record)
 from quasiq.verifierkit import DualVerifierPair, HalfGapFunction
 
 VERDICT_YES = "YES"
@@ -72,20 +73,18 @@ class SimulationInvariantError(RuntimeError):
     """Simulation and oracle disagree; construction bug or invalid pair."""
 
 
-@dataclass
 class Circuit:
     """Gate list on named registers, with labeled checkpoint positions. A child
     circuit starts with its parent's gates, on the same wires plus extra ones
-    last; `last` is (x key, numerator terms, k) after the circuit's last run."""
+    last; `last` is (x key, numerator terms, k) after the circuit's last run.
+    Circuits are equal when all but parent and last are."""
 
-    width: int
-    registers: dict[str, tuple[int, int]]
-    gates: tuple[Gate, ...]
-    checkpoints: tuple[tuple[str, int], ...] = ()
-    parent: Circuit | None = field(default=None, compare=False, repr=False)
-    last: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("width", "registers", "gates", "checkpoints", "parent", "last")
 
-    def __post_init__(self):
+    def __init__(self, width: int, registers: dict[str, tuple[int, int]], gates: tuple[Gate, ...],
+                 checkpoints: tuple[tuple[str, int], ...] = (), parent: Circuit | None = None):
+        self.width, self.registers, self.gates = width, registers, gates
+        self.checkpoints, self.parent, self.last = checkpoints, parent, None
         labels = [label for label, _ in self.checkpoints]
         if len(labels) != len(set(labels)):
             raise ValueError("checkpoint labels must be unique")
@@ -99,6 +98,11 @@ class Circuit:
             for w in gate.all_wires():
                 if not 0 <= w < self.width:
                     raise RegisterMismatchError(f"gate wire {w} outside width {self.width}")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (
+            (self.width, self.registers, self.gates, self.checkpoints)
+            == (other.width, other.registers, other.gates, other.checkpoints))
 
     def register_wires(self, name: str) -> tuple[int, ...]:
         start, length = self.registers[name]
@@ -175,19 +179,13 @@ def simulate_circuit(circuit: Circuit, x_bits, record=False) -> tuple[StateVecto
     return snapshot, captured
 
 
-@dataclass
-class RunOutcome:
-    """Result of one simulation: exact masses, verdict, and checkpoint states."""
+class RunOutcome(record("RunOutcome", "construction input verdict answer success_mass failure_mass "
+                        "final_state width checkpoints", (MappingProxyType({}),))):
+    """Result of one simulation: exact masses, verdict (answer None when the
+    run certified none), the final StateVector on `width` wires, and the
+    checkpoint states by label (none by default)."""
 
-    construction: str
-    input: str
-    verdict: str
-    answer: int | None
-    success_mass: Amplitude
-    failure_mass: Amplitude
-    final_state: StateVector
-    width: int
-    checkpoints: dict[str, StateVector] = field(default_factory=dict)
+    __slots__ = ()
 
     def to_json(self, final_state: bool = True, checkpoints: bool = True) -> dict:
         """The outcome as JSON; a state left out by its flag is not serialized."""

@@ -23,8 +23,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable
 
 from quasiq.circuitgen import (
     AncillaRestorationError,
@@ -49,7 +47,7 @@ from quasiq.harness.problems import (
     read_table_file,
     resolve_problem,
 )
-from quasiq.quasistate import bits_label, bits_of
+from quasiq.quasistate import bits_label, bits_of, record
 from quasiq.verifierkit import builtin_problems, gap_stats, validate_dual_pair
 
 EXIT_OK = 0
@@ -136,8 +134,7 @@ _WITNESS_FORMS = {"value": "a half-gap witness h(n)",
                   "power": "a half-gap witness in power form M**t"}
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(record("Construction", "name run witness", (None,))):
     """One construction as the CLI runs it.
 
     run(resolved, x, record, corrupt_h) gives the RunOutcome; the run_* it
@@ -146,9 +143,7 @@ class Construction:
     for the form M**t.
     """
 
-    name: str
-    run: Callable
-    witness: str | None = None
+    __slots__ = ()
 
     def available(self, resolved: ResolvedProblem) -> bool:
         if self.witness is None:

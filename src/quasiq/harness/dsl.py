@@ -21,11 +21,11 @@ the int whose bit key_of(b) is its value on branch b).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import and_, or_, xor
 from typing import Union
 
+from quasiq.quasistate import record
 from quasiq.verifierkit import Verifier, full_mask
 
 Bits = tuple[int, ...]
@@ -43,32 +43,24 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: int
+class Lit(record("Lit", "value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Ref:
-    reg: str  # "x" | "b"
-    index: int
+class Ref(record("Ref", "reg index")):  # reg: "x" | "b"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not:
-    child: "DslExpr"
+class Not(record("Not", "child")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "&" | "^" | "|"
-    left: "DslExpr"
-    right: "DslExpr"
+class BinOp(record("BinOp", "op left right")):  # op: "&" | "^" | "|"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Parity:
-    arg: str  # "x" | "b" | "x&b"
+class Parity(record("Parity", "arg")):  # arg: "x" | "b" | "x&b"
+    __slots__ = ()
 
 
 DslExpr = Union[Lit, Ref, Not, BinOp, Parity]
@@ -84,12 +76,8 @@ MAX_DEPTH = 100
 # -- lexer ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
-    type: str
-    value: str
-    line: int
-    col: int
+class _Token(record("_Token", "type value line col")):
+    __slots__ = ()
 
 
 _SINGLE = {"(": "LPAREN", ")": "RPAREN", "[": "LBRACK", "]": "RBRACK",

@@ -12,10 +12,10 @@ import json
 import os
 import random
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from quasiq.harness.dsl import dsl_verifier
+from quasiq.quasistate import record
 from quasiq.verifierkit import (
     Bits,
     BuiltinProblem,
@@ -242,18 +242,12 @@ def _validator(table: bool):
     return cls(TABLE_SCHEMA if table else SCHEMA)
 
 
-@dataclass
-class ProblemSpec:
-    """Validated problem description plus the directory for relative paths."""
+class ProblemSpec(record("ProblemSpec", "name n_min n_max m_spec verifier h dual base_dir", (".",))):
+    """Validated problem description plus the directory for relative paths:
+    the spec's "m", "verifier" and "dual" as read, and h as a HalfGapFunction
+    or None."""
 
-    name: str
-    n_min: int
-    n_max: int
-    m_spec: dict | None
-    verifier: dict
-    h: HalfGapFunction | None
-    dual: str
-    base_dir: str = "."
+    __slots__ = ()
 
     @classmethod
     def from_json(cls, obj: dict, base_dir: str = ".") -> ProblemSpec:
@@ -327,16 +321,11 @@ class ProblemSpec:
         return table[str(n)]
 
 
-@dataclass
-class ResolvedProblem:
-    """Concrete verifiers for one input size."""
+class ResolvedProblem(record("ResolvedProblem", "name n m verifiers pair h")):
+    """Concrete verifiers for one input size: a list of one or two, and their
+    DualVerifierPair and HalfGapFunction when the problem has them."""
 
-    name: str
-    n: int
-    m: int
-    verifiers: list[Verifier]
-    pair: DualVerifierPair | None
-    h: HalfGapFunction | None
+    __slots__ = ()
 
     def require_pair(self) -> DualVerifierPair:
         if self.pair is None:
@@ -426,10 +415,7 @@ def resolve_problem(spec_or_name: ProblemSpec | str, n: int, seed: int | None = 
             raise SpecError(f"spec {spec.name!r} declares m = {declared} at n = {n}, "
                             f"but builtin {entry.name!r} has m = {entry.m_of(n)}")
         resolved = _resolve_builtin(entry, n, seed, inputs)
-        if spec.h is not None:
-            resolved.h = spec.h
-        resolved.name = spec.name
-        return resolved
+        return resolved._replace(name=spec.name, h=resolved.h if spec.h is None else spec.h)
 
     def build(key: str) -> Verifier:
         ref = source[key]

@@ -23,7 +23,6 @@ reference the kernel is tested against.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import compress
 from operator import add, neg, or_, sub
 from typing import Iterable, Iterator
@@ -128,8 +127,22 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class Gate:
+def record(name: str, fields: str, defaults=()) -> type:
+    """A namedtuple base for an immutable record class, which subclasses it
+    with `__slots__ = ()`. Unlike a plain namedtuple, a record equals only a
+    record of its own class, never a bare tuple or another record type.
+
+    quasiq's records are not dataclasses (verifierkit.Verifier aside): a
+    dataclass generates and compiles its methods when its module is imported,
+    and every command pays that at start-up."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base.__eq__ = lambda a, b: type(a) is type(b) and tuple.__eq__(a, b)
+    base.__ne__ = lambda a, b: not base.__eq__(a, b)
+    base.__hash__ = tuple.__hash__
+    return base
+
+
+class Gate(record("Gate", "kind wires controls param")):
     """One typed gate application on named wires.
 
     param holds the kind-specific data: an int for G/A (the |0>-branch
@@ -137,17 +150,14 @@ class Gate:
     (verifier, n_input_wires) for ORACLE.
     """
 
-    kind: str
-    wires: tuple[int, ...]
-    controls: tuple[tuple[int, int], ...] = ()
-    param: object = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, kind: str, wires: tuple[int, ...],
+                controls: tuple[tuple[int, int], ...] = (), param: object = None) -> Gate:
         """Check all but the wire range (control_mask's, as it needs the width):
         a known kind, its wire count, distinct wires, no control on a gate wire,
         a parameter of the kind's type (none if it has no codec), a PERM that
         relabels its own wires, ORACLE registers as its verifier's."""
-        kind, wires, param = self.kind, self.wires, self.param
         row = _KINDS.get(kind)
         if row is None:
             raise ValueError(f"unknown gate kind {kind!r}")
@@ -158,7 +168,7 @@ class Gate:
             raise WireError(f"{kind} acts on {row.arity} wire(s), not {len(wires)}")
         if len(set(wires)) != len(wires):
             raise WireError(f"{kind} wires must be distinct")
-        if any(w in wires for w, _ in self.controls):
+        if any(w in wires for w, _ in controls):
             raise WireError("control wires overlap gate wires")
         if kind == "PERM" and sorted(wires) != sorted(param):
             raise WireError("PERM must relabel distinct wires within the same set")
@@ -167,6 +177,12 @@ class Gate:
             if (nx, len(wires)) != (v.n, v.n + v.m + 1):
                 raise WireError(f"oracle arity mismatch: gate has {len(wires[:nx])}+"
                                 f"{len(wires[nx:-1])} wires, verifier wants {v.n}+{v.m}")
+        return tuple.__new__(cls, (kind, wires, controls, param))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Gate:
+        """A gate of the given fields, checked as when made (_replace calls this)."""
+        return cls(*fields)
 
     # -- constructors --------------------------------------------------------
 
@@ -286,11 +302,15 @@ class Gate:
 
     @classmethod
     def from_json(cls, obj: dict, verifiers: dict | None = None) -> Gate:
-        """The gate of a to_json dump; Gate() names a bad kind or a missing param."""
+        """The gate of a to_json dump; Gate() names a bad kind or a missing param,
+        and a param of the wrong JSON type is refused here the same way."""
         kind, param = obj["kind"], obj.get("param")
         codec = _KINDS[kind].param if kind in _KINDS else None
         if codec and param is not None:
-            param = codec.from_json(param, verifiers)
+            try:
+                param = codec.from_json(param, verifiers)
+            except TypeError as exc:
+                raise ValueError(f"{kind} takes {codec.what} parameter, got {param!r}") from exc
         return cls(kind, tuple(obj["wires"]), tuple((w, p) for w, p in obj.get("controls", [])),
                    param)
 

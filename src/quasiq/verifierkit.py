@@ -19,7 +19,7 @@ from itertools import product
 from typing import Callable, Iterable, Mapping
 
 from quasiq.exactnum import Amplitude
-from quasiq.quasistate import bits_label, bits_of, key_of, label_of
+from quasiq.quasistate import bits_label, bits_of, key_of, label_of, record
 
 Bits = tuple[int, ...]
 
@@ -40,6 +40,8 @@ class HalfGapPromiseError(ValueError):
         self.witness = witness
 
 
+# The one dataclass among quasiq's records (see quasistate.record):
+# bench/layers.py copies a verifier with dataclasses.replace to time eval_fn.
 @dataclass(frozen=True, eq=False)
 class Verifier:
     """Boolean verifier f(x, b) for inputs of length n and branches of length m.
@@ -88,20 +90,12 @@ def full_mask(m: int) -> int:
     return (1 << (1 << m)) - 1
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Exact branch counts and normalized gap quantities for one (verifier, x)."""
+class GapReport(record("GapReport", "verifier x n m A R Delta alpha rho delta")):
+    """Exact branch counts and normalized gap quantities for one (verifier, x):
+    the verifier's name, x as a label, n, m, the ints A, R and Delta, and the
+    Amplitudes alpha, rho and delta."""
 
-    verifier: str
-    x: str
-    n: int
-    m: int
-    A: int
-    R: int
-    Delta: int
-    alpha: Amplitude
-    rho: Amplitude
-    delta: Amplitude
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -167,14 +161,12 @@ def gap_stats(v: Verifier, x: Bits) -> GapReport:
 # -- half-gap witnesses ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HalfGapFunction:
-    """Length-dependent positive half-gap h(n), tabulated or M**t(n)."""
+class HalfGapFunction(record("HalfGapFunction", "kind table base t_affine", (None,) * 3)):
+    """Length-dependent positive half-gap h(n), tabulated or M**t(n): kind is
+    "tabulated" with a table {n: h(n)}, or "power" with base M and t_affine
+    (a, b) for t(n) = a*n + b."""
 
-    kind: str  # "tabulated" | "power"
-    table: Mapping[int, int] | None = None
-    base: int | None = None
-    t_affine: tuple[int, int] | None = None  # t(n) = a*n + b
+    __slots__ = ()
 
     @classmethod
     def tabulated(cls, values: Mapping[int, int]) -> HalfGapFunction:
@@ -221,27 +213,34 @@ class HalfGapFunction:
 # -- dual pairs ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class DualVerifierPair:
     """Two verifiers with common branching length deciding one language.
 
     v0's half-gap vanishes exactly on members, v1's exactly on non-members;
-    the pair's language is read off from which side is nonzero.
+    the pair's language is read off from which side is nonzero. A pair is
+    immutable and equal only to itself; circuits are cached by weak
+    reference to it (circuitgen._BUILT).
     """
 
-    v0: Verifier
-    v1: Verifier
-    name: str = "pair"
-    h_witness: HalfGapFunction | None = None
-    # Gap reports already computed, by input: each (pair, x) costs the oracle
-    # two 2**m-branch counts, and a verify sweep asks for them per construction.
-    _reports: dict = field(default_factory=dict, init=False, repr=False)
+    # _reports holds the gap reports already computed, by input: each (pair, x)
+    # costs the oracle two 2**m-branch counts, and a verify sweep asks for them
+    # per construction.
+    __slots__ = ("v0", "v1", "name", "h_witness", "_reports", "__weakref__")
 
-    def __post_init__(self):
-        if self.v0.n != self.v1.n:
+    def __init__(self, v0: Verifier, v1: Verifier, name: str = "pair",
+                 h_witness: HalfGapFunction | None = None):
+        if v0.n != v1.n:
             raise ValueError("dual verifiers must share the input length")
-        if self.v0.m != self.v1.m:
+        if v0.m != v1.m:
             raise ValueError("dual verifiers must make the same number of branchings")
+        for attr, value in (("v0", v0), ("v1", v1), ("name", name), ("h_witness", h_witness),
+                            ("_reports", {})):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr: str, value=None):
+        raise AttributeError(f"cannot assign or delete {attr!r}: a DualVerifierPair is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def n(self) -> int:
@@ -549,19 +548,13 @@ def random_fixed_gap_base(n: int, m: int, h_value: int, rng,
 # -- builtin problem catalog ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuiltinProblem:
-    """Catalog entry: a dual pair family (make_pair) or a single verifier
-    family (make_single)."""
+class BuiltinProblem(record("BuiltinProblem", "name summary m_of make_pair make_single h language",
+                            (None,) * 4)):
+    """Catalog entry: a dual pair family make_pair(n, rng, inputs) or a single
+    verifier family make_single(n), with its branching length m_of(n), its
+    half-gap witness h and its language(x) when known."""
 
-    name: str
-    summary: str
-    m_of: Callable[[int], int] = field(repr=False)
-    make_pair: Callable[[int, object, Iterable[Bits] | None], DualVerifierPair] | None = field(
-        default=None, repr=False)
-    make_single: Callable[[int], Verifier] | None = field(default=None, repr=False)
-    h: HalfGapFunction | None = None
-    language: Callable[[Bits], int] | None = field(default=None, repr=False)
+    __slots__ = ()
 
     def pair(self, n: int, rng=None, inputs: Iterable[Bits] | None = None) -> DualVerifierPair:
         """The pair at input size n; a lemma-derived pair checks the lemma at

@@ -4,7 +4,6 @@ Every expected state here is rebuilt directly from verifier evaluations and
 the branch-counting oracle (sums over branch strings, explicit Hadamard sign
 formulas), never from the gate machinery under test.
 """
-import dataclasses
 import hashlib
 import json
 import random
@@ -542,7 +541,8 @@ def test_a_checkpoint_must_lie_within_the_gate_list(pos):
 
 def full_run(circuit, x):
     """Final and every checkpoint state of `circuit` run alone from |x 0...0>."""
-    return simulate_circuit(dataclasses.replace(circuit, parent=None), x, record=True)
+    alone = Circuit(circuit.width, circuit.registers, circuit.gates, circuit.checkpoints)
+    return simulate_circuit(alone, x, record=True)
 
 
 @pytest.mark.parametrize("head", [Gate.s(3), Gate.d(3, 1)], ids=["S", "D"])

@@ -1,5 +1,4 @@
 """CLI behavior: JSON output, exit codes, guardrails, fault injection."""
-import dataclasses
 import json
 import os
 import subprocess
@@ -509,8 +508,8 @@ def _double_every_nonzero_gap(monkeypatch):
         report = real(v, x)
         if report.Delta == 0:
             return report
-        return dataclasses.replace(report, Delta=2 * report.Delta,
-                                   delta=Amplitude(2 * report.Delta, 0, report.m))
+        return report._replace(Delta=2 * report.Delta,
+                               delta=Amplitude(2 * report.Delta, 0, report.m))
 
     monkeypatch.setattr(verifierkit, "gap_stats", doubled)
 
@@ -556,6 +555,22 @@ def test_deep_dsl_nesting_is_a_spec_error(tmp_path, text):
 
 
 # Runs the CLI, then prints whether jsonschema was imported.
+# bench/layers.py times DSL evaluations through dataclasses.replace(verifier,
+# eval_fn=...), so Verifier stays a dataclass. Every other record is a
+# namedtuple or a class with __slots__: a dataclass generates and compiles its
+# methods at import, which every command pays.
+DATACLASS_PROBE = ("import dataclasses, sys, quasiq.harness.cli; "
+                   "print(sorted({c.__qualname__ for name, module in list(sys.modules.items()) "
+                   "if name.split('.')[0] == 'quasiq' for c in vars(module).values() "
+                   "if isinstance(c, type) and dataclasses.is_dataclass(c)}))")
+
+
+def test_verifier_is_the_only_dataclass():
+    proc = run_fresh(DATACLASS_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['Verifier']"
+
+
 IMPORT_PROBE = ("import sys; from quasiq.harness.cli import main; code = main(sys.argv[1:]); "
                 "print('jsonschema' in sys.modules); sys.exit(code)")
 TABLE_LEMMA_SPEC = {"name": "allzero-table", "n": {"min": 2, "max": 2},

@@ -355,6 +355,12 @@ MALFORMED_GATES = {
     "ainv-bool-param": ("AINV", (0,), (), True, True, ValueError,
                         "AINV takes an int parameter, got True"),
     "h-with-param": ("H", (0,), (), 2, 2, ValueError, "H takes no parameter, got 2"),
+    # A param of the wrong JSON type is refused before its decoder reads it.
+    "n-float-param": ("N", (0,), (), 0.5, 0.5, ValueError,
+                      "N takes an Amplitude parameter, got 0.5"),
+    "perm-int-param": ("PERM", (0, 1), (), 5, 5, ValueError, "PERM takes a tuple parameter, got 5"),
+    "oracle-list-param": ("ORACLE", (0, 1, 2, 3), (), [1], [1], ValueError,
+                          "ORACLE takes a (verifier, int) parameter, got [1]"),
 }
 
 
