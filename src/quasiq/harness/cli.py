@@ -37,7 +37,6 @@ from quasiq.circuitgen import (
     run_zqp,
     simulate_circuit,  # noqa: F401 -- unused; bench/layers.py traces it under this name
 )
-from quasiq.exactnum import Amplitude
 from quasiq.harness.problems import (
     ProblemSpec,
     ResolvedProblem,
@@ -48,7 +47,7 @@ from quasiq.harness.problems import (
     resolve_problem,
 )
 from quasiq.quasistate import bits_label, bits_of, record
-from quasiq.verifierkit import builtin_problems, gap_stats, validate_dual_pair
+from quasiq.verifierkit import builtin_problems, gap_stats
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -289,32 +288,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_duals(args) -> int:
-    resolved = _load(args)
-    pair = resolved.require_pair()
-    rows = validate_dual_pair(pair)
-    ok = all(row["dual"] for row in rows)
-    if resolved.h is not None:
-        hv = resolved.h.value(resolved.n)
-        for row in rows:
-            if not row["dual"]:
-                continue
-            x = tuple(int(ch) for ch in row["x"])
-            live = pair.gap_reports(x)[row["language_bit"]]
-            row["h_matches"] = live.delta == Amplitude(hv, 0, pair.m)
-            ok = ok and row["h_matches"]
-    _emit(
-        {
-            "problem": resolved.name,
-            "n": resolved.n,
-            "m": pair.m,
-            "pair": pair.name,
-            "seed": args.seed,
-            "ok": ok,
-            "rows": rows,
-        },
-        args.json,
-    )
-    return EXIT_OK if ok else EXIT_MISMATCH
+    from quasiq.harness.duals import cmd_duals
+    return cmd_duals(args)
 
 
 # -- entry point ------------------------------------------------------------------

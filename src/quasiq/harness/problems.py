@@ -13,6 +13,7 @@ import os
 import random
 import re
 from functools import lru_cache
+from itertools import chain
 
 from quasiq.harness.dsl import dsl_verifier
 from quasiq.quasistate import record
@@ -151,7 +152,7 @@ SCHEMA = {
 
 # Truth-table files. The schema stops at the arrays: under CPython 3.11 the
 # validator takes about 10 us per array item (0.3 s on an n = m = 8 table), so
-# read_table_file checks the items itself, one join per row.
+# read_table_file checks the items itself, once per distinct label.
 TABLE_SCHEMA = {
     "type": "object",
     "required": ["n", "m", "table"],
@@ -347,6 +348,15 @@ def load_problem_file(path: str) -> ProblemSpec:
     return ProblemSpec.from_json(obj, base_dir=os.path.dirname(path) or ".")
 
 
+def _stray(labels) -> bool:
+    """Whether some item of `labels` is not a string of 0s and 1s; each
+    distinct item is looked at once."""
+    try:
+        return bool("".join(set(labels)).strip("01"))
+    except TypeError:  # an item that is not a string, or cannot be hashed
+        return True
+
+
 def read_table_file(path: str) -> dict:
     """The JSON object in a truth-table file; a file that cannot be read or
     parsed, or that fails TABLE_SCHEMA, is a SpecError naming the path."""
@@ -364,14 +374,11 @@ def read_table_file(path: str) -> dict:
             _validator(table=True).validate(obj)
         except ValidationError as exc:
             raise SpecError(f"table file {path} rejected by schema: {exc.message}") from exc
-    for xlabel, blabels in obj["table"].items():
-        try:
-            stray = "".join(blabels).strip("01")
-        except TypeError:  # an item that is not a string
-            stray = True
-        if stray:
-            raise SpecError(f"table file {path} rejected by schema: "
-                            f"the branches of input {xlabel!r} are not all bit strings")
+    table = obj["table"]
+    if _stray(chain.from_iterable(table.values())):  # then name the first row with one
+        xlabel = next(xlabel for xlabel, blabels in table.items() if _stray(blabels))
+        raise SpecError(f"table file {path} rejected by schema: "
+                        f"the branches of input {xlabel!r} are not all bit strings")
     return obj
 
 

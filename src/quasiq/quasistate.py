@@ -18,7 +18,7 @@ point, `run`, applies a gate list: each run of H gates that share their
 controls and act on distinct wires as one unnormalized Walsh-Hadamard layer
 on dense integer lists, one group of terms at a time, and every other gate
 through its kind's family method. StateVector.apply is the per-gate
-reference the kernel is tested against.
+reference the kernel is tested against; its code is in quasiq.reference.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from itertools import compress
 from operator import add, neg, or_, sub
 from typing import Iterable, Iterator
 
-from quasiq.exactnum import HALF, INV_SQRT2, ONE, TWO, ZERO, Amplitude, ExactDivisionError
+from quasiq.exactnum import HALF, ONE, ZERO, Amplitude, ExactDivisionError
 
 
 class WireError(ValueError):
@@ -98,10 +98,9 @@ _Param = namedtuple("_Param", "to_json from_json accepts what")
 
 
 def _oracle_from_json(obj: dict, verifiers: dict | None) -> tuple:
-    name = obj["verifier"]
-    if verifiers is None or name not in verifiers:
-        raise KeyError(f"no verifier named {name!r} to rebind the oracle gate")
-    return verifiers[name], obj["n_input_wires"]
+    """(verifier, n_input_wires), the verifier None if `verifiers` lacks its name."""
+    name, nx = obj["verifier"], obj["n_input_wires"]
+    return (None if verifiers is None else verifiers.get(name)), nx
 
 
 _INT = _Param(lambda p: p, lambda obj, verifiers: obj, lambda p: type(p) is int, "an int")
@@ -302,17 +301,8 @@ class Gate(record("Gate", "kind wires controls param")):
 
     @classmethod
     def from_json(cls, obj: dict, verifiers: dict | None = None) -> Gate:
-        """The gate of a to_json dump; Gate() names a bad kind or a missing param,
-        and a param of the wrong JSON type is refused here the same way."""
-        kind, param = obj["kind"], obj.get("param")
-        codec = _KINDS[kind].param if kind in _KINDS else None
-        if codec and param is not None:
-            try:
-                param = codec.from_json(param, verifiers)
-            except TypeError as exc:
-                raise ValueError(f"{kind} takes {codec.what} parameter, got {param!r}") from exc
-        return cls(kind, tuple(obj["wires"]), tuple((w, p) for w, p in obj.get("controls", [])),
-                   param)
+        from quasiq.readers import gate_from_json
+        return gate_from_json(cls, obj, verifiers)
 
 
 class StateVector:
@@ -404,88 +394,9 @@ class StateVector:
     # -- gate application ------------------------------------------------------
 
     def apply(self, gate: Gate) -> StateVector:
-        width = self.width
-        cmask, cval = gate.control_mask(width)
-        out: dict[int, Amplitude] = {}
-
-        def put(key: int, amp: Amplitude) -> None:
-            prev = out.get(key)
-            out[key] = amp if prev is None else prev + amp
-
-        kind = gate.kind
-        if kind == "ORACLE":
-            verifier, nx = gate.param
-            xw, bw, target = gate.wires[:nx], gate.wires[nx:-1], gate.wires[-1]
-        if kind == "PERM":
-            shift = [(width - 1 - s, width - 1 - d) for s, d in zip(gate.wires, gate.param)]
-            moved = 0
-            for s, _ in shift:
-                moved |= 1 << s
-
-        for key, amp in self.terms.items():
-            if key & cmask != cval:
-                put(key, amp)
-                continue
-            if kind == "H":
-                m = 1 << (width - 1 - gate.wires[0])
-                scaled = amp * INV_SQRT2
-                put(key & ~m, scaled)
-                put(key | m, scaled if key & m == 0 else -scaled)
-            elif kind == "X":
-                put(key ^ (1 << (width - 1 - gate.wires[0])), amp)
-            elif kind == "S":
-                m = 1 << (width - 1 - gate.wires[0])
-                put(key, amp)
-                if key & m:
-                    put(key & ~m, amp)
-            elif kind == "SINV":
-                m = 1 << (width - 1 - gate.wires[0])
-                put(key, amp)
-                if key & m:
-                    put(key & ~m, -amp)
-            elif kind in ("B", "BINV", "G", "GINV", "A", "AINV", "N", "NINV"):
-                m = 1 << (width - 1 - gate.wires[0])
-                if key & m:
-                    put(key, amp)
-                elif kind == "B":
-                    put(key, amp * HALF)
-                elif kind == "BINV":
-                    put(key, amp * TWO)
-                elif kind in ("G", "A"):
-                    put(key, amp.scale_int(gate.param))
-                elif kind in ("GINV", "AINV"):
-                    put(key, amp.div_exact(Amplitude(gate.param, 0, 0)))
-                elif kind == "N":
-                    put(key, amp * gate.param)
-                else:  # NINV
-                    put(key, amp.div_exact(gate.param))
-            elif kind in ("D", "DINV"):
-                m1 = 1 << (width - 1 - gate.wires[0])
-                m2 = 1 << (width - 1 - gate.wires[1])
-                put(key, amp)
-                if key & m1:
-                    put(key & ~m1 & ~m2, -amp if kind == "D" else amp)
-            elif kind == "PROJ0":
-                if key & (1 << (width - 1 - gate.wires[0])) == 0:
-                    put(key, amp)
-            elif kind == "PROJ1":
-                if key & (1 << (width - 1 - gate.wires[0])):
-                    put(key, amp)
-            elif kind == "PERM":
-                new = key & ~moved
-                for s, d in shift:
-                    if key & (1 << s):
-                        new |= 1 << d
-                put(new, amp)
-            elif kind == "ORACLE":
-                xbits = tuple((key >> (width - 1 - w)) & 1 for w in xw)
-                bbits = tuple((key >> (width - 1 - w)) & 1 for w in bw)
-                if verifier.eval(xbits, bbits):
-                    key ^= 1 << (width - 1 - target)
-                put(key, amp)
-            else:
-                raise ValueError(f"unknown gate kind {kind!r}")
-        return StateVector(width, out)
+        """The per-gate reference the kernel is tested against (quasiq.reference)."""
+        from quasiq.reference import apply_gate
+        return apply_gate(self, gate)
 
     # -- projection --------------------------------------------------------------
 
@@ -516,15 +427,8 @@ class StateVector:
 
     @classmethod
     def from_json(cls, entries: list[dict], width: int | None = None) -> StateVector:
-        if width is None:
-            if not entries:
-                raise ValueError("cannot infer width of an empty dump")
-            width = len(entries[0]["basis"])
-        terms = {
-            key_of_label(entry["basis"]): Amplitude.from_json(entry["amp"])
-            for entry in entries
-        }
-        return cls(width, terms)
+        from quasiq.readers import state_from_json
+        return state_from_json(cls, entries, width)
 
 
 # -- integer-numerator kernel -------------------------------------------------------

@@ -15,11 +15,14 @@ of the non-vanishing side is what the circuits reproduce as an amplitude.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from functools import reduce
+from importlib import import_module
+from itertools import chain, product
+from operator import or_
 from typing import Callable, Iterable, Mapping
 
 from quasiq.exactnum import Amplitude
-from quasiq.quasistate import bits_label, bits_of, key_of, label_of, record
+from quasiq.quasistate import bits_label, key_of, record
 
 Bits = tuple[int, ...]
 
@@ -113,18 +116,8 @@ class GapReport(record("GapReport", "verifier x n m A R Delta alpha rho delta"))
 
     @classmethod
     def from_json(cls, obj: dict) -> GapReport:
-        return cls(
-            verifier=obj["verifier"],
-            x=obj["x"],
-            n=obj["n"],
-            m=obj["m"],
-            A=obj["A"],
-            R=obj["R"],
-            Delta=obj["Delta"],
-            alpha=Amplitude.from_json(obj["alpha"]),
-            rho=Amplitude.from_json(obj["rho"]),
-            delta=Amplitude.from_json(obj["delta"]),
-        )
+        from quasiq.readers import gap_report_from_json
+        return gap_report_from_json(cls, obj)
 
 
 def gap_stats(v: Verifier, x: Bits) -> GapReport:
@@ -276,24 +269,6 @@ class DualVerifierPair:
         return 1 if zero0 else 0
 
 
-def validate_dual_pair(pair: DualVerifierPair) -> list[dict]:
-    """Sweep all inputs; per-x report of both half-gaps and the duality check."""
-    rows = []
-    for x in product((0, 1), repeat=pair.n):
-        g0, g1 = pair.gap_reports(x)
-        ok = (g0.Delta == 0) != (g1.Delta == 0)
-        row = {
-            "x": g0.x,
-            "Delta0": g0.Delta,
-            "Delta1": g1.Delta,
-            "dual": ok,
-        }
-        if ok:
-            row["language_bit"] = 1 if g0.Delta == 0 else 0
-        rows.append(row)
-    return rows
-
-
 # -- verifier combinators ---------------------------------------------------------
 
 
@@ -350,24 +325,6 @@ def language_pair(n: int, m: int, language: Callable[[Bits], int], name: str) ->
                   mask_fn=lambda x: 0 if language(x) else low_half)
     h = HalfGapFunction.power(2, 1, -1) if m == n else HalfGapFunction.tabulated({n: half})
     return DualVerifierPair(v0, v1, name=name, h_witness=h)
-
-
-def equalize_branch_lengths(v: Verifier, target_m: int) -> Verifier:
-    """Pad a verifier to a longer branching length.
-
-    Padding is applied one bit at a time; each extra bit defers to the shorter
-    machine regardless of its value, which doubles the accepting and rejecting
-    counts alike, so the half-gap doubles per padding bit while its
-    zero/nonzero pattern is untouched.
-    """
-    if target_m < v.m:
-        raise ValueError(f"cannot shrink branching length {v.m} to {target_m}")
-    if target_m == v.m:
-        return v
-    base_m = v.m
-    pad = target_m - base_m
-    return Verifier(v.n, target_m, lambda x, b: v.eval(x, b[:base_m]),
-                    name=f"{v.name}+pad{pad}")
 
 
 def branch_on_first_bit(when0: Verifier, when1: Verifier, name: str) -> Verifier:
@@ -456,93 +413,22 @@ def _rows_verifier(n: int, m: int, rows: Mapping[Bits, int], name: str) -> Verif
                     mask_fn=lambda x: rows.get(x, 0))
 
 
-def table_to_json(v: Verifier) -> dict:
-    """Enumerate a verifier into the truth-table file format."""
-    table: dict[str, list[str]] = {}
-    for xkey in range(2**v.n):
-        x = bits_of(xkey, v.n)
-        accepted = [
-            label_of(bkey, v.m)
-            for bkey in range(2**v.m)
-            if v.eval(x, bits_of(bkey, v.m))
-        ]
-        table[label_of(xkey, v.n)] = accepted
-    return {"n": v.n, "m": v.m, "table": table}
-
-
 def verifier_from_table_json(obj: dict, name: str = "table") -> Verifier:
+    """The verifier of a truth-table file's object, each distinct branch label
+    checked and parsed once. A bad key or label is reported as a label-by-label
+    read finds it first (quasiq.readers.table_rows)."""
     n, m = int(obj["n"]), int(obj["m"])
-    rows: dict[Bits, int] = {}
-    for xlabel, blabels in obj["table"].items():
-        if len(xlabel) != n:
-            raise ValueError(f"table key {xlabel!r} does not have length n = {n}")
-        mask = 0
-        for blabel in blabels:
-            if len(blabel) != m:
-                raise ValueError(f"branch {blabel!r} does not have length m = {m}")
-            mask |= 1 << int(blabel, 2)
-        rows[tuple(int(c) for c in xlabel)] = mask
-    return _rows_verifier(n, m, rows, name)
-
-
-# -- seeded random generators -------------------------------------------------------
-
-
-def random_dual_pair(n: int, m: int, rng, name: str | None = None) -> DualVerifierPair:
-    """Rejection-sample a valid dual pair of truth-table verifiers.
-
-    Per input: pick the language bit, then draw accept sets until the
-    zero-gap side is exactly balanced and the other side is not.
-
-    An accept set takes one coin flip per branch value, in value order. A
-    flip is the top bit of one 32-bit output of the generator, which is
-    what getrandbits(1) returns, so one getrandbits(32 * 2**m) holds all
-    2**m flips (flip i is bit 32*i + 31) and leaves the generator where
-    2**m calls of getrandbits(1) would.
-    """
-    count = 2**m
-    half = count // 2
-    flip_bits = (full_mask(m + 5) // 0xFFFFFFFF) << 31
-
-    def draw(balanced: bool) -> int:
-        while True:
-            words = rng.getrandbits(32 * count)
-            if ((words & flip_bits).bit_count() == half) == balanced:
-                # every 32nd binary digit, from flip count-1 down to flip 0
-                return int(format(words, f"0{32 * count}b")[::32], 2)
-
-    t0: dict[Bits, int] = {}
-    t1: dict[Bits, int] = {}
-    for xkey in range(2**n):
-        x = bits_of(xkey, n)
-        member = rng.getrandbits(1)
-        balanced = draw(True)
-        skewed = draw(False)
-        # v0 is gapless exactly on members, v1 exactly on non-members
-        t0[x] = balanced if member else skewed
-        t1[x] = skewed if member else balanced
-    name = name or f"random-{n}x{m}"
-    return DualVerifierPair(
-        _rows_verifier(n, m, t0, f"{name}-v0"),
-        _rows_verifier(n, m, t1, f"{name}-v1"),
-        name=name,
-    )
-
-
-def random_fixed_gap_base(n: int, m: int, h_value: int, rng,
-                          name: str | None = None) -> Verifier:
-    """Random truth-table verifier whose half-gap is 0 or exactly h_value,
-    following a random language (suitable input to make_dual_lwpp)."""
-    count = 2**m
-    half = count // 2
-    if not 1 <= h_value <= half:
-        raise ValueError(f"h_value must lie in [1, {half}]")
-    table: dict[Bits, frozenset[int]] = {}
-    for xkey in range(2**n):
-        x = bits_of(xkey, n)
-        accepts = half - h_value if rng.getrandbits(1) else half
-        table[x] = frozenset(rng.sample(range(count), accepts))
-    return table_verifier(n, m, table, name=name or f"fixed-gap-{h_value}")
+    table = obj["table"]
+    try:
+        labels = set(chain.from_iterable(table.values()))
+        if all(len(xlabel) == n for xlabel in table) and all(len(b) == m for b in labels):
+            bit = {blabel: 1 << int(blabel, 2) for blabel in labels}.__getitem__
+            return _rows_verifier(n, m, {tuple(map(int, xlabel)): reduce(or_, map(bit, blabels), 0)
+                                         for xlabel, blabels in table.items()}, name)
+    except (TypeError, ValueError):
+        pass
+    from quasiq.readers import table_rows
+    return _rows_verifier(n, m, table_rows(table, n, m), name)
 
 
 # -- builtin problem catalog ----------------------------------------------------------
@@ -590,6 +476,7 @@ def builtin_problems() -> dict[str, BuiltinProblem]:
     def random_pair(n: int, rng, inputs=None) -> DualVerifierPair:
         if rng is None:
             raise ValueError("random-table needs a seeded RNG")
+        from quasiq.generators import random_dual_pair
         return random_dual_pair(n, n + 1, rng, name="random-table")
 
     problems = [
@@ -619,3 +506,15 @@ def builtin_problems() -> dict[str, BuiltinProblem]:
                lambda n: balanced_verifier(n, n)),
     ]
     return {p.name: p for p in problems}
+
+
+# Old names whose code no workload command runs, loaded on first use (PEP 562).
+_DEFERRED = {"random_dual_pair": "quasiq.generators", "random_fixed_gap_base": "quasiq.generators",
+             "table_to_json": "quasiq.generators", "equalize_branch_lengths": "quasiq.generators",
+             "validate_dual_pair": "quasiq.harness.duals"}
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_DEFERRED[name]), name)

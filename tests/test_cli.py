@@ -333,29 +333,75 @@ def test_missing_table_file_is_a_spec_error(tmp_path, capsys, m):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("table", [
-    {"n": 2, "table": {}},
-    {"n": 2, "m": 2, "table": []},
-    {"n": 2, "m": 2, "table": {"00": "01"}},
-    {"n": 2, "m": 2, "table": {"00": [1]}},
-    {"n": 2, "m": 2, "table": {"0": []}},
-    {"n": 2, "m": 2, "table": {"00": ["0"]}},
-], ids=["no-m", "table-list", "row-string", "branch-int", "key-length", "branch-length"])
-def test_malformed_table_file_is_a_spec_error(tmp_path, capsys, table):
+_STRAY = "rejected by schema: the branches of input {row!r} are not all bit strings"
+# Each malformed table file and the one stderr line it gives. A key or branch
+# of the wrong length is reported for the first row that has one, a key before
+# a branch in the same row; labels with a stray character are found before any
+# length is checked.
+MALFORMED_TABLES = {
+    "no-m": ({"n": 2, "table": {}}, "rejected by schema: 'm' is a required property"),
+    "table-list": ({"n": 2, "m": 2, "table": []}, "rejected by schema: [] is not of type 'object'"),
+    "row-string": ({"n": 2, "m": 2, "table": {"00": "01"}},
+                   "rejected by schema: '01' is not of type 'array'"),
+    "branch-int": ({"n": 2, "m": 2, "table": {"00": [1]}}, _STRAY.format(row="00")),
+    "key-length": ({"n": 2, "m": 2, "table": {"0": []}},
+                   "rejected: table key '0' does not have length n = 2"),
+    "branch-length": ({"n": 2, "m": 2, "table": {"00": ["0"]}},
+                      "rejected: branch '0' does not have length m = 2"),
+    # int(label, 2) reads these three, but they are not bit strings
+    "plus-sign": ({"n": 2, "m": 3, "table": {"00": ["+1"]}}, _STRAY.format(row="00")),
+    "space": ({"n": 2, "m": 3, "table": {"00": ["011"], "01": [" 1"]}}, _STRAY.format(row="01")),
+    "underscore": ({"n": 2, "m": 3, "table": {"00": [], "01": ["100"], "10": ["1_0"]}},
+                   _STRAY.format(row="10")),
+    "null-item": ({"n": 2, "m": 2, "table": {"00": ["01"], "11": ["10", None]}},
+                  _STRAY.format(row="11")),
+    "list-item": ({"n": 2, "m": 2, "table": {"00": ["01", ["10"]]}}, _STRAY.format(row="00")),
+    "key-before-branch": ({"n": 2, "m": 2, "table": {"00": ["01"], "1": ["11"], "01": ["0"]}},
+                          "rejected: table key '1' does not have length n = 2"),
+    "branch-before-key": ({"n": 2, "m": 2, "table": {"00": ["0"], "1": []}},
+                          "rejected: branch '0' does not have length m = 2"),
+    "key-and-branch": ({"n": 2, "m": 2, "table": {"1": ["0"]}},
+                       "rejected: table key '1' does not have length n = 2"),
+    "stray-after-length": ({"n": 2, "m": 2, "table": {"0": [], "01": ["0"], "10": ["12"]}},
+                           _STRAY.format(row="10")),
+    "empty-branch": ({"n": 2, "m": 2, "table": {"00": [""]}},
+                     "rejected: branch '' does not have length m = 2"),
+    # the schema's ^[01]*$ lets a key end in a newline, as jsonschema matches it
+    "key-newline": ({"n": 2, "m": 2, "table": {"0\n": ["01"], "1": []}},
+                    "rejected: invalid literal for int() with base 10: '\\n'"),
+}
+BAD_TABLE_SPEC = {
+    "name": "bad-table",
+    "n": {"min": 2, "max": 2},
+    "verifier": {"kind": "table-file", "base": "base.json"},
+    "h": {"kind": "power", "M": 2, "t": {"a": 0, "b": 1}},
+    "dual": "derive-via-lemma",
+}
+
+
+def _run_table(tmp_path, capsys, table):
+    """verify at n = 2 on a lemma spec whose base is `table`."""
     (tmp_path / "base.json").write_text(json.dumps(table), encoding="utf-8")
-    spec = {
-        "name": "bad-table",
-        "n": {"min": 2, "max": 2},
-        "verifier": {"kind": "table-file", "base": "base.json"},
-        "h": {"kind": "power", "M": 2, "t": {"a": 0, "b": 0}},
-        "dual": "derive-via-lemma",
-    }
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
-    code, out, err = run_cli(capsys, "verify", "--problem", str(path), "--n", "2")
-    assert code == EXIT_USAGE
-    assert str(tmp_path / "base.json") in err and out == ""
-    assert "Traceback" not in err
+    path.write_text(json.dumps(BAD_TABLE_SPEC), encoding="utf-8")
+    return run_cli(capsys, "verify", "--problem", str(path), "--n", "2")
+
+
+@pytest.mark.parametrize("table, message", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES)
+def test_malformed_table_file_is_a_spec_error(tmp_path, capsys, table, message):
+    code, out, err = _run_table(tmp_path, capsys, table)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: table file {tmp_path / 'base.json'} {message}\n"
+
+
+def test_duplicate_branch_labels_are_valid(tmp_path, capsys):
+    """A label listed twice accepts its branch once: the output equals that of
+    the table with each label once."""
+    table = table_to_json(allzero_verifier(2))
+    once = _run_table(tmp_path, capsys, table)
+    twice = _run_table(tmp_path, capsys, {**table, "table": {
+        x: labels + labels[::-1] for x, labels in table["table"].items()}})
+    assert once == twice and once[0] == EXIT_OK
 
 
 @pytest.mark.parametrize("text, message", [
@@ -536,6 +582,57 @@ def run_fresh(code, *argv):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+# Modules that hold only code no workload command runs; each loads on first use.
+DEFERRED_MODULES = ("quasiq.reference", "quasiq.readers", "quasiq.generators",
+                    "quasiq.harness.duals")
+# Runs the CLI, then prints the loaded quasiq modules and their source lines.
+LOAD_PROBE = """
+import json, sys
+from quasiq.harness.cli import main
+code = main(sys.argv[1:])
+names = sorted(name for name in sys.modules if name.split(".")[0] == "quasiq")
+lines = sum(len(open(sys.modules[name].__file__).readlines()) for name in names)
+print(json.dumps({"modules": names, "lines": lines}))
+sys.exit(code)
+"""
+# Every quasiq module a command loaded held 3,404 lines before the code that
+# no workload command runs moved out; at 13 us of compiling per line without
+# cached bytecode, 250 lines are about 3 ms per command.
+LINES_BEFORE, LINES_MOVED_OUT = 3404, 250
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--problem", "allzero", "--input", "000", "--construction", "un", "--json"],
+    ["gap", "--problem", "parity", "--input", "0", "--json"],
+], ids=["simulate", "gap"])
+def test_a_command_loads_no_deferred_module(argv):
+    proc = run_fresh(LOAD_PROBE, *argv)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert not set(loaded["modules"]) & set(DEFERRED_MODULES)
+    assert loaded["lines"] <= LINES_BEFORE - LINES_MOVED_OUT
+
+
+@pytest.mark.parametrize("call, module", [
+    ("StateVector.basis(1, 0).apply(Gate.h(0))", "quasiq.reference"),
+    ("str(Amplitude(1, 1, 1))", "quasiq.reference"),
+    ("Amplitude(2, 0).div_exact(Amplitude(1, 1))", "quasiq.reference"),
+    ("verifierkit.random_dual_pair(1, 2, random.Random(0))", "quasiq.generators"),
+    ("verifierkit.builtin_problems()['random-table'].pair(1, random.Random(0))",
+     "quasiq.generators"),
+    ("Gate.from_json(Gate.h(0).to_json())", "quasiq.readers"),
+    ("verifierkit.validate_dual_pair(verifierkit.builtin_problems()['parity'].pair(1))",
+     "quasiq.harness.duals"),
+], ids=["apply", "str", "div-exact", "random-pair", "random-table", "reader", "duals"])
+def test_deferred_code_loads_on_first_use(call, module):
+    proc = run_fresh("import random, sys; from quasiq import verifierkit; "
+                     "from quasiq.exactnum import Amplitude; "
+                     "from quasiq.quasistate import Gate, StateVector; "
+                     f"print({module!r} in sys.modules); {call}; print({module!r} in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 @pytest.mark.parametrize("text", ["(" * 400 + "b[0]" + ")" * 400, "!" * 3000 + "b[0]",

@@ -13,7 +13,8 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from quasiq.harness.dsl import BinOp, Lit, Not, Parity, Ref, dsl_verifier, print_dsl
-from quasiq.quasistate import key_of
+from quasiq.quasistate import key_of, label_of
+from quasiq.readers import table_rows
 from quasiq.verifierkit import (
     HalfGapFunction,
     Verifier,
@@ -88,6 +89,34 @@ def test_table_masks_match_eval(case):
     v = table_verifier(n, m, rows)
     assert_masks_match(v)
     assert_masks_match(verifier_from_table_json(table_to_json(v)))
+
+
+def test_bulk_table_read_matches_a_label_by_label_read():
+    """verifier_from_table_json parses each distinct label once; its masks
+    must be the OR of 1 << int(label, 2) over each row's labels, repeats, empty
+    rows and missing rows included, and Verifier.eval must read the same bits.
+    The label-by-label fallback, table_rows, must give the same rows."""
+    rng = random.Random(16)
+    for _ in range(80):
+        n, m = rng.randint(0, 4), rng.randint(1, 6)
+        table = {}
+        for xkey in range(2**n):
+            if rng.random() < 0.2:
+                continue  # a missing row rejects every branch
+            count = rng.choice((0, 1, 3, 2**m, 2 ** (m + 1)))  # 2**(m+1) draws repeat labels
+            table[label_of(xkey, n)] = [label_of(rng.randrange(2**m), m) for _ in range(count)]
+        v = verifier_from_table_json({"n": n, "m": m, "table": table})
+        expected = {}
+        for xlabel, labels in table.items():
+            mask = 0
+            for label in labels:
+                mask |= 1 << int(label, 2)
+            expected[tuple(int(c) for c in xlabel)] = mask
+        assert table_rows(table, n, m) == expected
+        for x in product((0, 1), repeat=n):
+            assert v.accept_mask(x) == expected.get(x, 0), (n, m, x)
+            assert all(v.eval(x, b) == expected.get(x, 0) >> key_of(b) & 1
+                       for b in product((0, 1), repeat=m))
 
 
 def test_random_table_masks_match_eval():

@@ -319,6 +319,23 @@ def test_an_oracle_naming_a_missing_verifier_raises_key_error(verifiers):
         Gate.from_json(dump, verifiers)
 
 
+@pytest.mark.parametrize("dump, message", [
+    ({"kind": "N", "wires": [0], "param": {}}, "N takes an Amplitude parameter, got {}"),
+    ({"kind": "NINV", "wires": [0], "param": {"c0": "1", "c1": "0"}},
+     "NINV takes an Amplitude parameter, got {'c0': '1', 'c1': '0'}"),
+    ({"kind": "ORACLE", "wires": [0, 1, 2, 3], "param": {"verifier": "probe"}},
+     "ORACLE takes a (verifier, int) parameter, got {'verifier': 'probe'}"),
+    ({"kind": "ORACLE", "wires": [0, 1, 2, 3], "param": {"n_input_wires": 1}},
+     "ORACLE takes a (verifier, int) parameter, got {'n_input_wires': 1}"),
+], ids=["n-empty", "ninv-no-e", "oracle-no-width", "oracle-no-name"])
+def test_a_param_missing_a_field_is_a_value_error_naming_the_kind(dump, message):
+    """A dict param that lacks a field is refused as a param of the wrong type
+    is, not with the decoder's KeyError; a verifier name that the reader was
+    not given stays a KeyError (above)."""
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        Gate.from_json(dump, verifiers={"probe": PROBE})
+
+
 # kind, wires, controls, param, its JSON form, the error and its message.
 MALFORMED_GATES = {
     "unknown-kind": ("Y", (0,), (), None, None, ValueError, "unknown gate kind 'Y'"),
