@@ -76,15 +76,17 @@ class SimulationInvariantError(RuntimeError):
 class Circuit:
     """Gate list on named registers, with labeled checkpoint positions. A child
     circuit starts with its parent's gates, on the same wires plus extra ones
-    last; `last` is (x key, numerator terms, k) after the circuit's last run.
-    Circuits are equal when all but parent and last are."""
+    last. A circuit that `forks` is one that children start from (un and wn),
+    and only such a circuit keeps `last`, (x key, numerator terms, k) after
+    its last run. Circuits are equal when all but parent, forks and last are."""
 
-    __slots__ = ("width", "registers", "gates", "checkpoints", "parent", "last")
+    __slots__ = ("width", "registers", "gates", "checkpoints", "parent", "forks", "last")
 
     def __init__(self, width: int, registers: dict[str, tuple[int, int]], gates: tuple[Gate, ...],
-                 checkpoints: tuple[tuple[str, int], ...] = (), parent: Circuit | None = None):
+                 checkpoints: tuple[tuple[str, int], ...] = (), parent: Circuit | None = None,
+                 forks: bool = False):
         self.width, self.registers, self.gates = width, registers, gates
-        self.checkpoints, self.parent, self.last = checkpoints, parent, None
+        self.checkpoints, self.parent, self.forks, self.last = checkpoints, parent, forks, None
         labels = [label for label, _ in self.checkpoints]
         if len(labels) != len(set(labels)):
             raise ValueError("checkpoint labels must be unique")
@@ -171,7 +173,8 @@ def simulate_circuit(circuit: Circuit, x_bits, record=False) -> tuple[StateVecto
         snapshot = state.to_state()
         for label in by_position.get(stop, ()):
             captured[label] = snapshot
-    circuit.last = (xkey, state.terms, state.k)
+    if circuit.forks:
+        circuit.last = (xkey, state.terms, state.k)
     return snapshot, captured
 
 
@@ -237,7 +240,7 @@ def _built(pair: DualVerifierPair, build, *args) -> Circuit:
 
 
 def _chain(parent: Circuit | None, width: int, registers: dict[str, tuple[int, int]],
-           segments, checkpoints=()) -> Circuit:
+           segments, checkpoints=(), forks=False) -> Circuit:
     """The parent's gates, then each (gates, label) segment in turn, with
     checkpoint `label` where its segment ends (an empty segment labels the
     fork); `checkpoints` come first, at positions already counted."""
@@ -246,7 +249,7 @@ def _chain(parent: Circuit | None, width: int, registers: dict[str, tuple[int, i
     for segment, label in segments:
         gates.extend(segment)
         checkpoints.append((label, len(gates)))
-    return Circuit(width, registers, tuple(gates), tuple(checkpoints), parent)
+    return Circuit(width, registers, tuple(gates), tuple(checkpoints), parent, forks)
 
 
 def build_un(pair: DualVerifierPair, n: int) -> Circuit:
@@ -264,7 +267,7 @@ def build_un(pair: DualVerifierPair, n: int) -> Circuit:
         ([*b_layer, Gate.h(c), *oracles], "psi_1"),
         (b_layer, "psi_2"),
         ([Gate.h(a)], "psi_3"),
-    ))
+    ), forks=True)
 
 
 def _success_flag(un: Circuit) -> Gate:
@@ -315,7 +318,7 @@ def build_wn(pair: DualVerifierPair, n: int) -> Circuit:
         ([_success_flag(un)], "phi_2"),
         ([Gate.s(s)], "phi_3"),
         ([*uncompute, Gate.cnot(s, a)], "phi_4"),
-    ))
+    ), forks=True)
 
 
 def _decider_tail(pair: DualVerifierPair, n: int, scaling: list[Gate]) -> Circuit:

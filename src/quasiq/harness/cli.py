@@ -84,21 +84,23 @@ def _parse_input(text: str, n: int | None) -> tuple[int, ...]:
     return tuple(int(ch) for ch in text)
 
 
-def _m_hint(spec_or_name: ProblemSpec | str, n: int) -> int:
-    """Branching length without building any verifier (guardrail precheck)."""
+def _m_hint(spec_or_name: ProblemSpec | str, n: int, tables: dict) -> int:
+    """Branching length without building any verifier (guardrail precheck);
+    a table file read for it goes into `tables`, by path, for resolve_problem."""
     if isinstance(spec_or_name, str):
         return builtin_entry(spec_or_name).m_of(n)
     spec = spec_or_name
     source = spec.verifier
     if source["kind"] == "builtin":
-        return _m_hint(source["name"], n)
+        return builtin_entry(source["name"]).m_of(n)
     extra = 1 if spec.dual == "derive-via-lemma" else 0
     declared = spec.m_of(n)
     if declared is not None:
         return declared + extra
     # table-file without an explicit m: the file header carries it
-    ref = source.get("base") or source.get("v0")
-    return int(read_table_file(spec.table_path(ref))["m"]) + extra
+    path = spec.table_path(source.get("base") or source.get("v0"))
+    tables[path] = read_table_file(path)
+    return int(tables[path]["m"]) + extra
 
 
 def _load(args, inputs=None) -> ResolvedProblem:
@@ -113,12 +115,13 @@ def _load(args, inputs=None) -> ResolvedProblem:
     spec_or_name = ref if ref in builtin_problems() else load_problem_file(ref)
     if isinstance(spec_or_name, ProblemSpec):
         spec_or_name.check_n(n)  # before _m_hint opens any table file
-    m = _m_hint(spec_or_name, n)
+    tables: dict = {}
+    m = _m_hint(spec_or_name, n, tables)
     if n + m > DESK_SCALE_LIMIT and not args.force_large:
         raise SpecError(
             f"n + m = {n + m} exceeds the desk-scale limit "
             f"{DESK_SCALE_LIMIT}; pass --force-large to override")
-    return resolve_problem(spec_or_name, n, seed=args.seed, inputs=inputs)
+    return resolve_problem(spec_or_name, n, seed=args.seed, inputs=inputs, tables=tables)
 
 
 def _h_value(resolved: ResolvedProblem, corrupt: bool) -> int:

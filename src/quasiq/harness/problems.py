@@ -402,12 +402,14 @@ def _resolve_builtin(entry: BuiltinProblem, n: int, seed: int | None,
 
 
 def resolve_problem(spec_or_name: ProblemSpec | str, n: int, seed: int | None = None,
-                    inputs: list[Bits] | None = None) -> ResolvedProblem:
+                    inputs: list[Bits] | None = None,
+                    tables: dict | None = None) -> ResolvedProblem:
     """Instantiate a problem (builtin name or loaded spec) at input size n.
 
     A pair derived through the half-gap lemma has the lemma's promise and
     postcondition checked at every input, or only at `inputs` when given (for
-    a caller that will run just those; see make_dual_lwpp).
+    a caller that will run just those; see make_dual_lwpp). A table file
+    already read is taken from `tables`, by path.
     """
     if isinstance(spec_or_name, str):
         return _resolve_builtin(builtin_entry(spec_or_name), n, seed, inputs)
@@ -430,7 +432,7 @@ def resolve_problem(spec_or_name: ProblemSpec | str, n: int, seed: int | None = 
             m = spec.m_of(n)
             return dsl_verifier(ref, n, m, name=f"{spec.name}-{key}")
         path = spec.table_path(ref)
-        obj = read_table_file(path)
+        obj = tables[path] if tables and path in tables else read_table_file(path)
         try:
             verifier = verifier_from_table_json(obj, name=f"{spec.name}-{key}")
         except ValueError as exc:  # a key or branch of the wrong length

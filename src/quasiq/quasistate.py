@@ -15,19 +15,21 @@ when it is made, and Gate.inverse, the JSON form and the kernel read it.
 Circuits run on a private kernel over integer numerators with one shared
 power of sqrt(2) (_NumeratorState, at the end of this module). Its one entry
 point, `run`, applies a gate list: each run of H gates that share their
-controls and act on distinct wires as one unnormalized Walsh-Hadamard layer
-on dense integer lists, one group of terms at a time, and every other gate
-through its kind's family method. StateVector.apply is the per-gate
-reference the kernel is tested against; its code is in quasiq.reference.
+controls and act on distinct wires as one unnormalized Walsh-Hadamard layer,
+butterflied on the packed lanes of one int (_butterflies), each run of equal
+B, G or A gates as one diagonal pass, and every other gate through its kind's
+family method. StateVector.apply is the per-gate reference the kernel is
+tested against; its code is in quasiq.reference.
 """
 from __future__ import annotations
 
+import struct
 from collections import namedtuple
-from itertools import compress
-from operator import add, neg, or_, sub
+from itertools import compress, repeat
+from operator import or_
 from typing import Iterable, Iterator
 
-from quasiq.exactnum import HALF, ONE, ZERO, Amplitude, ExactDivisionError
+from quasiq.exactnum import ONE, ZERO, Amplitude, ExactDivisionError
 
 
 class WireError(ValueError):
@@ -442,6 +444,12 @@ class _NumeratorState:
     Gates then cost integer adds and multiplies only; Amplitudes, and their
     canonical form, are built only when `to_state` is asked for one.
     StateVector.apply is the reference this kernel must agree with exactly.
+
+    A layer packs a group's entries into the w-bit lanes of one int, lane i
+    holding v[i] + 2**(w-1), with w >= bits(max|v|) + L + 1 for L layer wires.
+    L butterflies at most double an entry L times, so every lane of every
+    result lies in [0, 2**w): an int made of such lanes is their exact sum, so
+    however whole ints add and subtract, no lane borrows from its neighbour.
     """
 
     __slots__ = ("width", "terms", "k")
@@ -468,71 +476,70 @@ class _NumeratorState:
 
     def run(self, gates) -> None:
         """Apply `gates` in order: each run of H gates that share their controls
-        and act on distinct wires as one layer, any other gate by its family."""
+        and act on distinct wires as one layer, each run of t equal B, G or A
+        gates as one diagonal pass with p**t, any other gate by its family."""
         i, end = 0, len(gates)
         while i < end:
             gate = gates[i]
             i += 1
             cmask, cval = gate.control_mask(self.width)
-            if gate.kind != "H":
+            if gate.kind == "H":
+                wires = [gate.wires[0]]
+                while (i < end and gates[i].kind == "H" and gates[i].controls == gate.controls
+                       and gates[i].wires[0] not in wires):
+                    gates[i].control_mask(self.width)  # the wire-range check
+                    wires.append(gates[i].wires[0])
+                    i += 1
+                self._hadamards(wires, cmask, cval)
+            elif gate.kind in ("B", "G", "A"):  # N and the inverse kinds: one pass a gate
+                start = i
+                while i < end and gates[i] == gate:
+                    i += 1
+                self._diag(gate, cmask, cval, i - start + 1)
+            else:
                 getattr(self, _KINDS[gate.kind].family)(gate, cmask, cval)
-                continue
-            wires = [gate.wires[0]]
-            while (i < end and gates[i].kind == "H" and gates[i].controls == gate.controls
-                   and gates[i].wires[0] not in wires):
-                gates[i].control_mask(self.width)  # the wire-range check
-                wires.append(gates[i].wires[0])
-                i += 1
-            self._hadamards(wires, cmask, cval)
 
     def _hadamards(self, wires: list[int], cmask: int, cval: int) -> None:
         """H on each of the distinct `wires`: one unnormalized Walsh-Hadamard
-        transform of size 2**L per group of terms that agree off the layer
-        wires, on two dense lists for one group at a time. The 1/sqrt2**L goes
-        into k, so a term that fails the controls is multiplied by sqrt2**L
-        instead."""
+        transform per group of terms that agree off the key bits from the
+        lowest to the highest layer wire, on a dense list indexed by those bits
+        (so far-apart wires cost many slots). The 1/sqrt2**L goes into k, so a
+        term that fails the controls is multiplied by sqrt2**L instead."""
         size = len(wires)
         half = size >> 1
-        runs = self._runs(tuple(sorted(wires)))
-        layer = sum(low << shift for shift, low, _ in runs)
-        # place[i]: the layer-wire bits of a key whose dense index is i, built
-        # one run of adjacent wires at a time from the lowest index bits up. It
-        # has 2**L entries and lives for this call only.
-        place = None
-        for shift, low, _ in runs:
-            high = range(0, (low + 1) << shift, 1 << shift)
-            place = high if place is None else [h | p for h in high for p in place]
+        shifts = [self.width - 1 - w for w in wires]
+        lo = min(shifts)
+        span = (2 << max(shifts) - lo) - 1
+        layer = sum(1 << s - lo for s in shifts)
+        outside = ~(span << lo)
         terms = self.terms
         out = {}
         groups: dict[int, list[int]] = {}
-        rest_mask = ~layer
         for key, (a0, a1) in terms.items():
             if key & cmask != cval:
                 out[key] = (a1 << (half + 1), a0 << half) if size & 1 else (a0 << half, a1 << half)
-                continue
-            group = groups.get(key & rest_mask)
-            if group is None:
-                groups[key & rest_mask] = [key]
+            elif key & outside in groups:
+                groups[key & outside].append(key)
             else:
-                group.append(key)
-        indices = range(len(place))
+                groups[key & outside] = [key]
+        count = span + 1
         for rest, keys in groups.items():
-            c0 = [0] * len(place)
-            c1 = [0] * len(place)
-            ones, zeros = -1, -1  # index bits that are 1, or 0, in every term
+            c0 = [0] * count
+            c1 = [0] * count
             for key in keys:
-                index = 0
-                for shift, low, up in runs:
-                    index |= (key >> shift & low) << up
-                c0[index], c1[index] = terms[key]
-                ones &= index
-                zeros &= ~index
-            c0 = nonzero = _walsh_hadamard(c0, size, ones, zeros)
-            if any(c1):
-                c1 = _walsh_hadamard(c1, size, ones, zeros)
-                nonzero = map(or_, c0, c1)
-            for index in compress(indices, nonzero):
-                out[rest | place[index]] = c0[index], c1[index]
+                i = key >> lo & span
+                c0[i], c1[i] = terms[key]
+            if any(c1):  # c0 and c1 side by side, the top index bit outside the layer
+                c0 += c1
+                both = _butterflies(c0, layer)
+                c0, c1 = both[:count], both[count:]
+                nonzero = list(map(or_, c0, c1))
+            else:
+                c1 = repeat(0)  # the zeros go before the transform's lists come
+                c0 = nonzero = _butterflies(c0, layer)
+            # Index i is key rest | i << lo; only nonzero entries go back.
+            out.update(zip(compress(range(rest, rest + (count << lo), 1 << lo), nonzero),
+                           compress(zip(c0, c1), nonzero)))
         self.terms = out
         self.k += size
 
@@ -557,13 +564,13 @@ class _NumeratorState:
                 del terms[target]
         self.terms = terms
 
-    def _diag(self, gate: Gate, cmask: int, cval: int) -> None:
-        """diag(p**sign, 1): multiply the |0> branch by p, or divide it exactly
-        by p for an inverse kind; powers of two go into k. p is 1/2 for B, the
-        integer parameter for G and A, and the Amplitude for N."""
-        p = gate.param if _KINDS[gate.kind].param else HALF  # B takes no parameter
-        if not isinstance(p, Amplitude):
-            p = Amplitude(p, 0, 0)
+    def _diag(self, gate: Gate, cmask: int, cval: int, power: int = 1) -> None:
+        """diag(p**sign, 1), `power` times (above 1 only for B, G and A): multiply
+        the |0> branch by p**power, or divide it exactly by p for an inverse kind,
+        with powers of two in k. p is 1/2 for B, G's and A's integer, N's Amplitude."""
+        p = gate.param
+        if not isinstance(p, Amplitude):  # B's 1/2, or the integer of G or A
+            p = Amplitude(1, 0, power) if p is None else Amplitude(p ** power, 0, 0)
         if _KINDS[gate.kind].sign < 0:
             u0, u1, odd, shift = p.reciprocal()
         else:
@@ -590,98 +597,81 @@ class _NumeratorState:
         self.terms = out
         self.k += 2 * lift
 
-    def _key_map(self, gate: Gate):
-        """The basis-key map of X, PERM, ORACLE or a projector (None drops
-        the term); the numerators are untouched."""
-        kind = gate.kind
+    def _move(self, gate: Gate, cmask: int, cval: int) -> None:
+        """Relabel the keys that pass the controls: X flips a wire, PERM moves
+        bits, a projector drops keys and ORACLE flips its target where the accept
+        mask of the x wires' value, looked up once per value, has the b wires'
+        bit set. No key map moves a control wire or merges two keys (Gate
+        checks that when it is made), so no numerator changes."""
+        terms, kind = self.terms, gate.kind
+        m = self._mask(gate.wires[-1])
         if kind == "X":
-            m = self._mask(gate.wires[0])
-            return lambda key: key ^ m
-        if kind.startswith("PROJ"):
-            m = self._mask(gate.wires[0])
+            self.terms = {k ^ m if k & cmask == cval else k: v for k, v in terms.items()}
+        elif kind.startswith("PROJ"):
             want = m if kind == "PROJ1" else 0
-            return lambda key: key if key & m == want else None
-        if kind == "PERM":
-            shift = [(self._mask(s), self._mask(d)) for s, d in zip(gate.wires, gate.param)]
-            moved = 0
-            for s, _ in shift:
-                moved |= s
+            self.terms = {k: v for k, v in terms.items() if k & m == want or k & cmask != cval}
+        elif kind == "PERM":
+            pairs = [(self._mask(s), self._mask(d)) for s, d in zip(gate.wires, gate.param)]
+            kept = ~sum(s for s, _ in pairs)
 
             def permute(key: int) -> int:
-                new = key & ~moved
-                for s, d in shift:
+                new = key & kept
+                for s, d in pairs:
                     if key & s:
                         new |= d
                 return new
 
-            return permute
-        # ORACLE: the verifier's accept mask for the x wires' value, looked up once
-        # per distinct value; the b wires' value is the bit to test in it.
-        verifier, nx = gate.param
-        xs = [self.width - 1 - w for w in gate.wires[:nx]]
-        x_mask = sum(1 << s for s in xs)
-        runs = self._runs(gate.wires[nx:-1])
-        flip = self._mask(gate.wires[-1])
-        masks: dict[int, int] = {}
-
-        def oracle(key: int) -> int:
-            x_value = key & x_mask
-            accept = masks.get(x_value)
-            if accept is None:
-                accept = masks[x_value] = verifier.accept_mask(
-                    tuple((key >> s) & 1 for s in xs))
-            branch = 0
-            for shift, low, up in runs:
-                branch |= (key >> shift & low) << up
-            return key ^ flip if accept >> branch & 1 else key
-
-        return oracle
-
-    def _runs(self, wires: tuple[int, ...]) -> list[tuple[int, int, int]]:
-        """Read the bits on `wires` as a big-endian integer in one shift and
-        mask per run of adjacent wires: the sum over the returned (shift,
-        low, up) of (key >> shift & low) << up."""
-        runs = []
-        end = len(wires)
-        while end:
-            start = end - 1
-            while start and wires[start - 1] == wires[start] - 1:
-                start -= 1
-            length = end - start
-            runs.append((self.width - 1 - wires[end - 1], (1 << length) - 1,
-                         len(wires) - end))
-            end = start
-        return runs
-
-    def _move(self, gate: Gate, cmask: int, cval: int) -> None:
-        """Relabel the keys that pass the controls by the gate's key map. Every
-        key map is injective and leaves the control wires alone (Gate checks
-        that when it is made), so no two terms meet and none needs adding."""
-        key_map = self._key_map(gate)
-        out: dict[int, tuple[int, int]] = {}
-        for key, value in self.terms.items():
-            if key & cmask == cval:
-                key = key_map(key)
-                if key is None:
-                    continue
-            out[key] = value
-        self.terms = out
-
-
-def _walsh_hadamard(v: list[int], passes: int, ones: int, zeros: int) -> list[int]:
-    """The unnormalized transform H^{(x)passes} of v (length 2**passes), in
-    natural index order: pass p butterflies index bit p, which a perfect
-    shuffle has brought to the bottom, and moves it to the top (Fino and
-    Algazi, 1976). Where bit p is 1 (in `ones`) or 0 (in `zeros`) on every
-    nonzero entry, half the pairs are zero and the pass only copies."""
-    for p in range(passes):
-        if zeros >> p & 1:
-            e = v[0::2]
-            v = [*e, *e]
-        elif ones >> p & 1:
-            o = v[1::2]
-            v = [*o, *map(neg, o)]
+            self.terms = {permute(k) if k & cmask == cval else k: v for k, v in terms.items()}
         else:
-            e, o = v[0::2], v[1::2]
-            v = [*map(add, e, o), *map(sub, e, o)]
-    return v
+            verifier, nx = gate.param
+            xs = [self.width - 1 - w for w in gate.wires[:nx]]
+            x_mask = sum(1 << s for s in xs)
+            b = gate.wires[nx:-1]
+            lo = self.width - 1 - max(b)
+            span = (2 << max(b) - min(b)) - 1
+            accepts = {}
+            for x_value in {k & x_mask for k in terms if k & cmask == cval}:
+                accept = verifier.accept_mask(tuple(x_value >> s & 1 for s in xs))
+                if b != tuple(range(b[0], b[-1] + 1)):  # index the mask by the bits of b's span
+                    accept = sum(1 << i for i in range(span + 1) if accept >> key_of(
+                        i << lo >> self.width - 1 - w & 1 for w in b) & 1)
+                accepts[x_value] = accept
+            self.terms = {k ^ m if k & cmask == cval and accepts[k & x_mask] >> (k >> lo & span) & 1
+                          else k: v for k, v in terms.items()}
+
+
+def _butterflies(v: list[int], layer: int) -> tuple[int, ...]:
+    """The unnormalized Walsh-Hadamard transform of v (its length a power of
+    two) on the index bits set in `layer` (Fino and Algazi, 1976), on v packed
+    as the biased lanes of one int (SIMD within a register: Fisher and Dietz,
+    1998; _NumeratorState has the lane-width rule). Each bit is one butterfly
+    on all lanes, e = b & m; o = b >> sh & m; b = (e + o - t) | (e - o + t) << sh:
+    m covers the lanes whose index has the bit clear, which take the sums, sh
+    shifts a lane onto its partner and t is the bias in m's lanes. Each mask
+    is built for its pass from a repeated byte pattern."""
+    count = len(v)
+    top = max(max(v), -min(v)).bit_length() + layer.bit_count() + 1
+    size = -(-top // 8)  # bytes a lane
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
+    fmt = f"<{count}{'bhiq'[size.bit_length() - 1]}" if size <= 8 else None  # struct's codes
+    # A two's-complement lane is biased by flipping its top bit.
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    packed = struct.pack(fmt, *v) if fmt else b"".join(
+        x.to_bytes(size, "little", signed=True) for x in v)
+    b = int.from_bytes(packed, "little") ^ bias
+    ones, zeros = b"\xff" * size, bytes(size)
+    for bit in range(layer.bit_length()):
+        if layer >> bit & 1:
+            run = 1 << bit
+            m = int.from_bytes((ones * run + zeros * run) * (count >> bit + 1), "little")
+            t = bias & m
+            sh = 8 * size * run
+            e = b & m
+            o = b >> sh & m
+            b = (e + o - t) | (e - o + t) << sh
+    packed = (b ^ bias).to_bytes(count * size, "little")
+    if fmt:
+        return struct.unpack(fmt, packed)
+    return tuple(int.from_bytes(packed[i:i + size], "little", signed=True)
+                 for i in range(0, len(packed), size))

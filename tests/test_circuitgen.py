@@ -550,8 +550,9 @@ def test_a_tail_that_starts_with_a_shear_leaves_the_parent_state_alone(head):
     """S and D change their terms in place no more than any other gate: a
     child of the same width shares its parent's final terms, and neither the
     parent's record nor a second child's run sees the first child's gates."""
-    parent = Circuit(4, {"x": (0, 2)}, (Gate.h(2), Gate.h(3), Gate.cnot(0, 2)))
-    first = Circuit(4, parent.registers, parent.gates + (head, Gate.h(1)), parent=parent)
+    parent = Circuit(4, {"x": (0, 2)}, (Gate.h(2), Gate.h(3), Gate.cnot(0, 2)), forks=True)
+    first = Circuit(4, parent.registers, parent.gates + (head, Gate.h(1)), parent=parent,
+                    forks=True)
     second = Circuit(4, parent.registers, parent.gates + (Gate.x(3),), parent=parent)
     x = (1, 0)
     parent_final, _ = simulate_circuit(parent, x)

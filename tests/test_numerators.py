@@ -25,6 +25,7 @@ from quasiq.quasistate import (
     StateVector,
     WireError,
     _NumeratorState,
+    _butterflies,
     bits_of,
     key_of,
 )
@@ -423,3 +424,159 @@ def test_a_run_of_hadamards_is_one_kernel_call(monkeypatch):
     calls.clear()
     simulate_circuit(circuit, x, record=True)
     assert calls == [sorted(b + (c,)), list(b), [a]]
+
+
+# -- the packed butterflies --------------------------------------------------------
+
+
+def butterflies_reference(v, layer):
+    """The transform _butterflies computes, one pair of entries at a time."""
+    v = list(v)
+    for bit in range(len(v).bit_length()):
+        step = 1 << bit
+        if layer & step:
+            for i in range(len(v)):
+                if not i & step:
+                    v[i], v[i | step] = v[i] + v[i | step], v[i] - v[i | step]
+    return v
+
+
+@st.composite
+def butterfly_cases(draw):
+    """(v, layer): a list of 2**size entries and a random subset of its index
+    bits. Entries lie near a lane-width boundary, that of 8-, 16-, 32- and
+    64-bit lanes once the layer's growth is counted, or near 2**100, or are 0."""
+    size = draw(st.integers(0, 7))
+    layer = draw(st.integers(0, 2**size - 1))
+    bits = layer.bit_count()
+    near = st.sampled_from([max(top - bits, 0) for top in (7, 15, 31, 63)] + [100]).flatmap(
+        lambda e: st.integers(2**e - 2, 2**e + 2))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), near, near.map(lambda x: -x))
+    v = draw(st.one_of(st.lists(entry, min_size=2**size, max_size=2**size),
+                       st.just([0] * 2**size)))
+    return v, layer
+
+
+@settings(max_examples=400, deadline=None)
+@given(butterfly_cases())
+def test_butterflies_match_the_pairwise_reference(case):
+    v, layer = case
+    assert _butterflies(v, layer) == tuple(butterflies_reference(v, layer))
+
+
+@settings(max_examples=200, deadline=None)
+@given(butterfly_cases(), st.data())
+def test_butterflies_on_c0_and_c1_side_by_side_transform_each(case, data):
+    """The layer keeps c0 and c1 in one list, the top index bit outside it."""
+    c0, layer = case
+    c1 = data.draw(st.lists(st.sampled_from(c0 + [0, 1, -1]), min_size=len(c0), max_size=len(c0)))
+    assert _butterflies(c0 + c1, layer) == tuple(butterflies_reference(c0, layer)
+                                                 + butterflies_reference(c1, layer))
+
+
+def check_one_run_against_reference(width, key, gates):
+    """Run `gates` as one list, so that runs of H or of equal diagonal gates
+    form layers and fused passes, and compare with StateVector.apply."""
+    kernel = _NumeratorState(width, key)
+    kernel.run(gates)
+    assert kernel.to_state() == reference_states(width, key, gates)[-1]
+
+
+@pytest.mark.parametrize("controls", [((2, 1),), ((2, 0),), ((2, 1), (5, 0)), ((0, 1), (2, 0))],
+                         ids=["inside", "inside-0", "inside-and-after", "before-and-inside"])
+def test_controlled_layers_match_the_reference(controls):
+    """A layer on wires 1, 3 and 4 spans wires 1 to 4, so a control on wire 2
+    lies inside the span: the terms that pass it are transformed, the others
+    scaled by sqrt2**3."""
+    width = 6
+    layer = [Gate.h(w, controls) for w in (3, 1, 4)]
+    for key in (0, 0b101101, 0b010010, 0b111111):
+        check_one_run_against_reference(width, key, spread(width) + layer)
+        check_one_run_against_reference(width, key, spread(width) + layer[:2] + [Gate.x(2)] + layer)
+
+
+def test_a_layer_with_c1_terms_and_large_numerators_matches_the_reference():
+    gates = [Gate.h(0), Gate.n(0, Amplitude(3, 5, 0)), Gate.g(1, 2**40), Gate.h(1),
+             Gate.n(1, Amplitude(-7, 2**70, 1))] + [Gate.h(w) for w in range(4)]
+    check_one_run_against_reference(4, 0b0110, gates)
+
+
+FUSED_RUNS = {
+    "B": [Gate.b(1)] * 3,
+    "B-then-other-wire": [Gate.b(1)] * 2 + [Gate.b(2)] * 2 + [Gate.b(1)],
+    "B-then-other-control": [Gate.b(1)] * 2 + [Gate.b(1, ((0, 1),))] * 2 + [Gate.b(1, ((0, 0),))],
+    "G": [Gate.g(2, 3)] * 4,
+    "G-then-other-parameter": [Gate.g(2, 3)] * 2 + [Gate.g(2, -2)] * 3 + [Gate.g(2, 3)],
+    "G-zero": [Gate.g(2, 0)] * 2,
+    "A": [Gate.a(0, 5, ((3, 1),))] * 3 + [Gate.g(0, 5, ((3, 1),))],
+    "inverse": [Gate.b(1).inverse()] * 2 + [Gate.g(1, 3)] * 2 + [Gate.g(1, 3).inverse()] * 2,
+    "AINV-fails": [Gate.a(2, 9)] + [Gate.a(2, 3).inverse()] * 3,
+    "N": [Gate.n(1, Amplitude(1, 1, 1))] * 3 + [Gate.n(1, Amplitude(1, 1, 1)).inverse()] * 2,
+    "between-layers": [Gate.h(0), Gate.h(1)] + [Gate.b(0)] * 2 + [Gate.h(0), Gate.h(1)],
+}
+
+
+@pytest.mark.parametrize("gates", FUSED_RUNS.values(), ids=FUSED_RUNS)
+def test_fused_diagonal_runs_match_one_gate_at_a_time(monkeypatch, gates):
+    """A run of t equal B, G or A gates is one pass with p**t, and leaves the
+    terms and k of t passes; N and the inverse kinds stay one pass a gate."""
+    width = 4
+    passes = []
+    diag = _NumeratorState._diag
+
+    def counting(self, gate, cmask, cval, power=1):
+        passes.append(power)
+        diag(self, gate, cmask, cval, power)
+
+    for key in (0, 0b1010, 0b0111):
+        check_run_against_gate_by_gate(width, key, spread(width) + gates)
+        if not any(g.kind == "AINV" for g in gates):
+            check_one_run_against_reference(width, key, spread(width) + gates)
+    monkeypatch.setattr(_NumeratorState, "_diag", counting)
+    _NumeratorState(width, 0b1111).run(gates)  # every wire is 1: no gate divides
+    expected = []
+    for gate, previous in zip(gates, [None] + gates):
+        if gate.kind in ("B", "G", "A") and gate == previous:
+            expected[-1] += 1
+        elif gate.kind in _KINDS and _KINDS[gate.kind].family == "_diag":
+            expected.append(1)
+    assert passes == expected
+
+
+class CountingVerifier(Verifier):
+    """A verifier that records the inputs its accept mask is asked for."""
+
+    def accept_mask(self, x):
+        self.asked.append(x)
+        return super().accept_mask(x)
+
+
+@pytest.mark.parametrize("x_wires, b_wires, target, controls", [
+    ((0, 1), (2, 3, 4), 5, ()),
+    ((0, 5), (1, 3, 4), 2, ((6, 1),)),
+    ((6, 0), (4, 1, 5), 3, ()),
+    ((3,), (6, 0, 4), 1, ((2, 0), (5, 1))),
+], ids=["adjacent", "gapped", "out-of-order", "spread"])
+def test_oracle_looks_up_one_mask_per_x_value(x_wires, b_wires, target, controls):
+    """An ORACLE on a state with several x values, on adjacent and on
+    non-adjacent or unordered b wires, matches the reference, and asks for
+    one accept mask per x value among the terms that pass its controls."""
+    rng = random.Random(5)
+    nx = len(x_wires)
+    table = {x: frozenset(b for b in range(8) if rng.getrandbits(1))
+             for x in itertools.product((0, 1), repeat=nx)}
+    plain = table_verifier(nx, 3, table, name="table")
+    verifier = CountingVerifier(nx, 3, plain.eval_fn, name="counting", mask_fn=plain.mask_fn)
+    verifier.asked = []
+    width = 7
+    gate = Gate.oracle(verifier, x_wires, b_wires, target, controls)
+    for key in (0, 0b1011001):
+        check_against_reference(width, key, spread(width) + [gate])
+        state = _NumeratorState(width, key)
+        state.run(spread(width))
+        cmask, cval = gate.control_mask(width)
+        xs = {tuple(key >> (width - 1 - w) & 1 for w in x_wires)
+              for key in state.terms if key & cmask == cval}
+        verifier.asked.clear()
+        state.run([gate])
+        assert sorted(verifier.asked) == sorted(xs) and len(xs) > 1
