@@ -535,7 +535,7 @@ class _NumeratorState:
                 c0, c1 = both[:count], both[count:]
                 nonzero = list(map(or_, c0, c1))
             else:
-                c1 = repeat(0)  # the zeros go before the transform's lists come
+                c1 = repeat(0)  # frees the zero list before the transform allocates
                 c0 = nonzero = _butterflies(c0, layer)
             # Index i is key rest | i << lo; only nonzero entries go back.
             out.update(zip(compress(range(rest, rest + (count << lo), 1 << lo), nonzero),
