@@ -77,8 +77,8 @@ class Circuit:
     """Gate list on named registers, with labeled checkpoint positions. A child
     circuit starts with its parent's gates, on the same wires plus extra ones
     last. A circuit that `forks` is one that children start from (un and wn),
-    and only such a circuit keeps `last`, (x key, numerator terms, k) after
-    its last run. Circuits are equal when all but parent, forks and last are."""
+    and only such a circuit keeps `last`, (x key, kernel state, final state)
+    after its last run. Circuits are equal when all but parent, forks and last are."""
 
     __slots__ = ("width", "registers", "gates", "checkpoints", "parent", "forks", "last")
 
@@ -152,21 +152,19 @@ def simulate_circuit(circuit: Circuit, x_bits, record=False) -> tuple[StateVecto
         if label in wanted:
             by_position.setdefault(pos, []).append(label)
 
-    # Gates run on integer numerators, one segment between recorded
-    # checkpoints at a time; StateVectors are built only at the end of each
-    # segment. A child run on the x its parent last ran on, with no recorded
-    # checkpoint before the fork, starts from the parent's final terms,
-    # shared, as no gate changes a terms dict in place.
+    # The kernel runs one segment between recorded checkpoints at a time. A
+    # child run on the x its parent last ran on, with no recorded checkpoint
+    # before the fork, starts from the parent's final state (kernel.fork).
     xkey = key_of(x_bits)
-    state = _NumeratorState(circuit.width, xkey << (circuit.width - n))
-    captured: dict[str, StateVector] = {}
     gates, start, parent = circuit.gates, 0, circuit.parent
     if (parent and parent.last and parent.last[0] == xkey
             and min(by_position, default=len(gates)) >= len(parent.gates)):
-        _, terms, state.k = parent.last
-        lift = circuit.width - parent.width
-        state.terms = {key << lift: value for key, value in terms.items()} if lift else terms
         start = len(parent.gates)
+    state = _NumeratorState(circuit.width, xkey << (circuit.width - n),
+                            {gate.wires[0] for gate in gates[start:] if gate.kind == "H"})
+    if start:
+        state.fork(*parent.last[1:])
+    captured: dict[str, StateVector] = {}
     for stop in sorted({*by_position, len(gates)}):
         state.run(gates[start:stop])
         start = stop
@@ -174,7 +172,7 @@ def simulate_circuit(circuit: Circuit, x_bits, record=False) -> tuple[StateVecto
         for label in by_position.get(stop, ()):
             captured[label] = snapshot
     if circuit.forks:
-        circuit.last = (xkey, state.terms, state.k)
+        circuit.last = (xkey, state, snapshot)
     return snapshot, captured
 
 

@@ -28,11 +28,10 @@ class Amplitude:
             e = 0
         if c0 == 0 and c1 == 0:
             e = 0
-        else:
-            while e > 0 and (c0 & 1) == 0 and (c1 & 1) == 0:
-                c0 >>= 1
-                c1 >>= 1
-                e -= 1
+        elif e:  # strip the powers of two c0 and c1 share: the trailing zeros of c0 | c1
+            both = c0 | c1
+            twos = min((both & -both).bit_length() - 1, e)
+            c0, c1, e = c0 >> twos, c1 >> twos, e - twos
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "c1", c1)
         object.__setattr__(self, "e", e)

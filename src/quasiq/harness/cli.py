@@ -26,6 +26,8 @@ import sys
 
 from quasiq.circuitgen import (
     AncillaRestorationError,
+    PostselectionError,
+    RegisterMismatchError,
     ResidualTermError,
     SimulationInvariantError,
     decider_term,
@@ -47,7 +49,7 @@ from quasiq.harness.problems import (
     resolve_problem,
 )
 from quasiq.quasistate import bits_label, bits_of, record
-from quasiq.verifierkit import builtin_problems, gap_stats
+from quasiq.verifierkit import DualityError, HalfGapPromiseError, builtin_problems, gap_stats
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -63,6 +65,9 @@ _SELF_CHECK_ERRORS = (ResidualTermError, AncillaRestorationError, SimulationInva
 # Every other error raised on a bad problem or input (spec, parse, duality,
 # half-gap promise, postselection, register) is a ValueError.
 _DOMAIN_ERRORS = (ValueError, SimulationInvariantError)
+# What a verify row raises on its pair and input: its mismatch. Others end the command.
+_ROW_ERRORS = (DualityError, HalfGapPromiseError, PostselectionError, RegisterMismatchError,
+               *_SELF_CHECK_ERRORS)
 
 
 def _diag(message: str) -> None:
@@ -264,7 +269,7 @@ def cmd_verify(args) -> int:
         for construction in constructions:
             try:
                 detail = _verify_one(resolved, construction.name, x, args.corrupt_h)
-            except _DOMAIN_ERRORS as exc:
+            except _ROW_ERRORS as exc:
                 detail = f"{type(exc).__name__}: {exc}"
             row = {"construction": construction.name, "input": bits_label(x),
                    "ok": detail is None}

@@ -15,9 +15,9 @@ shorter length).  Parsing and printing are mutually inverse: parse(print(e))
 reproduces e, and printing a parsed string is a fixpoint.  Text nested more
 than MAX_DEPTH levels deep is a ParseError.
 
-A compiled verifier evaluates one branch with eval_dsl, and all 2**m branches
-of one input at once with mask_dsl (bit-sliced: every subexpression becomes
-the int whose bit key_of(b) is its value on branch b).
+A compiled verifier evaluates all 2**m branches of one input at once with
+mask_dsl (bit-sliced: every subexpression becomes the int whose bit key_of(b)
+is its value on branch b), and one branch with eval_dsl (quasiq.reference).
 """
 from __future__ import annotations
 
@@ -256,61 +256,6 @@ def parse_dsl(text: str, n: int | None = None, m: int | None = None) -> DslExpr:
     return _Parser(_tokenize(text), n, m).parse()
 
 
-# -- printer and evaluator -----------------------------------------------------
-
-
-def _prec(expr: DslExpr) -> int:
-    if isinstance(expr, BinOp):
-        return _PRECEDENCE[expr.op]
-    if isinstance(expr, Not):
-        return 4
-    return 5
-
-
-def print_dsl(expr: DslExpr) -> str:
-    if isinstance(expr, Lit):
-        return str(expr.value)
-    if isinstance(expr, Ref):
-        return f"{expr.reg}[{expr.index}]"
-    if isinstance(expr, Parity):
-        return "parity(x & b)" if expr.arg == "x&b" else f"parity({expr.arg})"
-    if isinstance(expr, Not):
-        inner = print_dsl(expr.child)
-        if _prec(expr.child) < 4:
-            inner = f"({inner})"
-        return f"!{inner}"
-    prec = _PRECEDENCE[expr.op]
-    left = print_dsl(expr.left)
-    if _prec(expr.left) < prec:
-        left = f"({left})"
-    right = print_dsl(expr.right)
-    if _prec(expr.right) <= prec:
-        right = f"({right})"
-    return f"{left} {expr.op} {right}"
-
-
-def eval_dsl(expr: DslExpr, x: Bits, b: Bits) -> int:
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Ref):
-        bits = x if expr.reg == "x" else b
-        return bits[expr.index]
-    if isinstance(expr, Not):
-        return 1 - eval_dsl(expr.child, x, b)
-    if isinstance(expr, Parity):
-        if expr.arg == "x":
-            values = x
-        elif expr.arg == "b":
-            values = b
-        else:
-            values = tuple(xi & bi for xi, bi in zip(x, b))
-        acc = 0
-        for v in values:
-            acc ^= v
-        return acc
-    return _OPS[expr.op](eval_dsl(expr.left, x, b), eval_dsl(expr.right, x, b))
-
-
 @lru_cache(maxsize=None)
 def branch_bit_masks(m: int) -> tuple[int, ...]:
     """Bit-sliced branch register: entry j is the accept mask of b[j].
@@ -356,5 +301,13 @@ def mask_dsl(expr: DslExpr, x: Bits, m: int) -> int:
 def dsl_verifier(text: str, n: int, m: int, name: str | None = None) -> Verifier:
     """Compile an expression into a verifier over n input and m branch bits."""
     expr = parse_dsl(text, n, m)
-    return Verifier(n, m, lambda x, b: eval_dsl(expr, x, b), name=name or print_dsl(expr),
-                    mask_fn=lambda x: mask_dsl(expr, x, m))
+    return Verifier(n, m, lambda x, b: __getattr__("eval_dsl")(expr, x, b),
+                    name=name or __getattr__("print_dsl")(expr), mask_fn=lambda x: mask_dsl(expr, x, m))
+
+
+def __getattr__(name: str):
+    """eval_dsl and print_dsl, which no command runs, from quasiq.reference."""
+    if name in ("eval_dsl", "print_dsl"):
+        from quasiq import reference
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,20 +12,19 @@ polarities; a multiply-controlled X is just X with controls. One table,
 _KINDS, holds the per-kind facts: a Gate checks its shape against it once,
 when it is made, and Gate.inverse, the JSON form and the kernel read it.
 
-Circuits run on a private kernel over integer numerators with one shared
-power of sqrt(2) (_NumeratorState, at the end of this module). Its one entry
-point, `run`, applies a gate list: each run of H gates that share their
-controls and act on distinct wires as one unnormalized Walsh-Hadamard layer,
-butterflied on the packed lanes of one int (_butterflies), each run of equal
-B, G or A gates as one diagonal pass, and every other gate through its kind's
-family method. StateVector.apply is the per-gate reference the kernel is
-tested against; its code is in quasiq.reference.
+Circuits run on a private kernel (_NumeratorState, at the end of this
+module): integer numerators over one shared power of sqrt(2), packed in lanes
+of ints over the wires H gates target. Its one entry point, `run`, applies
+each run of H gates as one layer of butterflies, each run of equal B, G or A
+gates as one diagonal pass, and every other gate by its family. StateVector.apply
+is the per-gate reference it is tested against; its code is in quasiq.reference.
 """
 from __future__ import annotations
 
 import struct
 from collections import namedtuple
-from itertools import compress, repeat
+from functools import lru_cache, partial, reduce
+from itertools import compress
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -435,44 +434,166 @@ class StateVector:
 
 # -- integer-numerator kernel -------------------------------------------------------
 
+# Each gate family as op(lo, hi, t) on the halves of its target: the lanes that
+# read 0 and 1, aligned, t their bias. S and D add one half into the other.
+_HALF_OPS = {"H": lambda lo, hi, t: (lo + hi - t, lo - hi + t), "X": lambda lo, hi, t: (hi, lo),
+             "PROJ0": lambda lo, hi, t: (lo, t), "PROJ1": lambda lo, hi, t: (t, hi),
+             "S": lambda lo, hi, t: (lo + hi - t, hi), "SINV": lambda lo, hi, t: (lo - hi + t, hi)}
+
+
 class _NumeratorState:
-    """The exact simulator's working state: integer numerators over one
-    shared power of sqrt(2).
+    """The exact simulator's working state (README, "Kernel notes"): a key's
+    amplitude is (c0 + c1*sqrt(2)) / sqrt(2)**k. `blocks` maps each key, inner
+    bits clear, to (c0, c1): ints whose w-bit lanes, one a value of the inner
+    wires, hold the numerators plus 2**(w-1), c1 None where all zero; no block
+    is all zeros. `bits` bounds each numerator's length, so `_fit` can widen
+    the lanes in time and no lane borrows from the next."""
 
-    terms maps each basis key to an integer pair (c0, c1) standing for the
-    amplitude (c0 + c1*sqrt(2)) / sqrt(2)**k, with one k for the whole state.
-    Gates then cost integer adds and multiplies only; Amplitudes, and their
-    canonical form, are built only when `to_state` is asked for one.
-    StateVector.apply is the reference this kernel must agree with exactly.
+    __slots__ = ("width", "inner", "lanes", "count", "outer", "blocks", "k", "size", "bits", "bias", "fmt")
 
-    A layer packs a group's entries into the w-bit lanes of one int, lane i
-    holding v[i] + 2**(w-1), with w >= bits(max|v|) + L + 1 for L layer wires.
-    L butterflies at most double an entry L times, so every lane of every
-    result lies in [0, 2**w): an int made of such lanes is their exact sum, so
-    however whole ints add and subtract, no lane borrows from its neighbour.
-    """
+    def __init__(self, width: int, key: int, inner: Iterable[int] = ()):
+        self.width, self.k, self.size, self.bits = width, 0, 1, 1
+        self._place(inner)
+        lane = sum(lb for bit, lb in self.lanes.items() if key & bit)
+        self.blocks = {key & self.outer: (self.bias + (1 << 8 * lane), None)}
 
-    __slots__ = ("width", "terms", "k")
+    def _place(self, inner: Iterable[int]) -> None:
+        self.inner = tuple(sorted(inner))
+        self.count = 1 << len(self.inner)
+        self.lanes = {1 << self.width - 1 - w: self.count >> 1 + i for i, w in enumerate(self.inner)}
+        self.outer = ~sum(self.lanes)  # key bit -> lane bit above; the outer wires' key bits
+        self.bias = int.from_bytes((bytes(self.size - 1) + b"\x80") * self.count, "little")
+        self.fmt = f"<{self.count}{'bhiq'[self.size.bit_length() - 1]}" if self.size <= 8 else None
 
-    def __init__(self, width: int, key: int):
-        self.width = width
-        self.terms: dict[int, tuple[int, int]] = {key: (1, 0)}
-        self.k = 0
+    def fork(self, parent: _NumeratorState, final: StateVector) -> None:
+        """Go on from `parent`'s state, held by `final` too, on the wires this state's H
+        gates target and `final` spans: as its blocks if it has them inner, else `final`."""
+        self.k, self.size, self.bits, lift = parent.k, parent.size, parent.bits, self.width - parent.width
+        first = next(iter(final.terms), 0)
+        spread = reduce(or_, (key ^ first for key in final.terms), 0)
+        self._place({w for w in range(parent.width) if spread >> parent.width - 1 - w & 1} | set(self.inner))
+        if self.inner == parent.inner:
+            self.blocks = {key << lift: block for key, block in parent.blocks.items()}
+            return
+        blocks, e = {}, (self.k + 1) >> 1
+        for key, amp in final.terms.items():  # the numerators to_state read
+            v0, v1 = blocks.setdefault(key << lift & self.outer, ([0] * self.count, [0] * self.count))
+            lane = sum(lb for bit, lb in self.lanes.items() if key << lift & bit)
+            c0, c1 = amp.c0 << e - amp.e, amp.c1 << e - amp.e
+            v0[lane], v1[lane] = (c1, c0 >> 1) if self.k & 1 else (c0, c1)
+        self.blocks = {key: (self._pack(v0), self._pack(v1) if any(v1) else None)
+                       for key, (v0, v1) in blocks.items()}
 
-    def amplitude(self, c0: int, c1: int) -> Amplitude:
-        k = self.k
-        if k & 1:
-            # (c0 + c1*sqrt2) / sqrt2**k == (2*c1 + c0*sqrt2) / 2**((k+1)/2)
-            return Amplitude(c1 << 1, c0, (k + 1) >> 1)
-        return Amplitude(c0, c1, k >> 1)
+    def _unpack(self, c: int) -> tuple[int, ...]:
+        raw = (c ^ self.bias).to_bytes(self.size * self.count, "little")  # flips each top bit
+        return struct.unpack(self.fmt, raw) if self.fmt else tuple(
+            int.from_bytes(raw[i:i + self.size], "little", signed=True) for i in range(0, len(raw), self.size))
+
+    def _pack(self, values) -> int:
+        raw = (struct.pack(self.fmt, *values) if self.fmt
+               else b"".join(v.to_bytes(self.size, "little", signed=True) for v in values))
+        return int.from_bytes(raw, "little") ^ self.bias
+
+    def _offsets(self):  # the key bits of each lane index
+        step = 1 << self.width - 1 - self.inner[-1] if self.inner else 1
+        if ~self.outer == step * (self.count - 1):  # adjacent inner wires
+            return range(0, step * self.count, step)
+        offsets = [0]
+        for bit in reversed(self.lanes):
+            offsets += [o | bit for o in offsets]
+        return offsets
 
     def to_state(self) -> StateVector:
-        amplitude = self.amplitude
-        return StateVector(self.width, {key: amplitude(c0, c1)
-                                        for key, (c0, c1) in self.terms.items()})
+        offsets, k, state = self._offsets(), self.k, StateVector(self.width)
+        e = (k + 1) >> 1  # k odd: (c0 + c1*sqrt2) / sqrt2**k == (2*c1 + c0*sqrt2) / 2**e
+        for key, (c0, c1) in self.blocks.items():  # one unpack and one compress a block
+            v0 = self._unpack(c0)
+            v1 = (0,) * len(v0) if c1 is None else self._unpack(c1)
+            state.terms.update({key | offsets[i]: Amplitude(v1[i] << 1, v0[i], e) if k & 1
+                                else Amplitude(v0[i], v1[i], e) for i in compress(
+                                    range(len(v0)), v0 if c1 is None else map(or_, v0, v1))})
+        return state
 
-    def _mask(self, wire: int) -> int:
-        return 1 << (self.width - 1 - wire)
+    def _fit(self, grow: int) -> None:
+        """Make room for numerators `grow` bits longer in the narrowest lanes of 1, 2, 4,
+        8 or more bytes: a size's `room` holds them if each v + low is in [0, 2**room)."""
+        w, bias, size = 8 * self.size, self.bias, self.size
+        while self.bits + grow >= w:
+            room = 8 * size - 1 - grow  # at least w - 1 holds any numerator the lanes can
+            low = bias >> w - room if 0 < room < w else 0
+            if room >= w - 1 or low and all(c is None or (y := c - bias + low) >= 0 and not y & (
+                    bias - low) << 1 for block in self.blocks.values() for c in block):
+                self.bits = min(self.bits, room)
+                break
+            size = size << 1 if size < 8 else size + 1
+        if size > self.size:
+            blocks = {key: [c and self._unpack(c) for c in block] for key, block in self.blocks.items()}
+            self.size = size
+            self._place(self.inner)
+            self.blocks = {key: tuple(v and self._pack(v) for v in block) for key, block in blocks.items()}
+        self.bits += grow
+
+    def _lanes(self, cm: int, cv: int) -> int:  # all-ones lanes where lane i has i & cm == cv
+        pattern, span = b"\xff" * self.size, 1  # the pattern of lanes 0 to span - 1
+        while cm:
+            bit = cm & -cm
+            blank = bytes(len(pattern) * bit // span)
+            pattern = blank + pattern * (bit // span) if cv & bit else pattern * (bit // span) + blank
+            cm, span = cm ^ bit, bit << 1
+        return int.from_bytes(pattern * (self.count // span), "little")
+
+    def _controls(self, cmask: int, cval: int) -> tuple[int, int, int, int]:  # outer, lane
+        lanes = [(lane, cval & bit) for bit, lane in self.lanes.items() if cmask & bit]
+        return cmask & self.outer, cval & self.outer, sum(lb for lb, _ in lanes), sum(lb for lb, v in lanes if v)
+
+    def _settle(self, blocks: dict) -> None:  # c1 None for zeros, and no block of zeros
+        self.blocks = {key: (c0, None if c1 == self.bias else c1) for key, (c0, c1) in blocks.items()
+                       if c0 != self.bias or c1 not in (None, self.bias)}
+
+    def _pairs(self, halves, cmask: int, cval: int, op, lanes_of=None) -> None:
+        """Apply op to each pair of halves, c0 and c1 alike, in the lanes the controls
+        and lanes_of(key) pass: halves (b0, b1) are the keys that read b0 and b1 on
+        b0 | b1, or for an inner wire's (0, bit), the lanes that read 0 and 1."""
+        ocm, ocv, icm, icv = self._controls(cmask, cval)
+        bias, blocks, last = self.bias, self.blocks, 0
+        for bit0, bit1 in halves:
+            lane, both = 0 if bit0 else self.lanes.get(bit1, 0), bit0 | bit1
+            sh = 8 * self.size * lane
+            if lane and not icm and lane << 1 == last:  # its mask from the one before
+                base ^= base & base << sh
+                base |= base << 2 * sh
+            else:
+                base = self._lanes(icm | lane, icv)
+            last = lane
+            out = {} if lane and not ocm else {key: block for key, block in blocks.items()
+                                               if key & ocm != ocv or key & both not in (bit0, bit1)}
+            for k0 in blocks if lane and not ocm else {key & ~both | bit0 for key in blocks.keys() - out}:
+                k1 = k0 if lane else k0 ^ both  # a missing block reads as zeros
+                mask = base if lanes_of is None else base & lanes_of(k0)
+                t, keep = bias & mask, ~(mask | mask << sh) if icm or lanes_of else 0
+                (a0, a1), (b0, b1) = blocks.get(k0, (bias, None)), blocks.get(k1, (bias, None))
+                new = [(a0, b0)] + ([(a1 or bias, b1 or bias)] if a1 or b1 else [])
+                for i, (a, b) in enumerate(new):
+                    lo, hi = op(a & mask, b >> sh & mask, t)
+                    new[i] = (a & keep | lo | hi << sh, None) if lane else (a & keep | lo, b & keep | hi)
+                c1 = new[1] if len(new) > 1 else (None, None)
+                out[k0] = new[0][0], c1[0]
+                if not lane:
+                    out[k1] = new[0][1], c1[1]
+            blocks = out
+        self._settle(blocks)
+
+    def _map(self, cmask: int, cval: int, inside, outside) -> None:
+        """Each block as inside(c0, c1) where the controls pass, else outside(c0, c1)."""
+        ocm, ocv, icm, icv = self._controls(cmask, cval)
+        sel, bias, out = self._lanes(icm, icv) if icm else None, self.bias, {}
+        for key, block in self.blocks.items():
+            if key & ocm != ocv or sel is None:
+                out[key] = (outside if key & ocm != ocv else inside)(*block)
+            else:
+                out[key] = tuple(None if a is None is b else (a or bias) & sel | (b or bias) & ~sel
+                                 for a, b in zip(inside(*block), outside(*block)))
+        self._settle(out)
 
     def run(self, gates) -> None:
         """Apply `gates` in order: each run of H gates that share their controls
@@ -500,178 +621,101 @@ class _NumeratorState:
                 getattr(self, _KINDS[gate.kind].family)(gate, cmask, cval)
 
     def _hadamards(self, wires: list[int], cmask: int, cval: int) -> None:
-        """H on each of the distinct `wires`: one unnormalized Walsh-Hadamard
-        transform per group of terms that agree off the key bits from the
-        lowest to the highest layer wire, on a dense list indexed by those bits
-        (so far-apart wires cost many slots). The 1/sqrt2**L goes into k, so a
-        term that fails the controls is multiplied by sqrt2**L instead."""
-        size = len(wires)
-        half = size >> 1
-        shifts = [self.width - 1 - w for w in wires]
-        lo = min(shifts)
-        span = (2 << max(shifts) - lo) - 1
-        layer = sum(1 << s - lo for s in shifts)
-        outside = ~(span << lo)
-        terms = self.terms
-        out = {}
-        groups: dict[int, list[int]] = {}
-        for key, (a0, a1) in terms.items():
-            if key & cmask != cval:
-                out[key] = (a1 << (half + 1), a0 << half) if size & 1 else (a0 << half, a1 << half)
-            elif key & outside in groups:
-                groups[key & outside].append(key)
-            else:
-                groups[key & outside] = [key]
-        count = span + 1
-        for rest, keys in groups.items():
-            c0 = [0] * count
-            c1 = [0] * count
-            for key in keys:
-                i = key >> lo & span
-                c0[i], c1[i] = terms[key]
-            if any(c1):  # c0 and c1 side by side, the top index bit outside the layer
-                c0 += c1
-                both = _butterflies(c0, layer)
-                c0, c1 = both[:count], both[count:]
-                nonzero = list(map(or_, c0, c1))
-            else:
-                c1 = repeat(0)  # frees the zero list before the transform allocates
-                c0 = nonzero = _butterflies(c0, layer)
-            # Index i is key rest | i << lo; only nonzero entries go back.
-            out.update(zip(compress(range(rest, rest + (count << lo), 1 << lo), nonzero),
-                           compress(zip(c0, c1), nonzero)))
-        self.terms = out
+        """H on each of the distinct `wires`; the 1/sqrt2**L goes into k, so the lanes
+        that fail the controls are multiplied by sqrt2**L instead, first."""
+        self._fit(size := len(wires))
+        if cmask:
+            bias, half = self.bias, size >> 1
+            up = lambda c, shift: c and (c - bias << shift) + bias  # noqa: E731
+            self._map(cmask, cval, lambda c0, c1: (c0, c1), lambda c0, c1: (
+                (up(c1, half + 1) or bias, up(c0, half)) if size & 1 else (up(c0, half), up(c1, half))))
+        self._pairs([(0, 1 << self.width - 1 - w) for w in sorted(wires)], cmask, cval, _HALF_OPS["H"])
         self.k += size
 
     def _shear(self, gate: Gate, cmask: int, cval: int) -> None:
-        """S adds the |1> amplitude into |0> (SINV subtracts it); D subtracts
-        the |1?> amplitudes into |00> (DINV adds them)."""
-        sign = _KINDS[gate.kind].sign
-        m = self._mask(gate.wires[0])
-        clear = m | self._mask(gate.wires[-1])  # one wire for S, two for D
-        # Sources keep their keys and no target is a source, so one pass over a
-        # copy (the old dict may be shared); a target whose sum cancels is dropped.
-        terms = dict(self.terms)
-        sources = [(k, v) for k, v in terms.items() if k & m and k & cmask == cval]
-        for key, (a0, a1) in sources:
-            target = key & ~clear
-            b0, b1 = terms.get(target, (0, 0))
-            b0 += sign * a0
-            b1 += sign * a1
-            if b0 or b1:
-                terms[target] = (b0, b1)
-            else:
-                del terms[target]
-        self.terms = terms
+        """S adds the |1> half into the |0> half (SINV subtracts). D subtracts |1?> into
+        |00> (DINV adds): with v inner, on u's halves, moving v's 1 lanes onto its 0
+        lanes m0; else in three S steps."""
+        sign, top = _KINDS[gate.kind].sign, self.width - 1
+        self._fit(len(gate.wires))
+        u, v = 1 << top - gate.wires[0], 1 << top - gate.wires[-1]
+        if u == v:
+            self._pairs([(0, u)], cmask, cval, _HALF_OPS[gate.kind])
+        elif v in self.lanes:
+            m0, sh = self._lanes(self.lanes[v], 0), 8 * self.size * self.lanes[v]
+            self._pairs([(0, u)], cmask, cval, lambda lo, hi, t: (
+                lo + sign * ((hi & m0) + (hi >> sh & m0) - 2 * (t & m0)), hi))
+        else:  # |10> += |11>, |00> -= |10> (or +=), |10> -= |11>
+            self._pairs([(0, v)], cmask | u, cval | u, _HALF_OPS["S"])
+            self._pairs([(0, u)], cmask | v, cval & ~v, _HALF_OPS["S" if sign > 0 else "SINV"])
+            self._pairs([(0, v)], cmask | u, cval | u, _HALF_OPS["SINV"])
 
     def _diag(self, gate: Gate, cmask: int, cval: int, power: int = 1) -> None:
-        """diag(p**sign, 1), `power` times (above 1 only for B, G and A): multiply
-        the |0> branch by p**power, or divide it exactly by p for an inverse kind,
-        with powers of two in k. p is 1/2 for B, G's and A's integer, N's Amplitude."""
-        p = gate.param
-        if not isinstance(p, Amplitude):  # B's 1/2, or the integer of G or A
-            p = Amplitude(1, 0, power) if p is None else Amplitude(p ** power, 0, 0)
-        if _KINDS[gate.kind].sign < 0:
-            u0, u1, odd, shift = p.reciprocal()
-        else:
-            u0, u1, odd, shift = p.c0, p.c1, 1, -p.e
-        lift = -shift if shift < 0 else 0  # applied to every other term, and to k
-        up = shift if shift > 0 else 0
-        m = self._mask(gate.wires[0])
-        out = {}
-        for key, (a0, a1) in self.terms.items():
-            if key & m or key & cmask != cval:
-                out[key] = (a0 << lift, a1 << lift)
-                continue
-            d0 = a0 * u0 + 2 * a1 * u1
-            d1 = a0 * u1 + a1 * u0
+        """diag(p**sign, 1), `power` times (above 1 only for B, G and A): multiply the
+        |0> lanes by p**power, an int product a block (an inverse kind divides them
+        exactly), powers of two going into k. p is 1/2 for B, else G's, A's or N's."""
+        p = gate.param if isinstance(gate.param, Amplitude) else (  # B's 1/2, G's or A's integer
+            Amplitude(1, 0, power) if gate.param is None else Amplitude(gate.param ** power, 0, 0))
+        u0, u1, odd, shift = p.reciprocal() if _KINDS[gate.kind].sign < 0 else (p.c0, p.c1, 1, -p.e)
+        lift, up = max(-shift, 0), max(shift, 0)  # lift: every other lane, and k
+        self._fit(max(lift, up + (abs(u0) + 2 * abs(u1) - 1).bit_length()))
+        bias, bit = self.bias, 1 << self.width - 1 - gate.wires[0]
+        cmask, cval = cmask | bit, cval & ~bit  # the target reading 0 is one more control
+
+        def scaled(c0, c1):
             if odd != 1:
-                if not odd:
-                    raise ExactDivisionError("division by zero")
-                if d0 % odd or d1 % odd:
-                    raise ExactDivisionError(f"{self.amplitude(a0, a1)!r} / {p!r} is not in the ring")
-                d0 //= odd
-                d1 //= odd
-            if d0 or d1:
-                out[key] = (d0 << up, d1 << up)
-        self.terms = out
+                from quasiq.reference import divide_lanes
+                return divide_lanes(self, c0, c1, (u0, u1, odd, up, p), self._controls(cmask, cval))
+            a0, a1 = c0 - bias, 0 if c1 is None else c1 - bias
+            return ((a0 * u0 + 2 * a1 * u1 << up) + bias,
+                    None if c1 is None and not u1 else (a0 * u1 + a1 * u0 << up) + bias)
+
+        self._map(cmask, cval, scaled, lambda c0, c1: tuple(c and (c - bias << lift) + bias for c in (c0, c1)))
         self.k += 2 * lift
 
     def _move(self, gate: Gate, cmask: int, cval: int) -> None:
-        """Relabel the keys that pass the controls: X flips a wire, PERM moves
-        bits, a projector drops keys and ORACLE flips its target where the accept
-        mask of the x wires' value, looked up once per value, has the b wires'
-        bit set. No key map moves a control wire or merges two keys (Gate
-        checks that when it is made), so no numerator changes."""
-        terms, kind = self.terms, gate.kind
-        m = self._mask(gate.wires[-1])
-        if kind == "X":
-            self.terms = {k ^ m if k & cmask == cval else k: v for k, v in terms.items()}
-        elif kind.startswith("PROJ"):
-            want = m if kind == "PROJ1" else 0
-            self.terms = {k: v for k, v in terms.items() if k & m == want or k & cmask != cval}
-        elif kind == "PERM":
-            pairs = [(self._mask(s), self._mask(d)) for s, d in zip(gate.wires, gate.param)]
-            kept = ~sum(s for s, _ in pairs)
-
-            def permute(key: int) -> int:
-                new = key & kept
-                for s, d in pairs:
-                    if key & s:
-                        new |= d
-                return new
-
-            self.terms = {permute(k) if k & cmask == cval else k: v for k, v in terms.items()}
+        """X swaps its wire's halves and a projector zeros one; PERM is a product of
+        transpositions; ORACLE is X on the lanes an accept mask selects, a lane mask
+        per x value made by str.translate (if, as in every construction, the x
+        wires are outer and the b wires adjacent inner ones)."""
+        kind, top = gate.kind, self.width - 1
+        if kind == "PERM":
+            at = {w: w for w in gate.wires}  # source wire -> the wire that holds its bit now
+            for src, dest in zip(gate.wires, gate.param):
+                u, v = sorted((1 << top - at[src], 1 << top - dest), key=self.lanes.__contains__)
+                if u == v:
+                    continue
+                other = next(s for s, w in at.items() if w == dest)
+                at[src], at[other] = dest, at[src]
+                if v not in self.lanes:  # both outer: pair the blocks that read 01 and 10
+                    self._pairs([(v, u)], cmask, cval, _HALF_OPS["X"])
+                    continue
+                ones, sh = self._lanes(self.lanes[v], self.lanes[v]), 8 * self.size * self.lanes[v]
+                self._pairs([(0, u)], cmask, cval, lambda lo, hi, t: (  # v's 1 lanes, shift
+                    lo & ~ones | (hi & ~ones) << sh, hi & ones | (lo & ones) >> sh))
+        elif kind != "ORACLE":
+            self._pairs([(0, 1 << top - gate.wires[0])], cmask, cval, _HALF_OPS[kind])
         else:
             verifier, nx = gate.param
-            xs = [self.width - 1 - w for w in gate.wires[:nx]]
-            x_mask = sum(1 << s for s in xs)
-            b = gate.wires[nx:-1]
-            lo = self.width - 1 - max(b)
-            span = (2 << max(b) - min(b)) - 1
-            accepts = {}
-            for x_value in {k & x_mask for k in terms if k & cmask == cval}:
-                accept = verifier.accept_mask(tuple(x_value >> s & 1 for s in xs))
-                if b != tuple(range(b[0], b[-1] + 1)):  # index the mask by the bits of b's span
-                    accept = sum(1 << i for i in range(span + 1) if accept >> key_of(
-                        i << lo >> self.width - 1 - w & 1 for w in b) & 1)
-                accepts[x_value] = accept
-            self.terms = {k ^ m if k & cmask == cval and accepts[k & x_mask] >> (k >> lo & span) & 1
-                          else k: v for k, v in terms.items()}
+            xs, bs = gate.wires[:nx], gate.wires[nx:-1]
+            lbs, masks, mask_of = [self.lanes.get(1 << top - w, 0) for w in bs], {}, lru_cache()(
+                verifier.accept_mask)  # one accept mask per x value, for this gate only
 
+            def accept(key):
+                return mask_of(tuple(key >> top - w & 1 for w in xs))
 
-def _butterflies(v: list[int], layer: int) -> tuple[int, ...]:
-    """The unnormalized Walsh-Hadamard transform of v (its length a power of
-    two) on the index bits set in `layer` (Fino and Algazi, 1976), on v packed
-    as the biased lanes of one int (SIMD within a register: Fisher and Dietz,
-    1998; _NumeratorState has the lane-width rule). Each bit is one butterfly
-    on all lanes, e = b & m; o = b >> sh & m; b = (e + o - t) | (e - o + t) << sh:
-    m covers the lanes whose index has the bit clear, which take the sums, sh
-    shifts a lane onto its partner and t is the bias in m's lanes. Each mask
-    is built for its pass from a repeated byte pattern."""
-    count = len(v)
-    top = max(max(v), -min(v)).bit_length() + layer.bit_count() + 1
-    size = -(-top // 8)  # bytes a lane
-    if size <= 8:
-        size = 1 << (size - 1).bit_length()
-    fmt = f"<{count}{'bhiq'[size.bit_length() - 1]}" if size <= 8 else None  # struct's codes
-    # A two's-complement lane is biased by flipping its top bit.
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
-    packed = struct.pack(fmt, *v) if fmt else b"".join(
-        x.to_bytes(size, "little", signed=True) for x in v)
-    b = int.from_bytes(packed, "little") ^ bias
-    ones, zeros = b"\xff" * size, bytes(size)
-    for bit in range(layer.bit_length()):
-        if layer >> bit & 1:
-            run = 1 << bit
-            m = int.from_bytes((ones * run + zeros * run) * (count >> bit + 1), "little")
-            t = bias & m
-            sh = 8 * size * run
-            e = b & m
-            o = b >> sh & m
-            b = (e + o - t) | (e - o + t) << sh
-    packed = (b ^ bias).to_bytes(count * size, "little")
-    if fmt:
-        return struct.unpack(fmt, packed)
-    return tuple(int.from_bytes(packed[i:i + size], "little", signed=True)
-                 for i in range(0, len(packed), size))
+            def lanes_of(key):
+                mask = accept(key)
+                if mask not in masks:
+                    masks[mask] = int.from_bytes(format(mask, f"0{1 << len(bs)}b")[::-1].translate(
+                        table).encode("latin-1") * (self.count >> low + len(bs)), "little")
+                return masks[mask]
+
+            if (lbs and all(lb == lbs[0] >> i > 0 for i, lb in enumerate(lbs))
+                    and not any(1 << top - w in self.lanes for w in xs)):
+                low = lbs[-1].bit_length() - 1  # lanes b << low to (b + 1 << low) - 1 read b
+                table = {48: "\0" * (self.size << low), 49: "\xff" * (self.size << low)}
+            else:  # lane by lane
+                from quasiq.reference import oracle_lanes
+                lanes_of = partial(oracle_lanes, self, accept, bs)
+            self._pairs([(0, 1 << top - gate.wires[-1])], cmask, cval, _HALF_OPS["X"], lanes_of)

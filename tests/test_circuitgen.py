@@ -545,24 +545,6 @@ def full_run(circuit, x):
     return simulate_circuit(alone, x, record=True)
 
 
-@pytest.mark.parametrize("head", [Gate.s(3), Gate.d(3, 1)], ids=["S", "D"])
-def test_a_tail_that_starts_with_a_shear_leaves_the_parent_state_alone(head):
-    """S and D change their terms in place no more than any other gate: a
-    child of the same width shares its parent's final terms, and neither the
-    parent's record nor a second child's run sees the first child's gates."""
-    parent = Circuit(4, {"x": (0, 2)}, (Gate.h(2), Gate.h(3), Gate.cnot(0, 2)), forks=True)
-    first = Circuit(4, parent.registers, parent.gates + (head, Gate.h(1)), parent=parent,
-                    forks=True)
-    second = Circuit(4, parent.registers, parent.gates + (Gate.x(3),), parent=parent)
-    x = (1, 0)
-    parent_final, _ = simulate_circuit(parent, x)
-    record = dict(parent.last[1])
-    assert simulate_circuit(first, x)[0] == full_run(first, x)[0]
-    assert first.last[1] != record and parent.last[1] == record
-    assert simulate_circuit(second, x)[0] == full_run(second, x)[0]
-    assert parent.last[1] == record and simulate_circuit(parent, x)[0] == parent_final
-
-
 def test_a_child_must_start_with_its_parents_gates():
     parent = Circuit(2, {"x": (0, 1)}, (Gate.h(1),))
     with pytest.raises(ValueError, match="parent's gates"):

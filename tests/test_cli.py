@@ -524,9 +524,9 @@ def test_lpwpp_rows_simulate_only_their_own_decider(monkeypatch, capsys):
     created = []
     init = _NumeratorState.__init__
 
-    def counting_init(self, width, key):
+    def counting_init(self, width, key, *inner):
         created.append(key)
-        init(self, width, key)
+        init(self, width, key, *inner)
 
     monkeypatch.setattr(_NumeratorState, "__init__", counting_init)
     code, obj, _ = run_json(capsys, "verify", "--problem", "parity", "--n", "3",
@@ -551,6 +551,24 @@ def test_verify_simulates_each_shared_prefix_once_per_input(monkeypatch, capsys)
     code, obj, _ = run_json(capsys, "verify", "--problem", "parity", "--n", "3")
     assert code == EXIT_OK and obj["ok"] and len(obj["results"]) == 6 * 8
     assert len(oracles) == 4 * 8
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (ValueError("kernel bug"), EXIT_USAGE, "error: kernel bug"),
+    (TypeError("kernel bug"), EXIT_INTERNAL, "internal error: TypeError: kernel bug"),
+], ids=["ValueError", "TypeError"])
+def test_a_kernel_error_ends_verify_instead_of_failing_a_row(monkeypatch, capsys, error, code,
+                                                             message):
+    """A verify row reports as its mismatch only the errors its pair and input
+    can raise (duality, half-gap promise, postselection, registers and the
+    self-checks). A bare ValueError from the kernel is none of them, so it
+    ends the command as main maps it: no rows, one stderr line."""
+    def broken(self, gate, cmask, cval):
+        raise error
+
+    monkeypatch.setattr(_NumeratorState, "_move", broken)
+    got, out, err = run_cli(capsys, "verify", "--problem", "parity", "--n", "2")
+    assert (got, out, err) == (code, "", message + "\n")
 
 
 @pytest.mark.parametrize("construction, kept", [("fig3-zqp", False), ("lwpp", False),
@@ -669,8 +687,9 @@ sys.exit(code)
 # Every quasiq module a command loaded held 3,404 lines before the code that
 # no workload command runs moved out; at 13 us of compiling per line without
 # cached bytecode, 250 lines are about 3 ms per command. The packed Hadamard
-# kernel took 2 more lines off, so a cold command now loads 3,152.
-LINES_BEFORE, LINES_MOVED_OUT = 3404, 252
+# kernel took 2 more lines off, and the lane-block kernel, with the DSL's
+# printer and one-branch evaluator moved out, 1 more: a cold command loads 3,151.
+LINES_BEFORE, LINES_MOVED_OUT = 3404, 253
 
 
 @pytest.mark.parametrize("argv", [
@@ -695,7 +714,9 @@ def test_a_command_loads_no_deferred_module(argv):
     ("Gate.from_json(Gate.h(0).to_json())", "quasiq.readers"),
     ("verifierkit.validate_dual_pair(verifierkit.builtin_problems()['parity'].pair(1))",
      "quasiq.harness.duals"),
-], ids=["apply", "str", "div-exact", "random-pair", "random-table", "reader", "duals"])
+    ("__import__('quasiq.harness.dsl', fromlist=['_']).dsl_verifier('b[0]', 1, 1).eval((0,), (1,))",
+     "quasiq.reference"),
+], ids=["apply", "str", "div-exact", "random-pair", "random-table", "reader", "duals", "dsl-eval"])
 def test_deferred_code_loads_on_first_use(call, module):
     proc = run_fresh("import random, sys; from quasiq import verifierkit; "
                      "from quasiq.exactnum import Amplitude; "

@@ -36,6 +36,30 @@ def test_sign_examples():
     assert Amplitude(-3, 2, 0).sign() == -1
 
 
+def canonical_by_halving(c0, c1, e):
+    """The canonical triple as the halving loop computed it, one power of two
+    at a time: the reference for the trailing-zero count that replaced it."""
+    if e < 0:
+        c0, c1, e = c0 << -e, c1 << -e, 0
+    if c0 == 0 and c1 == 0:
+        return 0, 0, 0
+    while e > 0 and (c0 & 1) == 0 and (c1 & 1) == 0:
+        c0, c1, e = c0 >> 1, c1 >> 1, e - 1
+    return c0, c1, e
+
+
+@given(st.one_of(st.just(0), ints, st.integers(-2**80, 2**80)).map(lambda c: c << 7).flatmap(
+    lambda c: st.tuples(st.just(c), st.sampled_from([0, 1, -1, c, -c, c + 1, 3 * c]))),
+    st.integers(0, 20), st.integers(min_value=-6, max_value=90))
+def test_canonical_form_matches_the_halving_loop(pair, shift, e):
+    """Even, odd, negative and zero numerators with shared and unshared powers
+    of two, at exponents below zero, below their twos and above them."""
+    c0, c1 = pair[0] >> shift, pair[1] >> shift
+    for a, b in ((c0, c1), (c1, c0)):
+        amp = Amplitude(a, b, e)
+        assert (amp.c0, amp.c1, amp.e) == canonical_by_halving(a, b, e)
+
+
 def test_negative_raw_exponent_scales_up():
     assert Amplitude(1, 0, -3) == Amplitude(8, 0, 0)
     assert Amplitude(0, 1, -1) == Amplitude(0, 2, 0)

@@ -25,13 +25,23 @@ from quasiq.quasistate import (
     StateVector,
     WireError,
     _NumeratorState,
-    _butterflies,
     bits_of,
     key_of,
 )
 from quasiq.verifierkit import Verifier, random_dual_pair, table_verifier
 
 from test_acceptance import all_inputs, builtin_pairs, lemma_pairs
+
+
+def numerators(state):
+    """{key: (c0, c1)} of every nonzero lane of a kernel state."""
+    offsets = state._offsets()
+    out = {}
+    for key, (c0, c1) in state.blocks.items():
+        v0 = state._unpack(c0)
+        v1 = (0,) * len(v0) if c1 is None else state._unpack(c1)
+        out.update({key | off: (a0, a1) for off, a0, a1 in zip(offsets, v0, v1) if a0 or a1})
+    return out
 
 
 def reference_states(width, key, gates):
@@ -88,11 +98,12 @@ def parity_verifier(n, m):
     return Verifier(n, m, eval_fn, name=f"parity-{n}x{m}")
 
 
-def check_against_reference(width, key, gates):
-    """Apply gates one at a time through both paths; the states must be equal
-    after every gate, and a failing gate must fail with the same exception type."""
+def check_against_reference(width, key, gates, inner=()):
+    """Apply gates one at a time through both paths, the kernel's lanes over
+    the `inner` wires; the states must be equal after every gate, and a
+    failing gate must fail with the same exception type. Returns the kernel."""
     reference = StateVector.basis(width, key)
-    kernel = _NumeratorState(width, key)
+    kernel = _NumeratorState(width, key, inner)
     for gate in gates:
         try:
             reference = reference.apply(gate)
@@ -102,6 +113,7 @@ def check_against_reference(width, key, gates):
             return
         kernel.run([gate])
         assert kernel.to_state() == reference, gate
+    return kernel
 
 
 def spread(width):
@@ -312,7 +324,7 @@ def check_run_against_gate_by_gate(width, key, gates):
         return
     kernel = _NumeratorState(width, key)
     kernel.run(gates)
-    assert (kernel.terms, kernel.k) == (one_by_one.terms, one_by_one.k)
+    assert (numerators(kernel), kernel.k) == (numerators(one_by_one), one_by_one.k)
 
 
 def test_oracle_reads_b_wires_in_any_order():
@@ -426,11 +438,12 @@ def test_a_run_of_hadamards_is_one_kernel_call(monkeypatch):
     assert calls == [sorted(b + (c,)), list(b), [a]]
 
 
-# -- the packed butterflies --------------------------------------------------------
+# -- the lane blocks --------------------------------------------------------------
 
 
 def butterflies_reference(v, layer):
-    """The transform _butterflies computes, one pair of entries at a time."""
+    """The transform a layer makes of the lanes v (its length a power of two)
+    on the index bits set in `layer`, one pair of entries at a time."""
     v = list(v)
     for bit in range(len(v).bit_length()):
         step = 1 << bit
@@ -457,27 +470,178 @@ def butterfly_cases(draw):
     return v, layer
 
 
+def packed_state(c0, c1=None):
+    """A state on log2(len(c0)) wires, all inner, whose one block holds the
+    lanes c0 and c1 (None: zeros), as narrow as the kernel's lane rule allows."""
+    width = len(c0).bit_length() - 1
+    state = _NumeratorState(width, 0, range(width))
+    state.bits = max(map(abs, c0 + (c1 or [])), default=0).bit_length()
+    size = -(-(state.bits + 1) // 8)
+    state.size = 1 << (size - 1).bit_length() if size <= 8 else size
+    state._place(state.inner)  # the bias of the new lane width
+    state.blocks = {0: (state._pack(c0), None if c1 is None else state._pack(c1))}
+    return state
+
+
+def layer_of(state, layer):
+    """Run H on the wires of the lane bits set in `layer`; return both lane lists."""
+    width = state.width
+    state._hadamards([width - 1 - bit for bit in range(width) if layer >> bit & 1], 0, 0)
+    c0, c1 = state.blocks.get(0, (state.bias, None))
+    zeros = [0] * (1 << width)
+    return [list(state._unpack(c0)), zeros if c1 is None else list(state._unpack(c1))]
+
+
 @settings(max_examples=400, deadline=None)
 @given(butterfly_cases())
-def test_butterflies_match_the_pairwise_reference(case):
+def test_layer_steps_match_the_pairwise_reference(case):
     v, layer = case
-    assert _butterflies(v, layer) == tuple(butterflies_reference(v, layer))
+    assert layer_of(packed_state(v), layer) == [butterflies_reference(v, layer), [0] * len(v)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(butterfly_cases(), st.data())
-def test_butterflies_on_c0_and_c1_side_by_side_transform_each(case, data):
-    """The layer keeps c0 and c1 in one list, the top index bit outside it."""
+def test_a_layer_transforms_c0_and_c1_each(case, data):
     c0, layer = case
     c1 = data.draw(st.lists(st.sampled_from(c0 + [0, 1, -1]), min_size=len(c0), max_size=len(c0)))
-    assert _butterflies(c0 + c1, layer) == tuple(butterflies_reference(c0, layer)
-                                                 + butterflies_reference(c1, layer))
+    assert layer_of(packed_state(c0, c1), layer) == [butterflies_reference(c0, layer),
+                                                     butterflies_reference(c1, layer)]
 
 
-def check_one_run_against_reference(width, key, gates):
+@st.composite
+def inner_cases(draw):
+    """A gate list or a layered circuit's gates, and inner wires that are a
+    strict subset of the wires its gates target: targets and controls fall
+    on inner and on outer wires."""
+    width, key, gates = draw(st.one_of(gate_lists(), layered_circuits().map(
+        lambda case: (case[0].width, case[1], case[0].gates))))
+    targeted = sorted({w for gate in gates for w in gate.wires})
+    inner = draw(st.sets(st.sampled_from(targeted), max_size=len(targeted) - 1)) if targeted else ()
+    return width, key, gates, inner
+
+
+@settings(max_examples=300, deadline=None)
+@given(inner_cases())
+def test_blocks_on_any_inner_wires_match_the_reference(case):
+    width, key, gates, inner = case
+    check_against_reference(width, key, gates, inner)
+    try:
+        expected = reference_states(width, key, gates)[-1]
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            _NumeratorState(width, key, inner).run(gates)
+        return
+    kernel = _NumeratorState(width, key, inner)
+    kernel.run(gates)
+    assert kernel.to_state() == expected
+
+
+def test_lanes_widen_from_one_byte_to_past_eight(monkeypatch):
+    """Large G, A and N parameters take the lanes through 1, 2, 4 and 8 bytes
+    and past them, and a 13-wire H run then acts on 17-byte lanes; every state
+    matches the reference, gate by gate and as one run."""
+    width = 13
+    gates = ([Gate.h(w) for w in range(width)] + [Gate.g(0, 2**9 + 1), Gate.a(1, 2**18 + 3),
+             Gate.g(2, -2**30), Gate.a(3, 2**70), Gate.n(4, Amplitude(3, 2**35, 1)), Gate.s(5),
+             Gate.d(6, 7), Gate.x(8, ((9, 1),))] + [Gate.h(w) for w in range(width)])
+    sizes = []
+    fit = _NumeratorState._fit
+
+    def recording(self, grow):
+        fit(self, grow)
+        sizes.append(self.size)
+
+    monkeypatch.setattr(_NumeratorState, "_fit", recording)
+    kernel = check_against_reference(width, 0b1010, gates, range(width))
+    assert sizes == sorted(sizes)  # lanes only widen
+    assert {1, 2, 4, 8} < set(sizes) and max(sizes) > 8 and kernel.size == max(sizes)
+    check_one_run_against_reference(width, 0b1010, gates, range(width))
+
+
+def test_hadamards_on_far_apart_wires_use_a_block_of_four_lanes():
+    """Only the H targets are inner: H on wires 0 and 17 of an 18-wire state
+    makes one block of four lanes, not a list over the wires between them."""
+    circuit = Circuit(18, {"x": (0, 18)}, (Gate.h(0), Gate.h(17)), forks=True)
+    x = (1,) + (0,) * 16 + (1,)
+    final, _ = simulate_circuit(circuit, x)
+    state = circuit.last[1]
+    assert state.inner == (0, 17) and len(state.blocks) == 1
+    ((c0, c1),) = state.blocks.values()
+    assert len(state._unpack(c0)) == 4 and c1 is None
+    assert final == reference_states(18, key_of(x), circuit.gates)[-1] and len(final) == 4
+
+
+@pytest.mark.parametrize("tail_wire", [3, 1])
+@pytest.mark.parametrize("head", [Gate.s(3), Gate.d(3, 1)], ids=["S", "D"])
+def test_a_tail_that_starts_with_a_shear_leaves_the_parent_state_alone(monkeypatch, head,
+                                                                       tail_wire):
+    """S and D change their blocks in place no more than any other gate: a
+    child starts from its parent's final blocks, shared, and neither the
+    parent's record nor a second child's run sees the first child's gates,
+    whether the child's own H gates target the parent's inner wires or not."""
+    parent = Circuit(4, {"x": (0, 2)}, (Gate.h(2), Gate.h(3), Gate.cnot(0, 2)), forks=True)
+    first = Circuit(4, parent.registers, parent.gates + (head, Gate.h(tail_wire)), parent=parent,
+                    forks=True)
+    second = Circuit(4, parent.registers, parent.gates + (Gate.x(3),), parent=parent)
+    forked = []
+    fork = _NumeratorState.fork
+    monkeypatch.setattr(_NumeratorState, "fork",
+                        lambda self, *args: forked.append(args[0]) or fork(self, *args))
+    x = (1, 0)
+    parent_final, _ = simulate_circuit(parent, x)
+    state = parent.last[1]
+    record = dict(state.blocks)
+    assert simulate_circuit(first, x)[0] == cold_run(first, x)
+    assert first.last[1].blocks != record and state.blocks == record
+    assert simulate_circuit(second, x)[0] == cold_run(second, x)
+    assert state.blocks == record and simulate_circuit(parent, x)[0] == parent_final
+    assert forked == [state, state]
+
+
+def cold_run(circuit, x, record=False):
+    """simulate_circuit on a copy of `circuit` with no parent."""
+    alone = Circuit(circuit.width, circuit.registers, circuit.gates, circuit.checkpoints)
+    return simulate_circuit(alone, x, record)[0]
+
+
+SPREAD = tuple(Gate.h(w) for w in range(6))
+
+
+@pytest.mark.parametrize("head", [
+    SPREAD + (Gate.s(3),) + SPREAD,
+    (Gate.h(0), Gate.h(1), Gate.n(0, Amplitude(1, 1, 1)), Gate.h(2), Gate.h(3), Gate.h(3)),
+], ids=["sparse", "odd-k-sqrt2"])
+@pytest.mark.parametrize("tail", [(Gate.s(6), Gate.x(1, ((6, 1),)), Gate.d(6, 0)),
+                                  (Gate.x(6), Gate.h(2, ((6, 1),)), Gate.h(0))],
+                         ids=["no-H", "H"])
+def test_a_child_regroups_its_parents_state_on_the_wires_it_spans(head, tail):
+    """A parent whose final state spans fewer wires than its H gates target
+    (two live lanes in 64; or odd k, sqrt2 parts and an H undone) hands its
+    child that state regrouped on the wires where its terms differ and those
+    the child's own H gates target. The child equals its cold run, and the
+    parent's blocks stay as they were."""
+    parent = Circuit(7, {"x": (0, 1)}, head, forks=True)
+    child = Circuit(7, parent.registers, parent.gates + tail, parent=parent)
+    x = (1,)
+    final, _ = simulate_circuit(parent, x)
+    state = parent.last[1]
+    record = dict(state.blocks)
+    first = min(final.terms)
+    spanned = {w for w in range(7) for key in final.terms if (first ^ key) >> 6 - w & 1}
+    regrouped = []
+    fork = _NumeratorState.fork
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_NumeratorState, "fork",
+                      lambda self, *args: fork(self, *args) or regrouped.append(self.inner))
+        assert simulate_circuit(child, x)[0] == cold_run(child, x)
+    assert regrouped == [tuple(sorted(spanned | {g.wires[0] for g in tail if g.kind == "H"}))]
+    assert regrouped[0] != state.inner and state.blocks == record
+
+
+def check_one_run_against_reference(width, key, gates, inner=()):
     """Run `gates` as one list, so that runs of H or of equal diagonal gates
     form layers and fused passes, and compare with StateVector.apply."""
-    kernel = _NumeratorState(width, key)
+    kernel = _NumeratorState(width, key, inner)
     kernel.run(gates)
     assert kernel.to_state() == reference_states(width, key, gates)[-1]
 
@@ -576,7 +740,7 @@ def test_oracle_looks_up_one_mask_per_x_value(x_wires, b_wires, target, controls
         state.run(spread(width))
         cmask, cval = gate.control_mask(width)
         xs = {tuple(key >> (width - 1 - w) & 1 for w in x_wires)
-              for key in state.terms if key & cmask == cval}
+              for key in numerators(state) if key & cmask == cval}
         verifier.asked.clear()
         state.run([gate])
         assert sorted(verifier.asked) == sorted(xs) and len(xs) > 1
