@@ -39,15 +39,7 @@ from quasiq.circuitgen import (
     run_zqp,
     simulate_circuit,  # noqa: F401 -- unused; bench/layers.py traces it under this name
 )
-from quasiq.harness.problems import (
-    ProblemSpec,
-    ResolvedProblem,
-    SpecError,
-    builtin_entry,
-    load_problem_file,
-    read_table_file,
-    resolve_problem,
-)
+from quasiq.harness.problems import ResolvedProblem, SpecError, load_problem_file, resolve_problem
 from quasiq.quasistate import bits_label, bits_of, record
 from quasiq.verifierkit import DualityError, HalfGapPromiseError, builtin_problems, gap_stats
 
@@ -89,28 +81,10 @@ def _parse_input(text: str, n: int | None) -> tuple[int, ...]:
     return tuple(int(ch) for ch in text)
 
 
-def _m_hint(spec_or_name: ProblemSpec | str, n: int, tables: dict) -> int:
-    """Branching length without building any verifier (guardrail precheck);
-    a table file read for it goes into `tables`, by path, for resolve_problem."""
-    if isinstance(spec_or_name, str):
-        return builtin_entry(spec_or_name).m_of(n)
-    spec = spec_or_name
-    source = spec.verifier
-    if source["kind"] == "builtin":
-        return builtin_entry(source["name"]).m_of(n)
-    extra = 1 if spec.dual == "derive-via-lemma" else 0
-    declared = spec.m_of(n)
-    if declared is not None:
-        return declared + extra
-    # table-file without an explicit m: the file header carries it
-    path = spec.table_path(source.get("base") or source.get("v0"))
-    tables[path] = read_table_file(path)
-    return int(tables[path]["m"]) + extra
-
-
 def _load(args, inputs=None) -> ResolvedProblem:
-    """Resolve --problem at --n; a lemma-derived pair is checked at `inputs`
-    only when given, at every input otherwise."""
+    """Resolve --problem at --n, within the desk-scale limit unless
+    --force-large; a lemma-derived pair is checked at `inputs` only when
+    given, at every input otherwise."""
     ref = args.problem
     n = args.n
     if n is None:
@@ -118,15 +92,8 @@ def _load(args, inputs=None) -> ResolvedProblem:
     if n < 1:
         raise SpecError(f"--n must be at least 1, got {n}")
     spec_or_name = ref if ref in builtin_problems() else load_problem_file(ref)
-    if isinstance(spec_or_name, ProblemSpec):
-        spec_or_name.check_n(n)  # before _m_hint opens any table file
-    tables: dict = {}
-    m = _m_hint(spec_or_name, n, tables)
-    if n + m > DESK_SCALE_LIMIT and not args.force_large:
-        raise SpecError(
-            f"n + m = {n + m} exceeds the desk-scale limit "
-            f"{DESK_SCALE_LIMIT}; pass --force-large to override")
-    return resolve_problem(spec_or_name, n, seed=args.seed, inputs=inputs, tables=tables)
+    return resolve_problem(spec_or_name, n, seed=args.seed, inputs=inputs,
+                           max_size=None if args.force_large else DESK_SCALE_LIMIT)
 
 
 def _h_value(resolved: ResolvedProblem, corrupt: bool) -> int:

@@ -258,6 +258,12 @@ class ProblemSpec(record("ProblemSpec", "name n_min n_max m_spec verifier h dual
             error = best_match(_validator(table=False).iter_errors(obj))
             if error is not None:
                 raise SpecError(f"problem spec rejected by schema: {error.message}") from error
+        for what, table in (("m table", obj.get("m", {}).get("table", {})),
+                            ("h values", obj.get("h", {}).get("values", {}))):
+            for key in table:
+                if not (key.isascii() and key == str(int(key))):
+                    raise SpecError(f"{what} key {key!r} is not a size n in ASCII digits "
+                                    "without leading zeros")
         verifier = obj["verifier"]
         dual = obj["dual"]
         has_base = "base" in verifier
@@ -391,63 +397,76 @@ def builtin_entry(name: str) -> BuiltinProblem:
     return catalog[name]
 
 
-def _resolve_builtin(entry: BuiltinProblem, n: int, seed: int | None,
-                     inputs: list[Bits] | None) -> ResolvedProblem:
-    rng = random.Random(seed) if seed is not None else None
-    if entry.make_single is not None:
-        verifier = entry.make_single(n)
-        return ResolvedProblem(entry.name, n, verifier.m, [verifier], None, entry.h)
-    pair = entry.pair(n, rng, inputs)
-    return ResolvedProblem(entry.name, n, pair.m, [pair.v0, pair.v1], pair, entry.h)
-
-
 def resolve_problem(spec_or_name: ProblemSpec | str, n: int, seed: int | None = None,
                     inputs: list[Bits] | None = None,
-                    tables: dict | None = None) -> ResolvedProblem:
+                    max_size: int | None = None) -> ResolvedProblem:
     """Instantiate a problem (builtin name or loaded spec) at input size n.
 
     A pair derived through the half-gap lemma has the lemma's promise and
     postcondition checked at every input, or only at `inputs` when given (for
-    a caller that will run just those; see make_dual_lwpp). A table file
-    already read is taken from `tables`, by path.
+    a caller that will run just those; see make_dual_lwpp). With `max_size`,
+    a problem with n + m above it is a SpecError, raised as soon as m is
+    known: from the builtin, from the spec's declared m (plus 1 for a lemma
+    pair), or else from the first table file's header, before any other
+    table is read, DSL text compiled, lemma swept or random table drawn.
     """
-    if isinstance(spec_or_name, str):
-        return _resolve_builtin(builtin_entry(spec_or_name), n, seed, inputs)
+    def guard(m: int) -> None:
+        if max_size is not None and n + m > max_size:
+            raise SpecError(f"n + m = {n + m} exceeds the desk-scale limit "
+                            f"{max_size}; pass --force-large to override")
 
-    spec = spec_or_name
-    spec.check_n(n)
-    source = spec.verifier
+    spec = None if isinstance(spec_or_name, str) else spec_or_name
+    if spec is not None:
+        spec.check_n(n)
+    source = {"kind": "builtin", "name": spec_or_name} if spec is None else spec.verifier
     if source["kind"] == "builtin":
         entry = builtin_entry(source["name"])
-        declared = spec.m_of(n)
-        if declared is not None and declared != entry.m_of(n):
+        m = entry.m_of(n)
+        guard(m)
+        declared = None if spec is None else spec.m_of(n)
+        if declared is not None and declared != m:
             raise SpecError(f"spec {spec.name!r} declares m = {declared} at n = {n}, "
-                            f"but builtin {entry.name!r} has m = {entry.m_of(n)}")
-        resolved = _resolve_builtin(entry, n, seed, inputs)
-        return resolved._replace(name=spec.name, h=resolved.h if spec.h is None else spec.h)
+                            f"but builtin {entry.name!r} has m = {m}")
+        name = entry.name if spec is None else spec.name
+        h = entry.h if spec is None or spec.h is None else spec.h
+        if entry.make_single is not None:
+            verifier = entry.make_single(n)
+            return ResolvedProblem(name, n, verifier.m, [verifier], None, h)
+        pair = entry.pair(n, random.Random(seed) if seed is not None else None, inputs)
+        return ResolvedProblem(name, n, pair.m, [pair.v0, pair.v1], pair, h)
 
-    def build(key: str) -> Verifier:
+    lemma = spec.dual == "derive-via-lemma"  # the derived pair branches once more than its base
+    declared = spec.m_of(n)
+    first = None
+    if declared is None:  # a table-file spec: its first file's header gives m
+        first = read_table_file(spec.table_path(source["base" if lemma else "v0"]))
+        guard(first["m"] + lemma)
+    else:
+        guard(declared + lemma)
+
+    def build(key: str, obj: dict | None = None) -> Verifier:
         ref = source[key]
         if source["kind"] == "dsl":
-            m = spec.m_of(n)
-            return dsl_verifier(ref, n, m, name=f"{spec.name}-{key}")
+            return dsl_verifier(ref, n, declared, name=f"{spec.name}-{key}")
         path = spec.table_path(ref)
-        obj = tables[path] if tables and path in tables else read_table_file(path)
+        obj = obj or read_table_file(path)
         try:
             verifier = verifier_from_table_json(obj, name=f"{spec.name}-{key}")
         except ValueError as exc:  # a key or branch of the wrong length
             raise SpecError(f"table file {path} rejected: {exc}") from exc
         if verifier.n != n:
             raise SpecError(f"table file {path} is for n = {verifier.n}, not {n}")
-        declared = spec.m_of(n)
         if declared is not None and declared != verifier.m:
             raise SpecError(f"table file {path} has m = {verifier.m}, spec says {declared}")
         return verifier
 
-    if spec.dual == "derive-via-lemma":
-        base = build("base")
-        pair = make_dual_lwpp(base, spec.h, inputs)
+    if lemma:
+        pair = make_dual_lwpp(build("base", first), spec.h, inputs)
         return ResolvedProblem(spec.name, n, pair.m, [pair.v0, pair.v1], pair, spec.h)
-    v0, v1 = build("v0"), build("v1")
+    v0, v1 = build("v0", first), build("v1")
+    if v0.m != v1.m:
+        raise SpecError(f"table files {spec.table_path(source['v0'])} and "
+                        f"{spec.table_path(source['v1'])} have m = {v0.m} and m = {v1.m}; "
+                        "a dual pair needs one branching length")
     pair = DualVerifierPair(v0, v1, name=spec.name, h_witness=spec.h)
     return ResolvedProblem(spec.name, n, pair.m, [v0, v1], pair, spec.h)

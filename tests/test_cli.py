@@ -473,7 +473,6 @@ def test_each_table_file_is_read_once_per_command(monkeypatch, tmp_path, capsys,
         reads.append(os.path.basename(path))
         return read(path)
 
-    monkeypatch.setattr(cli, "read_table_file", counting)
     monkeypatch.setattr(problems, "read_table_file", counting)
     outputs = []
     for m in (None, {"affine": {"a": 1, "b": 0}}):
@@ -503,6 +502,110 @@ def test_n_range_is_checked_before_table_files_are_read(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "n = 9 outside declared range [2, 3]" in err and out == ""
     assert "absent.json" not in err
+
+
+REFUSAL = "error: n + m = {} exceeds the desk-scale limit 20; pass --force-large to override\n"
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """The argument tuples of every call to `name`, patched in each module."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("declare_m", [True, False], ids=["declared-m", "table-m"])
+@pytest.mark.parametrize("dual", ["derive-via-lemma", "given-pair"], ids=["lemma", "pair"])
+def test_the_guardrail_fires_as_soon_as_m_is_known(monkeypatch, tmp_path, capsys, dual, declare_m):
+    """n = 1 over a table of m = 20 that accepts no branch: a declared m is
+    refused before any table is read, a table's m after the one read of the
+    first table, and both before any branch is counted; --force-large runs it."""
+    from quasiq import verifierkit
+    from quasiq.harness import problems
+
+    (tmp_path / "t.json").write_text(json.dumps({"n": 1, "m": 20, "table": {}}))
+    lemma = dual == "derive-via-lemma"
+    tables = {"base": "t.json"} if lemma else {"v0": "t.json", "v1": "t.json"}
+    spec = {"name": "wide", "n": {"min": 1, "max": 1}, "dual": dual,
+            "verifier": {"kind": "table-file", **tables},
+            "h": {"kind": "power", "M": 2, "t": {"a": 0, "b": 19}}}
+    if declare_m:
+        spec["m"] = {"affine": {"a": 0, "b": 20}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    reads = _count_calls(monkeypatch, "read_table_file", problems)
+    counts = _count_calls(monkeypatch, "gap_stats", cli, verifierkit)
+    argv = ["gap", "--problem", str(path), "--input", "0"]
+    m = 21 if lemma else 20
+    assert run_cli(capsys, *argv) == (EXIT_USAGE, "", REFUSAL.format(1 + m))
+    assert len(reads) == (0 if declare_m else 1) and counts == []
+    code, obj, err = run_json(capsys, *argv, "--force-large")
+    assert code == EXIT_OK, err
+    assert obj["m"] == m
+
+
+def test_random_table_is_refused_before_a_table_is_drawn(monkeypatch, capsys):
+    from quasiq import generators
+
+    draws = _count_calls(monkeypatch, "random_dual_pair", generators)
+    assert run_cli(capsys, "gap", "--problem", "random-table", "--input", "0" * 10) == (
+        EXIT_USAGE, "", REFUSAL.format(21))
+    assert draws == []
+    code, _, err = run_cli(capsys, "gap", "--problem", "random-table", "--input", "0" * 9)
+    assert code == EXIT_OK, err
+    assert len(draws) == 1
+
+
+def test_a_given_pair_whose_tables_disagree_on_m_names_both(tmp_path, capsys):
+    for name, m in (("t0.json", 2), ("t1.json", 3)):
+        (tmp_path / name).write_text(json.dumps({"n": 2, "m": m, "table": {}}))
+    spec = {"name": "mixed", "n": {"min": 2, "max": 2}, "dual": "given-pair",
+            "verifier": {"kind": "table-file", "v0": "t0.json", "v1": "t1.json"}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "gap", "--problem", str(path), "--input", "01")
+    assert code == EXIT_USAGE and out == "" and "Traceback" not in err
+    assert err == (f"error: table files {tmp_path / 't0.json'} and {tmp_path / 't1.json'} "
+                   "have m = 2 and m = 3; a dual pair needs one branching length\n")
+
+
+@pytest.mark.parametrize("m", [None, {"affine": {"a": 0, "b": 2}}], ids=["table-m", "declared-m"])
+def test_an_unreadable_later_table_is_reported_as_unreadable(tmp_path, capsys, m):
+    (tmp_path / "t0.json").write_text(json.dumps({"n": 2, "m": 2, "table": {}}))
+    spec = {"name": "later", "n": {"min": 2, "max": 2}, "dual": "given-pair",
+            "verifier": {"kind": "table-file", "v0": "t0.json", "v1": "absent.json"}}
+    if m is not None:
+        spec["m"] = m
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli(capsys, "gap", "--problem", str(path), "--input", "01") == (
+        EXIT_USAGE, "", f"error: cannot read table file {tmp_path / 'absent.json'}: "
+                        "No such file or directory\n")
+
+
+@pytest.mark.parametrize("key", ["\u0662", "02", "2\n"], ids=["arabic-indic", "leading-zero", "newline"])
+@pytest.mark.parametrize("table", ["m table", "h values"])
+def test_a_size_key_is_ascii_decimal_without_leading_zeros(tmp_path, capsys, table, key):
+    """The schema's ^\\d+$ passes each key, which int() would read as 2."""
+    spec = {"name": "keys", "n": {"min": 1, "max": 3}, "dual": "given-pair",
+            "verifier": {"kind": "builtin", "name": "parity"}}
+    if table == "m table":
+        spec["m"] = {"table": {key: 2}}
+    else:
+        spec["h"] = {"kind": "tabulated", "values": {key: 1}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli(capsys, "simulate", "--problem", str(path), "--input", "10",
+                   "--construction", "lwpp") == (
+        EXIT_USAGE, "", f"error: {table} key {key!r} is not a size n in ASCII digits "
+                        "without leading zeros\n")
 
 
 def test_every_construction_is_a_choice_and_a_verify_row(capsys):
@@ -688,14 +791,16 @@ sys.exit(code)
 # no workload command runs moved out; at 13 us of compiling per line without
 # cached bytecode, 250 lines are about 3 ms per command. The packed Hadamard
 # kernel took 2 more lines off, and the lane-block kernel, with the DSL's
-# printer and one-branch evaluator moved out, 1 more: a cold command loads 3,151.
-LINES_BEFORE, LINES_MOVED_OUT = 3404, 253
+# printer and one-branch evaluator moved out, 1 more. With the guardrail checked
+# where the problem is resolved, 14 more: a cold command loads 3,137.
+LINES_BEFORE, LINES_MOVED_OUT = 3404, 267
 
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--problem", "allzero", "--input", "000", "--construction", "un", "--json"],
     ["gap", "--problem", "parity", "--input", "0", "--json"],
-], ids=["simulate", "gap"])
+    ["verify", "--problem", "parity", "--n", "3", "--json"],
+], ids=["simulate", "gap", "verify"])
 def test_a_command_loads_no_deferred_module(argv):
     proc = run_fresh(LOAD_PROBE, *argv)
     assert proc.returncode == EXIT_OK, proc.stderr
