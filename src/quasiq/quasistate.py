@@ -28,7 +28,7 @@ from itertools import compress
 from operator import or_
 from typing import Iterable, Iterator
 
-from quasiq.exactnum import ONE, ZERO, Amplitude, ExactDivisionError
+from quasiq.exactnum import ONE, ZERO, Amplitude
 
 
 class WireError(ValueError):
@@ -67,23 +67,18 @@ def key_of_label(label: str) -> int:
     return int(label, 2) if label else 0
 
 
-_WILDCARDS = frozenset("*.·")
+# A pattern's mask bits and value bits; any other character passes through.
+_MASK_BITS = str.maketrans("01*.·", "11000")
+_VALUE_BITS = str.maketrans("*.·", "000")
 
 
 def compile_pattern(pattern: str) -> tuple[int, int]:
     """Bit pattern with wildcards ('*', '.', or middle dot) -> (mask, value)."""
-    mask = value = 0
-    for ch in pattern:
-        mask <<= 1
-        value <<= 1
-        if ch == "1":
-            mask |= 1
-            value |= 1
-        elif ch == "0":
-            mask |= 1
-        elif ch not in _WILDCARDS:
-            raise ValueError(f"bad pattern character {ch!r}")
-    return mask, value
+    mask = pattern.translate(_MASK_BITS)
+    bad = mask.lstrip("01")
+    if bad:
+        raise ValueError(f"bad pattern character {bad[0]!r}")
+    return key_of_label(mask), key_of_label(pattern.translate(_VALUE_BITS))
 
 
 # The facts about one gate kind. family: the _NumeratorState method that

@@ -15,7 +15,7 @@ from itertools import compress
 from operator import or_
 
 from quasiq.exactnum import HALF, INV_SQRT2, TWO, Amplitude, ExactDivisionError
-from quasiq.harness.dsl import _OPS, _PRECEDENCE, BinOp, Bits, DslExpr, Lit, Not, Parity, Ref
+from quasiq.harness.dsl_language import _OPS, _PRECEDENCE, BinOp, Bits, DslExpr, Lit, Not, Parity, Ref
 from quasiq.quasistate import Gate, StateVector, key_of
 
 

@@ -3,9 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
+import hypothesis.strategies as st
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
 from test_problems import GOOD_LEMMA_SPEC, GOOD_PAIR_SPEC, _edit
 
 from quasiq.circuitgen import AncillaRestorationError, ResidualTermError, SimulationInvariantError
@@ -19,6 +22,7 @@ from quasiq.harness.cli import (
     EXIT_USAGE,
     main,
 )
+from quasiq.harness.dsl import ParseError, parse_dsl
 from quasiq.harness.problems import SCHEMA
 from quasiq.quasistate import _NumeratorState
 from quasiq.verifierkit import allzero_verifier, language_pair, table_to_json
@@ -776,7 +780,7 @@ def run_fresh(code, *argv):
 
 # Modules that hold only code no workload command runs; each loads on first use.
 DEFERRED_MODULES = ("quasiq.reference", "quasiq.readers", "quasiq.generators",
-                    "quasiq.harness.duals")
+                    "quasiq.harness.duals", "quasiq.harness.dsl_language")
 # Runs the CLI, then prints the loaded quasiq modules and their source lines.
 LOAD_PROBE = """
 import json, sys
@@ -792,8 +796,9 @@ sys.exit(code)
 # cached bytecode, 250 lines are about 3 ms per command. The packed Hadamard
 # kernel took 2 more lines off, and the lane-block kernel, with the DSL's
 # printer and one-branch evaluator moved out, 1 more. With the guardrail checked
-# where the problem is resolved, 14 more: a cold command loads 3,137.
-LINES_BEFORE, LINES_MOVED_OUT = 3404, 267
+# where the problem is resolved, 14 more: a cold command loaded 3,137. With the
+# DSL's lexer, parser and mask compiler loaded only for DSL text, 302 more.
+LINES_BEFORE, LINES_MOVED_OUT = 3404, 569
 
 
 @pytest.mark.parametrize("argv", [
@@ -821,7 +826,10 @@ def test_a_command_loads_no_deferred_module(argv):
      "quasiq.harness.duals"),
     ("__import__('quasiq.harness.dsl', fromlist=['_']).dsl_verifier('b[0]', 1, 1).eval((0,), (1,))",
      "quasiq.reference"),
-], ids=["apply", "str", "div-exact", "random-pair", "random-table", "reader", "duals", "dsl-eval"])
+    ("__import__('quasiq.harness.dsl', fromlist=['_']).dsl_verifier('b[0]', 1, 1, 'v')",
+     "quasiq.harness.dsl_language"),
+], ids=["apply", "str", "div-exact", "random-pair", "random-table", "reader", "duals", "dsl-eval",
+        "dsl-language"])
 def test_deferred_code_loads_on_first_use(call, module):
     proc = run_fresh("import random, sys; from quasiq import verifierkit; "
                      "from quasiq.exactnum import Amplitude; "
@@ -845,6 +853,38 @@ def test_deep_dsl_nesting_is_a_spec_error(tmp_path, text):
     assert proc.returncode == EXIT_USAGE
     assert "Traceback" not in proc.stderr
     assert "nested more than 100 levels deep at line 1, column" in proc.stderr
+
+
+# DSL tokens and stray characters that a v1 text is drawn from.
+DSL_PIECES = ("x", "b", "[", "]", "0", "1", "2", "(", ")", "&", "^", "|", "!", "parity", " ",
+              "\n", "\t", "\r", "\x00", "\x0b", "_", "$", "\u00e9", "\u0301", "\u00b2",
+              "\u0663", "x[0]", "b[1]")
+WELL_FORMED_INPUTS = ("0", "1", "01", "10", "00", "11")  # n is 1 or 2 in GOOD_PAIR_SPEC
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(v1=st.lists(st.sampled_from(DSL_PIECES), max_size=10).map("".join),
+       x=st.one_of(st.sampled_from(WELL_FORMED_INPUTS), st.text("01 2x-=\u0663\n", max_size=4)))
+def test_dsl_text_and_input_errors_keep_the_cli_contract(capsys, v1, x):
+    """A refused run exits 2 with one `error:` line, which names a line and a
+    column when the DSL text is at fault, and nothing prints a traceback."""
+    spec = dict(GOOD_PAIR_SPEC, verifier=dict(GOOD_PAIR_SPEC["verifier"], v1=v1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pair.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        code, out, err = run_cli(capsys, "gap", "--problem", path, f"--input={x}", "--json")
+    assert "Traceback" not in out + err and "internal error" not in err
+    if code == EXIT_OK:
+        assert x in WELL_FORMED_INPUTS and json.loads(out)["input"] == x
+        return
+    assert code == EXIT_USAGE and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    if x in WELL_FORMED_INPUTS:
+        with pytest.raises(ParseError) as info:
+            parse_dsl(v1, len(x), 2)
+        assert f"line {info.value.line}, column {info.value.col}" in line
 
 
 # Runs the CLI, then prints whether jsonschema was imported.

@@ -93,6 +93,42 @@ def test_only_ascii_digits_are_numbers(text):
     assert (info.value.line, info.value.col) == (1, 3)
 
 
+_OPERAND = ("x[i]", "b[j]", "parity", "0", "1", "'('")
+
+
+@pytest.mark.parametrize("text, message, line, col, expected", [
+    ("x[\u00b2]", "unexpected character '\u00b2'", 1, 3, ()),
+    ("x[\u0663]", "unexpected character '\u0663'", 1, 3, ()),
+    ("x[\uff10]", "unexpected character '\uff10'", 1, 3, ()),
+    ("1\u00b2", "unexpected character '\u00b2'", 1, 2, ()),
+    ("a\u00b2", "unknown identifier 'a\u00b2'", 1, 1, _OPERAND),
+    ("_x", "unknown identifier '_x'", 1, 1, _OPERAND),
+    ("b[0] ^ \u00e9", "unknown identifier '\u00e9'", 1, 8, _OPERAND),
+    ("e\u0301", "unexpected character '\u0301'", 1, 2, ()),
+    ("x[0]\x00", "unexpected character '\\x00'", 1, 5, ()),
+    ("x[0] |\x0b", "unexpected character '\\x0b'", 1, 7, ()),
+    ("\tq", "unknown identifier 'q'", 1, 2, _OPERAND),
+    ("b[0] &\r\t$", "unexpected character '$'", 1, 9, ()),
+    ("x[0] ^\r\n\tb[0] x", "trailing input 'x'", 2, 7, ("operator", "end of input")),
+    ("x[0] ^\n", "unexpected 'end of input'", 2, 1, _OPERAND + ("'!'",)),
+    ("parity(\nx & \n\n  x)", "parity fold must be x & b", 4, 3, ("b",)),
+], ids=["superscript-index", "arabic-index", "fullwidth-index", "superscript-after-int",
+        "superscript-in-name", "underscore-name", "accented-name", "combining-mark", "nul",
+        "vertical-tab", "tab-column", "cr-column", "later-line", "final-newline", "blank-lines"])
+def test_lexer_edges_give_exact_errors(text, message, line, col, expected):
+    with pytest.raises(ParseError) as info:
+        parse_dsl(text, 2, 2)
+    error = info.value
+    assert (error.line, error.col, error.expected) == (line, col, expected)
+    detail = f" (expected {', '.join(expected)})" if expected else ""
+    assert str(error) == f"{message} at line {line}, column {col}{detail}"
+
+
+def test_a_text_may_end_in_newlines():
+    assert parse_dsl("x[0]\n") == Ref("x", 0)
+    assert parse_dsl("\r\n x[1]\t^\nb[0]\n\n", 2, 2) == BinOp("^", Ref("x", 1), Ref("b", 0))
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse_dsl("x[0] x[1]")

@@ -16,6 +16,7 @@ from quasiq.quasistate import (
     StateVector,
     WireError,
     bits_of,
+    compile_pattern,
     key_of,
     label_of,
 )
@@ -99,6 +100,29 @@ def test_amplitude_of_patterns():
     assert bell.match("0·") == [(0b00, INV_SQRT2)]
     assert bell.match("1*") == [(0b11, INV_SQRT2)]
     assert bell.match("10") == []
+
+
+@pytest.mark.parametrize("pattern, compiled", [
+    ("", (0, 0)), ("*.\u00b7", (0, 0)), ("1*0", (0b101, 0b100)), ("0\u00b71", (0b101, 0b001)),
+])
+def test_a_pattern_compiles_to_its_mask_and_value(pattern, compiled):
+    assert compile_pattern(pattern) == compiled
+
+
+@pytest.mark.parametrize("pattern, bad", [
+    ("0x1y", "x"), ("0_1", "_"), ("1 0", " "), ("0\uff11", "\uff11"), ("**+", "+"),
+])
+def test_a_pattern_names_its_first_bad_character(pattern, bad):
+    with pytest.raises(ValueError) as info:
+        compile_pattern(pattern)
+    assert str(info.value) == f"bad pattern character {bad!r}"
+
+
+def test_a_middle_dot_matches_either_bit():
+    state = sv(3, [(k, ONE) for k in range(8)])
+    assert state.match("0\u00b71") == [(0b001, ONE), (0b011, ONE)]
+    with pytest.raises(ValueError, match="bad pattern character '2'"):
+        state.match("021")
 
 
 def test_match_ordering_is_lexicographic():
