@@ -6,58 +6,3 @@ machines' branch-count gaps, and verifies the resulting decision guarantees
 with zero numerical tolerance: all arithmetic lives in the ring of numbers
 (c0 + c1*sqrt(2)) / 2**e with arbitrary-precision integer parts.
 """
-
-from quasiq.exactnum import Amplitude
-from quasiq.quasistate import Gate, StateVector
-from quasiq.verifierkit import (
-    DualVerifierPair,
-    GapReport,
-    HalfGapFunction,
-    Verifier,
-    builtin_problems,
-    gap_stats,
-    make_dual_lwpp,
-)
-from quasiq.circuitgen import (
-    Circuit,
-    RunOutcome,
-    build_fig3,
-    build_lpwpp_decider,
-    build_lwpp_decider,
-    build_un,
-    build_wn,
-    run_lpwpp,
-    run_lwpp,
-    run_posteqp,
-    run_un,
-    run_wn,
-    run_zqp,
-    simulate_circuit,
-)
-
-__all__ = [
-    "Amplitude",
-    "Gate",
-    "StateVector",
-    "Verifier",
-    "DualVerifierPair",
-    "HalfGapFunction",
-    "GapReport",
-    "gap_stats",
-    "make_dual_lwpp",
-    "builtin_problems",
-    "Circuit",
-    "RunOutcome",
-    "build_un",
-    "build_fig3",
-    "build_wn",
-    "build_lwpp_decider",
-    "build_lpwpp_decider",
-    "simulate_circuit",
-    "run_un",
-    "run_zqp",
-    "run_posteqp",
-    "run_wn",
-    "run_lwpp",
-    "run_lpwpp",
-]

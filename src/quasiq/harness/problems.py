@@ -381,6 +381,10 @@ def read_table_file(path: str) -> dict:
         except ValidationError as exc:
             raise SpecError(f"table file {path} rejected by schema: {exc.message}") from exc
     table = obj["table"]
+    if _stray(table):  # a key that ends in a newline matches the schema's ^[01]*$
+        xlabel = next(xlabel for xlabel in table if xlabel.strip("01"))
+        raise SpecError(f"table file {path} rejected by schema: "
+                        f"the input {xlabel!r} is not a bit string")
     if _stray(chain.from_iterable(table.values())):  # then name the first row with one
         xlabel = next(xlabel for xlabel, blabels in table.items() if _stray(blabels))
         raise SpecError(f"table file {path} rejected by schema: "
@@ -447,7 +451,10 @@ def resolve_problem(spec_or_name: ProblemSpec | str, n: int, seed: int | None = 
     def build(key: str, obj: dict | None = None) -> Verifier:
         ref = source[key]
         if source["kind"] == "dsl":
-            return dsl_verifier(ref, n, declared, name=f"{spec.name}-{key}")
+            try:
+                return dsl_verifier(ref, n, declared, name=f"{spec.name}-{key}")
+            except ValueError as exc:  # a ParseError, which keeps its line and column
+                raise SpecError(f"spec {spec.name!r}, {key}: {exc}") from exc
         path = spec.table_path(ref)
         obj = obj or read_table_file(path)
         try:

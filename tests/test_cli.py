@@ -8,7 +8,7 @@ import tempfile
 import hypothesis.strategies as st
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from test_problems import GOOD_LEMMA_SPEC, GOOD_PAIR_SPEC, _edit
 
 from quasiq.circuitgen import AncillaRestorationError, ResidualTermError, SimulationInvariantError
@@ -340,8 +340,8 @@ def test_missing_table_file_is_a_spec_error(tmp_path, capsys, m):
 _STRAY = "rejected by schema: the branches of input {row!r} are not all bit strings"
 # Each malformed table file and the one stderr line it gives. A key or branch
 # of the wrong length is reported for the first row that has one, a key before
-# a branch in the same row; labels with a stray character are found before any
-# length is checked.
+# a branch in the same row; keys, then labels, with a stray character are found
+# before any length is checked.
 MALFORMED_TABLES = {
     "no-m": ({"n": 2, "table": {}}, "rejected by schema: 'm' is a required property"),
     "table-list": ({"n": 2, "m": 2, "table": []}, "rejected by schema: [] is not of type 'object'"),
@@ -372,7 +372,9 @@ MALFORMED_TABLES = {
                      "rejected: branch '' does not have length m = 2"),
     # the schema's ^[01]*$ lets a key end in a newline, as jsonschema matches it
     "key-newline": ({"n": 2, "m": 2, "table": {"0\n": ["01"], "1": []}},
-                    "rejected: invalid literal for int() with base 10: '\\n'"),
+                    "rejected by schema: the input '0\\n' is not a bit string"),
+    "key-before-label": ({"n": 2, "m": 2, "table": {"00": ["0\t"], "1\n": []}},
+                         "rejected by schema: the input '1\\n' is not a bit string"),
 }
 BAD_TABLE_SPEC = {
     "name": "bad-table",
@@ -798,7 +800,9 @@ sys.exit(code)
 # printer and one-branch evaluator moved out, 1 more. With the guardrail checked
 # where the problem is resolved, 14 more: a cold command loaded 3,137. With the
 # DSL's lexer, parser and mask compiler loaded only for DSL text, 302 more.
-LINES_BEFORE, LINES_MOVED_OUT = 3404, 569
+# With the package's re-exports deleted, 55 fewer, less the 7 that check a table
+# key and name a DSL text's field: a cold command loads 2,787.
+LINES_BEFORE, LINES_MOVED_OUT = 3404, 617
 
 
 @pytest.mark.parametrize("argv", [
@@ -837,6 +841,16 @@ def test_deferred_code_loads_on_first_use(call, module):
                      f"print({module!r} in sys.modules); {call}; print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_a_module_loads_only_the_modules_it_imports():
+    """The package exports nothing, so importing one module does not load the
+    others: the branch-counting oracle loads without the circuit path."""
+    proc = run_fresh("import sys, quasiq.exactnum; "
+                     "print(sorted(m for m in sys.modules if m.startswith('quasiq'))); "
+                     "import quasiq.verifierkit; print('quasiq.circuitgen' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['quasiq', 'quasiq.exactnum']", "False"]
 
 
 @pytest.mark.parametrize("text", ["(" * 400 + "b[0]" + ")" * 400, "!" * 3000 + "b[0]",
@@ -885,6 +899,95 @@ def test_dsl_text_and_input_errors_keep_the_cli_contract(capsys, v1, x):
         with pytest.raises(ParseError) as info:
             parse_dsl(v1, len(x), 2)
         assert f"line {info.value.line}, column {info.value.col}" in line
+
+
+@pytest.mark.parametrize("field", ["v0", "v1", "base"])
+def test_a_dsl_parse_error_names_the_spec_and_the_field(tmp_path, capsys, field):
+    spec = GOOD_LEMMA_SPEC if field == "base" else GOOD_PAIR_SPEC
+    spec = _edit(spec, ("verifier", field), "x[0] $")
+    code, out, err = run_cli(capsys, "gap", "--problem", _spec_file(tmp_path, spec),
+                             "--input", "01")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"error: spec {spec['name']!r}, {field}: "
+                   "unexpected character '$' at line 1, column 6\n")
+
+
+# A valid table (n = m = 2; row "00" accepts no branch) and the faults that a
+# mutated copy of it gets.
+VALID_TABLE = table_to_json(allzero_verifier(2))
+LABELLED_ROWS = [xlabel for xlabel, blabels in VALID_TABLE["table"].items() if blabels]
+TABLE_STRAYS = ("\n", "\t", "2", "\u0663", "\x00")
+NOT_A_LABEL = (0, 1, ["01"], None)
+NOT_A_SIZE = (True, False, 2.0, -1, "2")
+BY_SCHEMA = "rejected by schema: "
+
+
+@st.composite
+def mutated_tables(draw):
+    """A copy of VALID_TABLE with one fault, and the text its refusal holds: a
+    stray character or a value of the wrong type is refused by the schema, and
+    a key or branch with a bit too many or too few by its own name."""
+    table = {xlabel: list(blabels) for xlabel, blabels in VALID_TABLE["table"].items()}
+    obj = dict(VALID_TABLE, table=table)
+    fault = draw(st.sampled_from(["stray", "bits", "label-type", "size-type", "table-list"]))
+    if fault == "size-type":
+        obj[draw(st.sampled_from("nm"))] = draw(st.sampled_from(NOT_A_SIZE))
+        return obj, BY_SCHEMA
+    if fault == "table-list":
+        obj["table"] = list(table)
+        return obj, BY_SCHEMA
+    xlabel = draw(st.sampled_from(LABELLED_ROWS))
+    blabels = table[xlabel]
+    j = draw(st.integers(0, len(blabels) - 1))
+    if fault == "label-type":
+        blabels[j] = draw(st.sampled_from(NOT_A_LABEL))
+        return obj, BY_SCHEMA
+    on_key = draw(st.booleans())
+    old = xlabel if on_key else blabels[j]
+    pos = draw(st.integers(0, len(old)))
+    if fault == "stray":  # inserted, or in place of the bit at pos
+        new = old[:pos] + draw(st.sampled_from(TABLE_STRAYS)) + old[pos + draw(st.booleans()):]
+        expected = BY_SCHEMA
+    else:
+        lose = pos < len(old) and draw(st.booleans())
+        new = old[:pos] + ("" if lose else draw(st.sampled_from("01"))) + old[pos + lose:]
+        expected = f"rejected: table key {new!r}" if on_key else f"rejected: branch {new!r}"
+    if on_key:
+        table[new] = table.pop(xlabel)
+    else:
+        blabels[j] = new
+    return obj, expected
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=mutated_tables(), side=st.sampled_from(["v0", "v1"]))
+@example(mutation=({**VALID_TABLE, "table": {("0\n" if xlabel == "01" else xlabel): blabels
+                                              for xlabel, blabels in VALID_TABLE["table"].items()}},
+                   BY_SCHEMA), side="v0")  # the key passes the schema's ^[01]*$
+def test_table_file_faults_keep_the_cli_contract(capsys, mutation, side):
+    """A given pair with one side, and a lemma base, read from a faulty table
+    file: each run exits 2 with one `error:` line that names the file and says
+    what is wrong, and nothing prints a traceback."""
+    table, expected = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = os.path.join(tmp, "bad.json")
+        for name, obj in (("bad.json", table), ("good.json", VALID_TABLE)):
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        pair = {"name": "pair", "n": {"min": 2, "max": 2}, "dual": "given-pair",
+                "verifier": {"kind": "table-file", "v0": "good.json", "v1": "good.json",
+                             side: "bad.json"}}
+        lemma = {**TABLE_LEMMA_SPEC, "verifier": {"kind": "table-file", "base": "bad.json"}}
+        for spec in (pair, lemma):
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(spec, fh)
+            code, out, err = run_cli(capsys, "gap", "--problem", path, "--input", "00")
+            assert "Traceback" not in out + err and "internal error" not in err
+            assert (code, out) == (EXIT_USAGE, "")
+            (line,) = err.splitlines()
+            assert line.startswith(f"error: table file {bad} ")
+            assert expected in line
 
 
 # Runs the CLI, then prints whether jsonschema was imported.

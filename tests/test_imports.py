@@ -1,5 +1,6 @@
 """Every module-level import in the package is used by the module that makes it:
-an unused one costs compile and import time on every command that loads it."""
+an unused one costs compile and import time on every command that loads it.
+The package module itself imports nothing."""
 import ast
 import pathlib
 
@@ -47,3 +48,10 @@ def test_the_check_sees_an_unused_import_and_its_exemptions():
               "__all__ = ['loads']\n"
               "print(os.sep, argv)\n")
     assert unused_imports(source) == ["re (line 2)", "d (line 7)"]
+
+
+def test_the_package_module_imports_nothing():
+    """quasiq/__init__.py re-exports no name: an import there would load its
+    module, and all that module imports, with every other quasiq module."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
