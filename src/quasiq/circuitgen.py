@@ -24,8 +24,9 @@ Checkpoints label the intermediate states (psi_1..psi_3, flagged, cycled,
 phi_1..phi_4, swapped, scaled) so each displayed identity can be checked
 term by term. Circuits nest, un -> fig3 and wn -> both deciders: each builder
 names only its own labelled segments, and _chain appends them to the parent's
-gates and places a checkpoint where each ends. A child run on the x its
-parent last ran on starts from the parent's final state.
+gates and places a checkpoint where each ends. A run may start from many
+inputs at once, one sector each (simulate_inputs): verify runs each circuit
+once a chunk of inputs, and a child forks from its parent's final state.
 """
 from __future__ import annotations
 
@@ -76,9 +77,9 @@ class SimulationInvariantError(RuntimeError):
 class Circuit:
     """Gate list on named registers, with labeled checkpoint positions. A child
     circuit starts with its parent's gates, on the same wires plus extra ones
-    last. A circuit that `forks` is one that children start from (un and wn),
-    and only such a circuit keeps `last`, (x key, kernel state, final state)
-    after its last run. Circuits are equal when all but parent, forks and last are."""
+    last. A circuit that `forks` is one that children start from (un and wn);
+    only it keeps `last`, (input keys, kernel state, final state of every input's
+    sector) after its last run. Circuits are equal when all but parent, forks and last are."""
 
     __slots__ = ("width", "registers", "gates", "checkpoints", "parent", "forks", "last")
 
@@ -138,14 +139,33 @@ def gate_alphabet(circuit: Circuit) -> set[str]:
     return {gate.label() for gate in circuit.gates}
 
 
-def simulate_circuit(circuit: Circuit, x_bits, record=False) -> tuple[StateVector, dict[str, StateVector]]:
+def simulate_circuit(circuit: Circuit, x_bits, record=False, batch=None) -> tuple[StateVector, dict]:
     """Run the circuit on |x>|0...0> and capture checkpoint states.
 
     record: False for none, True for all checkpoints, or an iterable of labels.
+    batch: None, or a dict from the inputs of a sweep, x_bits among them, to
+    their runs (None until run), which one circuit's calls share, with one
+    `record`: the first call runs simulate_inputs on them all, and each call
+    returns its own input's run.
     """
+    if batch is None:
+        return simulate_inputs(circuit, [x_bits], record)[0]
+    if batch[x_bits] is None:
+        batch.update(zip(list(batch), simulate_inputs(circuit, list(batch), record)))
+    return batch[x_bits]
+
+
+def simulate_inputs(circuit: Circuit, inputs, record=False) -> list[tuple[StateVector, dict]]:
+    """The final and checkpoint states of each input, from one kernel run on the
+    sum of |x>|0...0> over `inputs`, amplitude 1 each. Several inputs need a
+    circuit that targets no x wire: then each x's terms evolve as that run alone."""
     n = circuit.registers["x"][1]
-    if len(x_bits) != n:
-        raise RegisterMismatchError(f"input has {len(x_bits)} bits, x register has {n} wires")
+    if (bits := next((len(x_bits) for x_bits in inputs if len(x_bits) != n), n)) != n:
+        raise RegisterMismatchError(f"input has {bits} bits, x register has {n} wires")
+    gates, start, parent, shift = circuit.gates, 0, circuit.parent, circuit.width - n
+    if len(inputs) > 1 and any(w < n for g in gates  # an ORACLE writes its last wire only
+                               for w in (g.wires[-1:] if g.kind == "ORACLE" else g.wires)):
+        raise ValueError("a circuit run on several inputs at once must target no x wire")
     wanted = set(circuit.checkpoint_labels()) if record is True else set(record or ())
     by_position: dict[int, list[str]] = {}
     for label, pos in circuit.checkpoints:
@@ -153,27 +173,36 @@ def simulate_circuit(circuit: Circuit, x_bits, record=False) -> tuple[StateVecto
             by_position.setdefault(pos, []).append(label)
 
     # The kernel runs one segment between recorded checkpoints at a time. A
-    # child run on the x its parent last ran on, with no recorded checkpoint
+    # child run on the inputs its parent last ran on, with no recorded checkpoint
     # before the fork, starts from the parent's final state (kernel.fork).
-    xkey = key_of(x_bits)
-    gates, start, parent = circuit.gates, 0, circuit.parent
-    if (parent and parent.last and parent.last[0] == xkey
+    keys = tuple(key_of(x_bits) for x_bits in inputs)
+    if (parent and parent.last and parent.last[0] == keys
             and min(by_position, default=len(gates)) >= len(parent.gates)):
         start = len(parent.gates)
-    state = _NumeratorState(circuit.width, xkey << (circuit.width - n),
+    state = _NumeratorState(circuit.width, [key << shift for key in keys],
                             {gate.wires[0] for gate in gates[start:] if gate.kind == "H"})
-    if start:
-        state.fork(*parent.last[1:])
-    captured: dict[str, StateVector] = {}
+    if start:  # one input is one sector, whatever x its terms come to read
+        state.fork(*parent.last[1:], n if len(keys) > 1 else 0)
+    captured: dict[str, list[StateVector]] = {}
     for stop in sorted({*by_position, len(gates)}):
         state.run(gates[start:stop])
         start = stop
         snapshot = state.to_state()
+        sectors = [snapshot] if len(keys) == 1 else _sectors(snapshot, keys, shift)
         for label in by_position.get(stop, ()):
-            captured[label] = snapshot
+            captured[label] = sectors
     if circuit.forks:
-        circuit.last = (xkey, state, snapshot)
-    return snapshot, captured
+        circuit.last = (keys, state, snapshot)
+    return [(final, {label: states[i] for label, states in captured.items()})
+            for i, final in enumerate(sectors)]
+
+
+def _sectors(state: StateVector, keys: tuple[int, ...], shift: int) -> list[StateVector]:
+    """`state` split by input: for each of the distinct `keys`, the terms that read key >> shift."""
+    parts = {key: StateVector(state.width) for key in keys}
+    for key, amp in state.terms.items():
+        parts[key >> shift].terms[key] = amp
+    return list(parts.values())
 
 
 class RunOutcome(record("RunOutcome", "construction input verdict answer success_mass failure_mass "
@@ -371,7 +400,7 @@ def _single_wire_value(state: StateVector, wire: int, context: str) -> int:
     return values.pop()
 
 
-def run_un(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
+def run_un(pair: DualVerifierPair, x_bits, record=False, batch=None) -> RunOutcome:
     """Run the unitary gap-amplitude circuit.
 
     success_mass is the mass of the b = 0...0, a = 1 block (the gap
@@ -383,15 +412,11 @@ def run_un(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     n, m = pair.n, pair.m
     lx = pair.language_bit(tuple(x_bits))
     circuit = _built(pair, build_un, n)
-    final, captured = simulate_circuit(circuit, x_bits, record)
-    pattern = bits_label(x_bits) + "0" * m + "*1"
-    block = final.match(pattern)
-    success_mass = sum((amp * amp for _, amp in block), ZERO)
-    norm = final.norm_sq()
+    final, captured = simulate_circuit(circuit, x_bits, record, batch=batch)
+    gap_block = StateVector(final.width, dict(final.match(bits_label(x_bits) + "0" * m + "*1")))
+    success_mass, norm = gap_block.norm_sq(), final.norm_sq()
     failure_mass = norm - success_mass
-    c = circuit.wire("c")
-    gap_block = StateVector(final.width, dict(block))
-    answer = _single_wire_value(gap_block, c, "gap-amplitude block")
+    answer = _single_wire_value(gap_block, circuit.wire("c"), "gap-amplitude block")
     if answer != lx:
         raise SimulationInvariantError(
             f"gap-amplitude block sits on c = {answer}, oracle says L(x) = {lx}")
@@ -411,7 +436,7 @@ def run_un(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     return _outcome("un", x_bits, final, captured, answer, success_mass, failure_mass)
 
 
-def run_zqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
+def run_zqp(pair: DualVerifierPair, x_bits, record=False, batch=None) -> RunOutcome:
     """Zero-error run with p = 2^-m: success flag on a, answer on s.
 
     The exact success probability is certified strictly greater than 1/2
@@ -419,18 +444,13 @@ def run_zqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     checked to carry zero mass on the wrong answer, and the success mass must
     be the square of the oracle's live delta.
     """
-    n = pair.n
     lx = pair.language_bit(tuple(x_bits))  # DualityError on an invalid pair
-    circuit = _built(pair, build_fig3, n, "bm")
-    final, captured = simulate_circuit(circuit, x_bits, record)
+    circuit = _built(pair, build_fig3, pair.n, "bm")
+    final, captured = simulate_circuit(circuit, x_bits, record, batch=batch)
     a, s = circuit.wire("a"), circuit.wire("s")
     success_mass, conditional = final.project(a, 1)
     failure_mass = final.norm_sq() - success_mass
-    wrong_mass = sum(
-        (amp * amp for key, amp in conditional
-         if (key >> (final.width - 1 - s)) & 1 != lx),
-        ZERO,
-    )
+    wrong_mass = conditional.filter_terms(lambda key: (key >> final.width - 1 - s) & 1 != lx).norm_sq()
     if not wrong_mass.is_zero():
         raise SimulationInvariantError(
             f"success-conditioned state has mass {wrong_mass} on answer {1 - lx}")
@@ -443,15 +463,14 @@ def run_zqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     return _outcome("fig3-zqp", x_bits, final, captured, answer, success_mass, failure_mass)
 
 
-def run_posteqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
+def run_posteqp(pair: DualVerifierPair, x_bits, record=False, batch=None) -> RunOutcome:
     """Postselected run: project a onto 1; the conditional state must be
     supported entirely on the correct answer and have nonzero mass."""
-    n = pair.n
     lx = pair.language_bit(tuple(x_bits))
-    circuit = _built(pair, build_fig3, n, "proj1")
+    circuit = _built(pair, build_fig3, pair.n, "proj1")
     # The pre-projection state is always captured to report the rejected mass.
     wanted = True if record is True else set(record or ()) | {"cycled"}
-    final, captured = simulate_circuit(circuit, x_bits, wanted)
+    final, captured = simulate_circuit(circuit, x_bits, wanted, batch=batch)
     success_mass = final.norm_sq()
     if success_mass.is_zero():
         raise PostselectionError(
@@ -471,10 +490,7 @@ def run_posteqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
 
 def check_ancillas_restored(state: StateVector, circuit: Circuit) -> None:
     """Every surviving component must hold the b register and a at zero."""
-    ancilla_wires = circuit.register_wires("b") + (circuit.wire("a"),)
-    mask = 0
-    for w in ancilla_wires:
-        mask |= 1 << (state.width - 1 - w)
+    mask = sum(1 << (state.width - 1 - w) for w in circuit.register_wires("b") + (circuit.wire("a"),))
     for key, _ in state:
         if key & mask:
             term = label_of(key, state.width)
@@ -482,7 +498,7 @@ def check_ancillas_restored(state: StateVector, circuit: Circuit) -> None:
                 f"component |{term}> leaves an ancilla nonzero", term=term)
 
 
-def run_wn(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
+def run_wn(pair: DualVerifierPair, x_bits, record=False, batch=None) -> RunOutcome:
     """Run the uncomputing circuit and verify ancilla restoration and the
     closed form |x 0^m>(|000> + delta|L(x) 0 1>).
 
@@ -492,7 +508,7 @@ def run_wn(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
     n, m = pair.n, pair.m
     lx = pair.language_bit(tuple(x_bits))
     circuit = _built(pair, build_wn, n)
-    final, captured = simulate_circuit(circuit, x_bits, record)
+    final, captured = simulate_circuit(circuit, x_bits, record, batch=batch)
     check_ancillas_restored(final, circuit)
     c, s = circuit.wire("c"), circuit.wire("s")
     success_mass, indicator = final.project(s, 1)
@@ -516,10 +532,10 @@ def decider_term(pair: DualVerifierPair, x_bits, h: int) -> StateVector:
 
 
 def _run_decider(circuit: Circuit, construction: str, pair: DualVerifierPair, h: int, x_bits,
-                 record, mismatch: str) -> RunOutcome:
+                 record, batch, mismatch: str) -> RunOutcome:
     """Run a decider built for witness value h: its output must be the single
     term decider_term(pair, x, h), else ResidualTermError or the `mismatch`."""
-    final, captured = simulate_circuit(circuit, x_bits, record)
+    final, captured = simulate_circuit(circuit, x_bits, record, batch=batch)
     stem = key_of(x_bits) << (pair.m + 2) | 0b10  # |x 0^m 1 0>: every wire but the answer
     residuals = [label_of(key, final.width) for key, _ in final if key >> 1 != stem]
     if residuals or len(final) != 1:
@@ -532,18 +548,18 @@ def _run_decider(circuit: Circuit, construction: str, pair: DualVerifierPair, h:
     return _outcome(construction, x_bits, final, captured, answer, final.norm_sq(), ZERO)
 
 
-def run_lwpp(pair: DualVerifierPair, h, x_bits, record=False) -> RunOutcome:
+def run_lwpp(pair: DualVerifierPair, h, x_bits, record=False, batch=None) -> RunOutcome:
     """Exact decider run; raises ResidualTermError when the half-gap witness
     fails to cancel the |00> tail."""
     hv = _witness_value(h, pair.n)
     circuit = _built(pair, build_lwpp_decider, hv, pair.n)
-    return _run_decider(circuit, "lwpp", pair, hv, x_bits, record,
+    return _run_decider(circuit, "lwpp", pair, hv, x_bits, record, batch,
                         "decider output is not the single term (h/2^m)|x>|1>|L(x)>")
 
 
-def run_lpwpp(pair: DualVerifierPair, base: int, t: int, x_bits, record=False) -> RunOutcome:
+def run_lpwpp(pair: DualVerifierPair, base: int, t: int, x_bits, record=False, batch=None) -> RunOutcome:
     """Exact decider run over the fixed gate alphabet, h = base**t; the circuit
     must use no length-dependent gate."""
     circuit = _built(pair, build_lpwpp_decider, base, t, pair.n)
-    return _run_decider(circuit, "lpwpp", pair, base**t, x_bits, record,
+    return _run_decider(circuit, "lpwpp", pair, base**t, x_bits, record, batch,
                         "fixed-gate-set decider differs from the length-dependent one")

@@ -50,6 +50,10 @@ EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141
 
 DESK_SCALE_LIMIT = 20
+# verify runs its inputs in chunks of at most this many lanes in un's state: at
+# parity n = 9, chunks of 16 inputs keep the peak RSS of a run per input, where 32
+# add 0.6 MB and all 512 add 30 MB (BENCH_batched_verify.json); n = m = 5 is one chunk.
+BATCH_LANES = 2**15
 
 # A circuit whose exact output breaks its own invariant: a mismatch, not a
 # usage error.
@@ -111,10 +115,10 @@ _WITNESS_FORMS = {"value": "a half-gap witness h(n)",
 class Construction(record("Construction", "name run witness", (None,))):
     """One construction as the CLI runs it.
 
-    run(resolved, x, record, corrupt_h) gives the RunOutcome; the run_* it
-    calls checks the outcome against the oracle and raises on a mismatch.
-    witness is the half-gap witness read: None, "value" for h(n), or "power"
-    for the form M**t.
+    run(resolved, x, record, corrupt_h, batch) gives the RunOutcome; the run_*
+    it calls checks the outcome against the oracle and raises on a mismatch,
+    and passes `batch` to simulate_circuit. witness is the half-gap witness
+    read: None, "value" for h(n), or "power" for the form M**t.
     """
 
     __slots__ = ()
@@ -136,14 +140,15 @@ class Construction(record("Construction", "name run witness", (None,))):
 # Each record calls its run_* through this module's binding, so a wrapper
 # installed on the module (a tracer, a test double) sees every run.
 CONSTRUCTION_TABLE = {c.name: c for c in (
-    Construction("un", lambda r, x, record, corrupt: run_un(r.pair, x, record)),
-    Construction("fig3-zqp", lambda r, x, record, corrupt: run_zqp(r.pair, x, record)),
-    Construction("fig3-post", lambda r, x, record, corrupt: run_posteqp(r.pair, x, record)),
-    Construction("wn", lambda r, x, record, corrupt: run_wn(r.pair, x, record)),
-    Construction("lwpp", lambda r, x, record, corrupt:
-                 run_lwpp(r.pair, _h_value(r, corrupt), x, record), "value"),
-    Construction("lpwpp", lambda r, x, record, corrupt:
-                 run_lpwpp(r.pair, r.h.base, r.h.exponent(r.n), x, record), "power"),
+    Construction("un", lambda r, x, record, corrupt, batch: run_un(r.pair, x, record, batch)),
+    Construction("fig3-zqp", lambda r, x, record, corrupt, batch: run_zqp(r.pair, x, record, batch)),
+    Construction("fig3-post", lambda r, x, record, corrupt, batch:
+                 run_posteqp(r.pair, x, record, batch)),
+    Construction("wn", lambda r, x, record, corrupt, batch: run_wn(r.pair, x, record, batch)),
+    Construction("lwpp", lambda r, x, record, corrupt, batch:
+                 run_lwpp(r.pair, _h_value(r, corrupt), x, record, batch), "value"),
+    Construction("lpwpp", lambda r, x, record, corrupt, batch:
+                 run_lpwpp(r.pair, r.h.base, r.h.exponent(r.n), x, record, batch), "power"),
 )}
 CONSTRUCTIONS = tuple(CONSTRUCTION_TABLE)
 # The constructions --corrupt-h reaches: simulate bumps the value h(n) that
@@ -165,7 +170,7 @@ def _require_corrupt_h_reader(args, resolved: ResolvedProblem, constructions) ->
 
 
 def _simulate_one(resolved: ResolvedProblem, construction: str, x, record, corrupt_h=False):
-    return CONSTRUCTION_TABLE[construction].require(resolved).run(resolved, x, record, corrupt_h)
+    return CONSTRUCTION_TABLE[construction].require(resolved).run(resolved, x, record, corrupt_h, None)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -202,13 +207,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(resolved: ResolvedProblem, construction: str, x, corrupt_h: bool) -> str | None:
+def _verify_one(resolved: ResolvedProblem, construction: str, x, corrupt_h: bool,
+                batch: dict) -> str | None:
     """None when the row passes, else a mismatch description. The run checks
     itself against the oracle; a row adds that its answer is L(x) (only a
     fig3-zqp run that certifies no answer returns without one) and, under
     --corrupt-h, compares an lpwpp decider with the bumped witness."""
     lx = resolved.pair.language_bit(x)
-    outcome = CONSTRUCTION_TABLE[construction].run(resolved, x, False, corrupt_h)
+    outcome = CONSTRUCTION_TABLE[construction].run(resolved, x, False, corrupt_h, batch)
     if outcome.answer != lx:
         return f"zero-error answer {outcome.answer} != oracle {lx}"
     if (corrupt_h and construction == "lpwpp"
@@ -228,24 +234,21 @@ def cmd_verify(args) -> int:
     else:
         constructions = [CONSTRUCTION_TABLE[args.construction].require(resolved)]
     _require_corrupt_h_reader(args, resolved, constructions)
-    # Input-major, so each child run starts from its parent's state; rows are sorted back.
-    results = []
-    ok = True
-    for xkey in range(2**resolved.n):
-        x = bits_of(xkey, resolved.n)
-        for construction in constructions:
-            try:
-                detail = _verify_one(resolved, construction.name, x, args.corrupt_h)
-            except _ROW_ERRORS as exc:
-                detail = f"{type(exc).__name__}: {exc}"
-            row = {"construction": construction.name, "input": bits_label(x),
-                   "ok": detail is None}
-            if detail is not None:
-                row["detail"] = detail
-                ok = False
-            results.append(row)
-    order = [c.name for c in constructions]
-    results.sort(key=lambda row: order.index(row["construction"]))
+    inputs = [bits_of(xkey, resolved.n) for xkey in range(2**resolved.n)]
+    step = max(1, BATCH_LANES >> resolved.m + 2)  # un holds 2**(m + 2) lanes an input
+    rows = {construction.name: [] for construction in constructions}
+    for chunk in range(0, len(inputs), step):
+        for name in rows:  # one kernel run on the chunk each, a child forked from its parent's
+            batch = dict.fromkeys(inputs[chunk:chunk + step])
+            for x in batch:
+                try:
+                    detail = _verify_one(resolved, name, x, args.corrupt_h, batch)
+                except _ROW_ERRORS as exc:
+                    detail = f"{type(exc).__name__}: {exc}"
+                row = {"construction": name, "input": bits_label(x), "ok": detail is None}
+                rows[name].append(row if detail is None else {**row, "detail": detail})
+    results = [row for name in rows for row in rows[name]]
+    ok = all(row["ok"] for row in results)
     _emit(
         {
             "problem": resolved.name,

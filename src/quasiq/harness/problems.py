@@ -279,17 +279,11 @@ class ProblemSpec(record("ProblemSpec", "name n_min n_max m_spec verifier h dual
                 raise SpecError("derive-via-lemma needs a half-gap witness 'h'")
             if verifier["kind"] == "dsl" and "m" not in obj:
                 raise SpecError("dsl verifiers need an explicit 'm'")
+        n_min, n_max = obj["n"]["min"], obj["n"]["max"]
+        if n_min > n_max:
+            raise SpecError(f"spec {obj['name']!r} declares n from {n_min} to {n_max}, an empty range")
         h = HalfGapFunction.from_json(obj["h"]) if "h" in obj else None
-        return cls(
-            name=obj["name"],
-            n_min=obj["n"]["min"],
-            n_max=obj["n"]["max"],
-            m_spec=obj.get("m"),
-            verifier=verifier,
-            h=h,
-            dual=dual,
-            base_dir=base_dir,
-        )
+        return cls(obj["name"], n_min, n_max, obj.get("m"), verifier, h, dual, base_dir)
 
     def to_json(self) -> dict:
         obj: dict = {

@@ -446,11 +446,12 @@ class _NumeratorState:
 
     __slots__ = ("width", "inner", "lanes", "count", "outer", "blocks", "k", "size", "bits", "bias", "fmt")
 
-    def __init__(self, width: int, key: int, inner: Iterable[int] = ()):
+    def __init__(self, width: int, keys: Iterable[int], inner: Iterable[int] = ()):
+        """The sum of |key> over `keys`, whose outer wires differ from key to key."""
         self.width, self.k, self.size, self.bits = width, 0, 1, 1
         self._place(inner)
-        lane = sum(lb for bit, lb in self.lanes.items() if key & bit)
-        self.blocks = {key & self.outer: (self.bias + (1 << 8 * lane), None)}
+        self.blocks = {key & self.outer: (self.bias + (1 << 8 * sum(
+            lb for bit, lb in self.lanes.items() if key & bit)), None) for key in keys}
 
     def _place(self, inner: Iterable[int]) -> None:
         self.inner = tuple(sorted(inner))
@@ -460,12 +461,13 @@ class _NumeratorState:
         self.bias = int.from_bytes((bytes(self.size - 1) + b"\x80") * self.count, "little")
         self.fmt = f"<{self.count}{'bhiq'[self.size.bit_length() - 1]}" if self.size <= 8 else None
 
-    def fork(self, parent: _NumeratorState, final: StateVector) -> None:
-        """Go on from `parent`'s state, held by `final` too, on the wires this state's H
-        gates target and `final` spans: as its blocks if it has them inner, else `final`."""
+    def fork(self, parent: _NumeratorState, final: StateVector, outer: int) -> None:
+        """Go on from `parent`'s state, held by `final` too, on the wires this state's H gates
+        target and `final` spans within a sector, the terms that agree on the first `outer`
+        wires: as its blocks if it has them inner, else `final`."""
         self.k, self.size, self.bits, lift = parent.k, parent.size, parent.bits, self.width - parent.width
-        first = next(iter(final.terms), 0)
-        spread = reduce(or_, (key ^ first for key in final.terms), 0)
+        firsts, shift = {}, parent.width - outer  # the first key of each sector
+        spread = reduce(or_, (key ^ firsts.setdefault(key >> shift, key) for key in final.terms), 0)
         self._place({w for w in range(parent.width) if spread >> parent.width - 1 - w & 1} | set(self.inner))
         if self.inner == parent.inner:
             self.blocks = {key << lift: block for key, block in parent.blocks.items()}

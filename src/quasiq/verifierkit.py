@@ -101,18 +101,8 @@ class GapReport(record("GapReport", "verifier x n m A R Delta alpha rho delta"))
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "verifier": self.verifier,
-            "x": self.x,
-            "n": self.n,
-            "m": self.m,
-            "A": self.A,
-            "R": self.R,
-            "Delta": self.Delta,
-            "alpha": self.alpha.to_json(),
-            "rho": self.rho.to_json(),
-            "delta": self.delta.to_json(),
-        }
+        obj = self._asdict()
+        return {**obj, **{name: obj[name].to_json() for name in ("alpha", "rho", "delta")}}
 
     @classmethod
     def from_json(cls, obj: dict) -> GapReport:
@@ -137,18 +127,8 @@ def gap_stats(v: Verifier, x: Bits) -> GapReport:
     delta_half = diff // 2
     delta_alt = rejected - 2 ** (m - 1)
     assert delta_half == delta_alt, "half-gap computations disagree"
-    return GapReport(
-        verifier=v.name,
-        x=bits_label(x),
-        n=v.n,
-        m=m,
-        A=accepted,
-        R=rejected,
-        Delta=delta_half,
-        alpha=Amplitude(accepted, 0, m),
-        rho=Amplitude(rejected, 0, m),
-        delta=Amplitude(delta_half, 0, m),
-    )
+    return GapReport(v.name, bits_label(x), v.n, m, accepted, rejected, delta_half,
+                     *(Amplitude(count, 0, m) for count in (accepted, rejected, delta_half)))
 
 
 # -- half-gap witnesses ---------------------------------------------------------

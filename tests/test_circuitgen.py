@@ -13,7 +13,7 @@ from functools import partial
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
-from test_acceptance import builtin_pairs, lemma_pairs
+from test_acceptance import all_inputs, builtin_pairs, lemma_pairs
 
 from quasiq.exactnum import HALF, ONE, ZERO, Amplitude
 from quasiq.quasistate import Gate, StateVector, bits_of, key_of
@@ -566,8 +566,8 @@ def pair_runs(pair):
     n = pair.n
 
     def outcome(run):
-        def go(x, record):
-            result = run(x, record)
+        def go(x, record, batch=None):
+            result = run(x, record, batch)
             return result.final_state, result.checkpoints
         return go
 
@@ -597,25 +597,28 @@ FULL_RUNS: dict = {}
 def test_runs_in_any_order_match_runs_from_the_start(data):
     """Whatever ran before it, each run gives the final state and checkpoints
     of the same circuit run alone; a step that records every checkpoint takes
-    the full path wherever a checkpoint lies before the fork. Each example
-    interleaves one or two pairs on a few inputs, so that children often find
-    their parent's state."""
+    the full path wherever a checkpoint lies before the fork. A step runs one
+    input, or all of the pair's inputs as one batch, each read in turn. Each
+    example interleaves one or two pairs on a few inputs, so that children
+    often find their parent's state, from a run of one input or of a batch."""
     chosen = data.draw(st.lists(st.integers(0, len(SWEEP) - 1), min_size=1, max_size=2,
                                 unique=True))
     steps = data.draw(st.lists(st.tuples(st.sampled_from(chosen), st.integers(0, 6),
-                                         st.integers(0, 1), st.booleans()),
+                                         st.integers(0, 1), st.booleans(), st.booleans()),
                                min_size=8, max_size=40))
     for _, runs in SWEEP:
         for _, circuit in runs:
             circuit.last = None
-    for pair_index, which, xkey, record in steps:
+    for pair_index, which, xkey, record, batched in steps:
         pair, runs = SWEEP[pair_index]
         run, circuit = runs[which % len(runs)]
-        x = bits_of(xkey % 2**pair.n, pair.n)
-        key = (pair_index, which % len(runs), x)
-        if key not in FULL_RUNS:
-            FULL_RUNS[key] = full_run(circuit, x)
-        final, checkpoints = run(x, record)
-        assert final == FULL_RUNS[key][0]
-        if record:
-            assert checkpoints == FULL_RUNS[key][1]
+        inputs = all_inputs(pair.n) if batched else [bits_of(xkey % 2**pair.n, pair.n)]
+        batch = dict.fromkeys(inputs) if batched else None
+        for x in inputs:
+            key = (pair_index, which % len(runs), x)
+            if key not in FULL_RUNS:
+                FULL_RUNS[key] = full_run(circuit, x)
+            final, checkpoints = run(x, record, batch)
+            assert final == FULL_RUNS[key][0]
+            if record:
+                assert checkpoints == FULL_RUNS[key][1]

@@ -228,14 +228,22 @@ def test_gap_output_round_trips(capsys):
         assert rebuilt.to_json() == report
 
 
-def test_verify_lpwpp_corrupted_h_flags_every_row(capsys):
+@pytest.mark.parametrize("construction, detail", [
+    ("lpwpp", "fixed-gate-set decider differs from the length-dependent one"),
+    ("lwpp", "ResidualTermError: decider output is not a single clean term at x = {x}; "
+             "residual terms: ['{x}000000']"),
+])
+def test_verify_corrupted_h_flags_every_row(capsys, construction, detail):
+    """Each input's sector of the one decider run is checked on its own: an
+    lpwpp row against the term for h + 1, and an lwpp row, built for h + 1,
+    names the residual term at its input."""
     code, obj, err = run_json(
         capsys, "verify", "--problem", "parity", "--n", "3",
-        "--construction", "lpwpp", "--corrupt-h")
-    assert code == EXIT_MISMATCH
-    assert len(obj["results"]) == 8
-    assert not any(row["ok"] for row in obj["results"])
-    assert "failed on 8 row(s)" in err
+        "--construction", construction, "--corrupt-h")
+    assert code == EXIT_MISMATCH and err == "verification failed on 8 row(s)\n"
+    assert obj["results"] == [
+        {"construction": construction, "input": f"{x:03b}", "ok": False,
+         "detail": detail.format(x=f"{x:03b}")} for x in range(8)]
 
 
 def test_verify_all_corrupted_h_flags_only_the_decider_rows(capsys):
@@ -627,27 +635,77 @@ def test_every_construction_is_a_choice_and_a_verify_row(capsys):
         (name, format(x, "02b")) for name in cli.CONSTRUCTION_TABLE for x in range(4))
 
 
+# n = m = 2, L(x) = x[0], h = 2: where a side's half-gap vanishes it accepts
+# half the branches, elsewhere none (half-gap 2). Each case changes one row.
+HALF_ROWS = ["00", "01"]
+DUALITY = "DualityError: pair 'one-bad-input' is not dual at x = 01: Delta0 = {0}, Delta1 = {0}"
+RESIDUAL = ("ResidualTermError: decider output is not a single clean term at x = 10; "
+            "residual terms: ['1000000']")
+
+
+@pytest.mark.parametrize("side, row, branches, details", [
+    ("v0", "01", HALF_ROWS, dict.fromkeys(cli.CONSTRUCTIONS, DUALITY.format(0))),
+    ("v1", "01", [], dict.fromkeys(cli.CONSTRUCTIONS, DUALITY.format(2))),
+    ("v1", "10", ["00"], {"lwpp": RESIDUAL, "lpwpp": RESIDUAL}),
+], ids=["both-gaps-zero", "both-gaps-nonzero", "gap-below-h"])
+def test_a_pair_broken_at_one_input_fails_only_that_inputs_rows(tmp_path, capsys, side, row,
+                                                                 branches, details):
+    """verify runs each construction once on all four inputs as one state,
+    and each row reads its own input's sector and oracle values: a pair that
+    breaks at one input fails only that input's rows whose checks reach the
+    fault, each with the detail that a run per input gave, and every other
+    row passes."""
+    tables = {"v0": {"00": [], "01": [], "10": HALF_ROWS, "11": HALF_ROWS},
+              "v1": {"00": HALF_ROWS, "01": HALF_ROWS, "10": [], "11": []}}
+    tables[side][row] = branches
+    for name, table in tables.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"n": 2, "m": 2, "table": table}))
+    spec = {"name": "one-bad-input", "n": {"min": 2, "max": 2}, "dual": "given-pair",
+            "verifier": {"kind": "table-file", "v0": "v0.json", "v1": "v1.json"},
+            "h": {"kind": "power", "M": 2, "t": {"a": 0, "b": 1}}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, obj, err = run_json(capsys, "verify", "--problem", str(path), "--n", "2")
+    assert code == EXIT_MISMATCH and err == f"verification failed on {len(details)} row(s)\n"
+    expected = []
+    for construction in cli.CONSTRUCTIONS:
+        for x in ("00", "01", "10", "11"):
+            expected.append({"construction": construction, "input": x, "ok": True})
+            if x == row and construction in details:
+                expected[-1].update(ok=False, detail=details[construction])
+    assert obj["results"] == expected
+
+
+def test_an_empty_n_range_is_refused_when_the_spec_loads(tmp_path, capsys):
+    spec = _edit(GOOD_PAIR_SPEC, ["n"], {"min": 3, "max": 1})
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli(capsys, "gap", "--problem", str(path), "--input", "00") == (
+        EXIT_USAGE, "", f"error: spec {spec['name']!r} declares n from 3 to 1, an empty range\n")
+
+
 def test_lpwpp_rows_simulate_only_their_own_decider(monkeypatch, capsys):
     """Each lpwpp row is checked against the closed form, not a second circuit:
-    one simulation per row."""
+    one simulation of the decider, from all eight inputs |x 0...0> at once."""
     created = []
     init = _NumeratorState.__init__
 
-    def counting_init(self, width, key, *inner):
-        created.append(key)
-        init(self, width, key, *inner)
+    def counting_init(self, width, keys, *inner):
+        created.append(list(keys))
+        init(self, width, created[-1], *inner)
 
     monkeypatch.setattr(_NumeratorState, "__init__", counting_init)
     code, obj, _ = run_json(capsys, "verify", "--problem", "parity", "--n", "3",
                             "--construction", "lpwpp")
     assert code == EXIT_OK and obj["ok"] and len(obj["results"]) == 8
-    assert len(created) == 8
+    assert created == [[x << 6 for x in range(8)]]  # x on the top 3 of 9 wires
 
 
-def test_verify_simulates_each_shared_prefix_once_per_input(monkeypatch, capsys):
-    """verify runs un, then fig3-zqp, fig3-post and wn from un's final state,
-    then lwpp and lpwpp from wn's: per input, the two oracles of un and the
-    two of wn's inverse block, where six runs from |x 0...0> apply 18."""
+def test_verify_simulates_each_shared_prefix_once(monkeypatch, capsys):
+    """verify runs un on all inputs at once, then fig3-zqp, fig3-post and wn
+    from un's final state, then lwpp and lpwpp from wn's: the two oracles of
+    un and the two of wn's inverse block, once each, where six runs from
+    |x 0...0> per input apply 18 per input."""
     oracles = []
     move = _NumeratorState._move
 
@@ -659,7 +717,7 @@ def test_verify_simulates_each_shared_prefix_once_per_input(monkeypatch, capsys)
     monkeypatch.setattr(_NumeratorState, "_move", counting_move)
     code, obj, _ = run_json(capsys, "verify", "--problem", "parity", "--n", "3")
     assert code == EXIT_OK and obj["ok"] and len(obj["results"]) == 6 * 8
-    assert len(oracles) == 4 * 8
+    assert len(oracles) == 4
 
 
 @pytest.mark.parametrize("error, code, message", [
@@ -692,9 +750,9 @@ def test_only_a_circuit_children_start_from_keeps_its_final_terms(monkeypatch, c
     runs = []
     simulate = circuitgen.simulate_circuit
 
-    def recording(circuit, x, record=False):
+    def recording(circuit, x, record=False, batch=None):
         runs.append(circuit)
-        return simulate(circuit, x, record)
+        return simulate(circuit, x, record, batch)
 
     monkeypatch.setattr(circuitgen, "simulate_circuit", recording)
     code, _, err = run_cli(capsys, "simulate", "--problem", "parity", "--input", "101",

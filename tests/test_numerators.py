@@ -16,6 +16,7 @@ from quasiq.circuitgen import (
     build_un,
     build_wn,
     simulate_circuit,
+    simulate_inputs,
 )
 from quasiq.exactnum import Amplitude, ExactDivisionError
 from quasiq.quasistate import (
@@ -103,7 +104,7 @@ def check_against_reference(width, key, gates, inner=()):
     the `inner` wires; the states must be equal after every gate, and a
     failing gate must fail with the same exception type. Returns the kernel."""
     reference = StateVector.basis(width, key)
-    kernel = _NumeratorState(width, key, inner)
+    kernel = _NumeratorState(width, [key], inner)
     for gate in gates:
         try:
             reference = reference.apply(gate)
@@ -166,7 +167,7 @@ def test_n_with_a_sqrt2_part_makes_odd_exponents():
     gates = [Gate.h(0), Gate.n(0, Amplitude(1, 1, 0)), Gate.h(1), Gate.n(1, Amplitude(-1, 2, 1)),
              Gate.h(0, controls=((1, 0),))]
     check_against_reference(2, 0, gates)
-    kernel = _NumeratorState(2, 0)
+    kernel = _NumeratorState(2, [0])
     kernel.run(gates)
     assert any(amp.c1 for _, amp in kernel.to_state())
 
@@ -181,7 +182,7 @@ def test_failed_exact_division_raises_the_same_error(gate):
     with pytest.raises(ExactDivisionError):
         StateVector.basis(2, 0).apply(gate)
     with pytest.raises(ExactDivisionError):
-        _NumeratorState(2, 0).run([gate])
+        _NumeratorState(2, [0]).run([gate])
     check_against_reference(2, 0, [gate])
 
 
@@ -190,11 +191,11 @@ def test_division_by_zero_raises_only_where_a_term_is_divided():
     ginv_zero = Gate("GINV", (0,), ((1, 1),), 0)
     # No term is divided: wire 0 holds 1, or the control on wire 1 fails.
     for key, gate in ((0b10, ninv_zero), (0b10, ginv_zero), (0b00, ginv_zero)):
-        _NumeratorState(2, key).run([gate])
+        _NumeratorState(2, [key]).run([gate])
         check_against_reference(2, key, [gate])
     for key, gate in ((0b00, ninv_zero), (0b01, ginv_zero)):
         with pytest.raises(ExactDivisionError, match="division by zero"):
-            _NumeratorState(2, key).run([gate])
+            _NumeratorState(2, [key]).run([gate])
 
 
 def test_exact_division_that_succeeds_matches():
@@ -224,7 +225,7 @@ def test_gate_fit_messages_match(gate, message):
     with pytest.raises(WireError, match=re.escape(message)):
         StateVector.basis(3, 0).apply(gate)
     with pytest.raises(WireError, match=re.escape(message)):
-        _NumeratorState(3, 0).run([gate])
+        _NumeratorState(3, [0]).run([gate])
 
 
 # -- random gate lists ------------------------------------------------------------
@@ -314,15 +315,15 @@ def test_every_inverse_undoes_itself(kind):
 def check_run_against_gate_by_gate(width, key, gates):
     """_NumeratorState.run must leave the terms and k that running the gates
     one at a time leaves, or raise the same exception type."""
-    one_by_one = _NumeratorState(width, key)
+    one_by_one = _NumeratorState(width, [key])
     try:
         for gate in gates:
             one_by_one.run([gate])
     except Exception as exc:
         with pytest.raises(type(exc)):
-            _NumeratorState(width, key).run(gates)
+            _NumeratorState(width, [key]).run(gates)
         return
-    kernel = _NumeratorState(width, key)
+    kernel = _NumeratorState(width, [key])
     kernel.run(gates)
     assert (numerators(kernel), kernel.k) == (numerators(one_by_one), one_by_one.k)
 
@@ -406,9 +407,9 @@ def test_a_fit_error_inside_a_run_raises_the_reference_error():
     with pytest.raises(WireError, match="wire 5 out of range for width 3"):
         reference_states(3, 0b001, gates)
     with pytest.raises(WireError, match="wire 5 out of range for width 3"):
-        _NumeratorState(3, 0b001).run(gates)
+        _NumeratorState(3, [0b001]).run(gates)
     with pytest.raises(WireError, match="wire 5 out of range for width 3"):
-        _NumeratorState(3, 0).run([Gate.h(0), Gate.h(5), Gate.h(1)])
+        _NumeratorState(3, [0]).run([Gate.h(0), Gate.h(5), Gate.h(1)])
     # A control on its own gate's wire is refused before any circuit holds it.
     with pytest.raises(WireError, match="control wires overlap gate wires"):
         Circuit(3, {"x": (0, 3)}, (Gate.h(0, controls), Gate.h(2, controls), Gate.h(1, controls)))
@@ -474,7 +475,7 @@ def packed_state(c0, c1=None):
     """A state on log2(len(c0)) wires, all inner, whose one block holds the
     lanes c0 and c1 (None: zeros), as narrow as the kernel's lane rule allows."""
     width = len(c0).bit_length() - 1
-    state = _NumeratorState(width, 0, range(width))
+    state = _NumeratorState(width, [0], range(width))
     state.bits = max(map(abs, c0 + (c1 or [])), default=0).bit_length()
     size = -(-(state.bits + 1) // 8)
     state.size = 1 << (size - 1).bit_length() if size <= 8 else size
@@ -529,9 +530,9 @@ def test_blocks_on_any_inner_wires_match_the_reference(case):
         expected = reference_states(width, key, gates)[-1]
     except Exception as exc:
         with pytest.raises(type(exc)):
-            _NumeratorState(width, key, inner).run(gates)
+            _NumeratorState(width, [key], inner).run(gates)
         return
-    kernel = _NumeratorState(width, key, inner)
+    kernel = _NumeratorState(width, [key], inner)
     kernel.run(gates)
     assert kernel.to_state() == expected
 
@@ -641,7 +642,7 @@ def test_a_child_regroups_its_parents_state_on_the_wires_it_spans(head, tail):
 def check_one_run_against_reference(width, key, gates, inner=()):
     """Run `gates` as one list, so that runs of H or of equal diagonal gates
     form layers and fused passes, and compare with StateVector.apply."""
-    kernel = _NumeratorState(width, key, inner)
+    kernel = _NumeratorState(width, [key], inner)
     kernel.run(gates)
     assert kernel.to_state() == reference_states(width, key, gates)[-1]
 
@@ -697,7 +698,7 @@ def test_fused_diagonal_runs_match_one_gate_at_a_time(monkeypatch, gates):
         if not any(g.kind == "AINV" for g in gates):
             check_one_run_against_reference(width, key, spread(width) + gates)
     monkeypatch.setattr(_NumeratorState, "_diag", counting)
-    _NumeratorState(width, 0b1111).run(gates)  # every wire is 1: no gate divides
+    _NumeratorState(width, [0b1111]).run(gates)  # every wire is 1: no gate divides
     expected = []
     for gate, previous in zip(gates, [None] + gates):
         if gate.kind in ("B", "G", "A") and gate == previous:
@@ -736,7 +737,7 @@ def test_oracle_looks_up_one_mask_per_x_value(x_wires, b_wires, target, controls
     gate = Gate.oracle(verifier, x_wires, b_wires, target, controls)
     for key in (0, 0b1011001):
         check_against_reference(width, key, spread(width) + [gate])
-        state = _NumeratorState(width, key)
+        state = _NumeratorState(width, [key])
         state.run(spread(width))
         cmask, cval = gate.control_mask(width)
         xs = {tuple(key >> (width - 1 - w) & 1 for w in x_wires)
@@ -744,3 +745,92 @@ def test_oracle_looks_up_one_mask_per_x_value(x_wires, b_wires, target, controls
         verifier.asked.clear()
         state.run([gate])
         assert sorted(verifier.asked) == sorted(xs) and len(xs) > 1
+
+
+# -- several inputs as one state ----------------------------------------------------
+
+
+@st.composite
+def gate_off_x(draw, n, width):
+    """A random gate that targets no x wire (the first n): random_gate's gate
+    on the other wires, maybe with controls on x, or an ORACLE that reads x
+    through a random truth table, maybe under a control on a wire left over."""
+    if width - n >= 2 and not draw(st.integers(0, 3)):
+        rest = draw(st.permutations(range(n, width)))
+        m = draw(st.integers(1, len(rest) - 1))
+        table = {x: frozenset(b for b in range(2**m) if draw(st.booleans()))
+                 for x in itertools.product((0, 1), repeat=n)}
+        controls = tuple((w, draw(st.integers(0, 1))) for w in rest[m + 1:] if draw(st.booleans()))
+        return Gate.oracle(table_verifier(n, m, table), range(n), rest[:m], rest[m], controls)
+    x_controls = tuple((w, draw(st.integers(0, 1))) for w in draw(
+        st.lists(st.integers(0, n - 1), max_size=min(2, n), unique=True)))
+    gate = draw(random_gate(width - n))
+    param = tuple(w + n for w in gate.param) if gate.kind == "PERM" else gate.param
+    return Gate(gate.kind, tuple(w + n for w in gate.wires),
+                tuple((w + n, v) for w, v in gate.controls) + x_controls, param)
+
+
+@st.composite
+def batched_cases(draw):
+    """A parent that forks and a child that adds gates, on n <= 3 x wires and
+    2 or 3 more, no gate targeting x; the child's checkpoints lie after the
+    fork, some recorded; and a set of distinct inputs."""
+    n = draw(st.integers(1, 3))
+    width = n + draw(st.integers(2, 3))
+    head = tuple(draw(st.lists(gate_off_x(n, width), min_size=1, max_size=8)))
+    tail = tuple(draw(st.lists(gate_off_x(n, width), max_size=8)))
+    parent = Circuit(width, {"x": (0, n)}, head, (("end", len(head)),), forks=True)
+    positions = draw(st.lists(st.integers(len(head), len(head) + len(tail)), max_size=3))
+    checkpoints = tuple((f"cp{i}", pos) for i, pos in enumerate(positions))
+    child = Circuit(width, parent.registers, head + tail, checkpoints, parent=parent)
+    record = draw(st.sets(st.sampled_from([label for label, _ in checkpoints]))) if positions else set()
+    keys = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, unique=True))
+    return parent, child, [bits_of(key, n) for key in keys], record
+
+
+@settings(max_examples=200, deadline=None)
+@given(batched_cases())
+def test_each_sector_of_a_batched_run_is_that_inputs_run(case):
+    """Run on several inputs at once, as one state, a circuit that targets no
+    x wire gives each input the final and recorded states of its run alone
+    and of the reference, and so does a child forked from that batched run,
+    which keeps every x wire outer; a run that fails for some input fails."""
+    parent, child, inputs, record = case
+    n, width = len(inputs[0]), child.width
+    try:
+        expected = [reference_states(width, key_of(x) << width - n, child.gates) for x in inputs]
+    except ExactDivisionError:
+        with pytest.raises(ExactDivisionError):
+            simulate_inputs(parent, inputs, True)
+            simulate_inputs(child, inputs, record)
+        return
+    forked = []
+    fork = _NumeratorState.fork
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_NumeratorState, "fork",
+                      lambda self, *args: fork(self, *args) or forked.append(self.inner))
+        runs = [simulate_inputs(parent, inputs, True), simulate_inputs(child, inputs, record)]
+    assert len(forked) == 1 and min(forked[0], default=n) >= n
+    for circuit, wanted, batched in zip((parent, child), (True, record), runs):
+        alone = Circuit(width, circuit.registers, circuit.gates, circuit.checkpoints)
+        for x, states, (final, captured) in zip(inputs, expected, batched):
+            assert (final, captured) == simulate_circuit(alone, x, wanted)
+            assert final == states[len(circuit.gates)]
+            assert captured == {label: states[pos] for label, pos in circuit.checkpoints
+                                if wanted is True or label in wanted}
+
+
+@pytest.mark.parametrize("gate", [Gate.h(0), Gate.swap(0, 2), Gate.d(0, 2), Gate.x(0, ((2, 1),))],
+                         ids=["H", "SWAP", "D", "controlled-X"])
+def test_several_inputs_need_a_circuit_that_targets_no_x_wire(gate):
+    """A gate that targets an x wire moves terms between the inputs' sectors:
+    such a circuit runs on one input at a time only. Reading x, as controls
+    and an ORACLE do, is allowed."""
+    reads = (Gate.h(2), Gate.cnot(0, 2), Gate.oracle(ORACLE_VERIFIER, (1,), (2, 3), 4))
+    circuit = Circuit(5, {"x": (0, 2)}, reads)
+    inputs = [(0, 0), (0, 1), (1, 1)]
+    assert simulate_inputs(circuit, inputs) == [simulate_circuit(circuit, x) for x in inputs]
+    circuit = Circuit(5, {"x": (0, 2)}, reads + (gate,))
+    assert simulate_inputs(circuit, [(1, 0)]) == [simulate_circuit(circuit, (1, 0))]
+    with pytest.raises(ValueError, match="must target no x wire"):
+        simulate_inputs(circuit, inputs)
