@@ -68,18 +68,6 @@ class Amplitude:
     def scale_int(self, k: int) -> Amplitude:
         return Amplitude(self.c0 * k, self.c1 * k, self.e)
 
-    def reciprocal(self) -> tuple[int, int, int, int]:
-        """(u0, u1, odd, shift) with 1/self == Amplitude(u0, u1, -shift) / odd for a
-        positive odd `odd`, which is 0 when self is zero. From 1/self = 2**e *
-        (c0 - c1*sqrt(2)) / (c0**2 - 2*c1**2), with the norm's sign and powers of
-        two moved out."""
-        c0, c1 = self.c0, self.c1
-        norm = c0 * c0 - 2 * c1 * c1
-        if norm < 0:
-            c0, c1, norm = -c0, -c1, -norm
-        twos = (norm & -norm).bit_length() - 1
-        return c0, -c1, norm >> twos if norm else 0, self.e - twos
-
     def div_exact(self, other: Amplitude) -> Amplitude:
         """Exact quotient self / other, or ExactDivisionError if it leaves the ring."""
         from quasiq.reference import div_exact
@@ -145,6 +133,5 @@ class Amplitude:
 
 ZERO = Amplitude(0, 0, 0)
 ONE = Amplitude(1, 0, 0)
-TWO = Amplitude(2, 0, 0)
 HALF = Amplitude(1, 0, 1)
 INV_SQRT2 = Amplitude(0, 1, 1)  # sqrt(2)/2 == 1/sqrt(2)

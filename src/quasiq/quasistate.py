@@ -17,13 +17,14 @@ module): integer numerators over one shared power of sqrt(2), packed in lanes
 of ints over the wires H gates target. Its one entry point, `run`, applies
 each run of H gates as one layer of butterflies, each run of equal B, G or A
 gates as one diagonal pass, and every other gate by its family. StateVector.apply
-is the per-gate reference it is tested against; its code is in quasiq.reference.
+is the per-gate reference it is tested against; its code is in quasiq.reference,
+which also applies to the kernel's state the gates no construction makes.
 """
 from __future__ import annotations
 
 import struct
 from collections import namedtuple
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from operator import or_
 from typing import Iterable, Iterator
@@ -82,11 +83,11 @@ def compile_pattern(pattern: str) -> tuple[int, int]:
 
 
 # The facts about one gate kind. family: the _NumeratorState method that
-# applies it (runs of H gates go to _hadamards as layers). inverse: the inverse
-# kind, None for a projector. sign: what S and D add into their target times the
-# source, or the power of p in diag(p, 1), as +1 or -1. arity: the wire count,
-# None for any. param: the _Param of the kind's parameter, None for a kind
-# without one. StateVector.apply reads none of it.
+# applies it (runs of H gates go to _hadamards as layers; _by_reference takes the
+# kinds no construction makes). inverse: the inverse kind, None for a projector.
+# sign: what S and D add into their target times the source, +1 or -1. arity:
+# the wire count, None for any. param: the _Param of the kind's parameter, None
+# for a kind without one. StateVector.apply reads none of it.
 _Kind = namedtuple("_Kind", "family inverse sign arity param", defaults=(0, 1, None))
 # A parameter's codec, to_json and from_json(obj, verifiers), and the type
 # test `accepts` that Gate applies when made, with `what` naming the type.
@@ -115,10 +116,10 @@ _KINDS = {
     "PROJ0": _Kind("_move", None), "PROJ1": _Kind("_move", None),
     "S": _Kind("_shear", "SINV", 1), "SINV": _Kind("_shear", "S", -1),
     "D": _Kind("_shear", "DINV", -1, 2), "DINV": _Kind("_shear", "D", 1, 2),
-    "B": _Kind("_diag", "BINV", 1), "BINV": _Kind("_diag", "B", -1),
-    "G": _Kind("_diag", "GINV", 1, 1, _INT), "GINV": _Kind("_diag", "G", -1, 1, _INT),
-    "A": _Kind("_diag", "AINV", 1, 1, _INT), "AINV": _Kind("_diag", "A", -1, 1, _INT),
-    "N": _Kind("_diag", "NINV", 1, 1, _AMP), "NINV": _Kind("_diag", "N", -1, 1, _AMP),
+    "B": _Kind("_diag", "BINV"), "BINV": _Kind("_by_reference", "B"),
+    "G": _Kind("_diag", "GINV", param=_INT), "GINV": _Kind("_by_reference", "G", param=_INT),
+    "A": _Kind("_diag", "AINV", param=_INT), "AINV": _Kind("_by_reference", "A", param=_INT),
+    "N": _Kind("_by_reference", "NINV", param=_AMP), "NINV": _Kind("_by_reference", "N", param=_AMP),
 }
 
 
@@ -150,9 +151,10 @@ class Gate(record("Gate", "kind wires controls param")):
     def __new__(cls, kind: str, wires: tuple[int, ...],
                 controls: tuple[tuple[int, int], ...] = (), param: object = None) -> Gate:
         """Check all but the wire range (control_mask's, as it needs the width):
-        a known kind, its wire count, distinct wires, no control on a gate wire,
-        a parameter of the kind's type (none if it has no codec), a PERM that
-        relabels its own wires, ORACLE registers as its verifier's."""
+        a known kind, its wire count, int wires (PERM's destinations too) and 0 or
+        1 control polarities, distinct wires, no control on a gate wire, a parameter
+        of the kind's type (none if it has no codec), a PERM that relabels its own
+        wires, ORACLE registers as its verifier's."""
         row = _KINDS.get(kind)
         if row is None:
             raise ValueError(f"unknown gate kind {kind!r}")
@@ -161,6 +163,12 @@ class Gate(record("Gate", "kind wires controls param")):
                              f"parameter, got {param!r}")
         if row.arity is not None and len(wires) != row.arity:
             raise WireError(f"{kind} acts on {row.arity} wire(s), not {len(wires)}")
+        for w in (*wires, *(w for w, _ in controls), *(param if kind == "PERM" else ())):
+            if type(w) is not int:
+                raise WireError(f"{kind} wire {w!r} is not an int")
+        for w, pol in controls:
+            if type(pol) is not int or pol not in (0, 1):
+                raise WireError(f"control polarity {pol!r} on wire {w} is not 0 or 1")
         if len(set(wires)) != len(wires):
             raise WireError(f"{kind} wires must be distinct")
         if any(w in wires for w, _ in controls):
@@ -464,20 +472,30 @@ class _NumeratorState:
     def fork(self, parent: _NumeratorState, final: StateVector, outer: int) -> None:
         """Go on from `parent`'s state, held by `final` too, on the wires this state's H gates
         target and `final` spans within a sector, the terms that agree on the first `outer`
-        wires: as its blocks if it has them inner, else `final`."""
+        wires: as its blocks if it has them inner, else loaded from `final`."""
         self.k, self.size, self.bits, lift = parent.k, parent.size, parent.bits, self.width - parent.width
         firsts, shift = {}, parent.width - outer  # the first key of each sector
         spread = reduce(or_, (key ^ firsts.setdefault(key >> shift, key) for key in final.terms), 0)
         self._place({w for w in range(parent.width) if spread >> parent.width - 1 - w & 1} | set(self.inner))
         if self.inner == parent.inner:
             self.blocks = {key << lift: block for key, block in parent.blocks.items()}
-            return
-        blocks, e = {}, (self.k + 1) >> 1
-        for key, amp in final.terms.items():  # the numerators to_state read
+        else:
+            self.load(final, lift)
+
+    def load(self, state: StateVector, lift: int = 0) -> None:
+        """Hold `state`, its keys `lift` wires longer, in lanes on the same inner wires: k the
+        least even one that every exponent fits, the lanes widened to fit the numerators."""
+        e = max((amp.e for amp in state.terms.values()), default=0)
+        self.k, self.bits = 2 * e, max((max(abs(amp.c0), abs(amp.c1)).bit_length() + e - amp.e
+                                        for amp in state.terms.values()), default=1)
+        while 8 * self.size <= self.bits:
+            self.size = self.size << 1 if self.size < 8 else self.size + 1
+        self._place(self.inner)
+        blocks = {}
+        for key, amp in state.terms.items():
             v0, v1 = blocks.setdefault(key << lift & self.outer, ([0] * self.count, [0] * self.count))
             lane = sum(lb for bit, lb in self.lanes.items() if key << lift & bit)
-            c0, c1 = amp.c0 << e - amp.e, amp.c1 << e - amp.e
-            v0[lane], v1[lane] = (c1, c0 >> 1) if self.k & 1 else (c0, c1)
+            v0[lane], v1[lane] = amp.c0 << e - amp.e, amp.c1 << e - amp.e
         self.blocks = {key: (self._pack(v0), self._pack(v1) if any(v1) else None)
                        for key, (v0, v1) in blocks.items()}
 
@@ -547,14 +565,14 @@ class _NumeratorState:
         self.blocks = {key: (c0, None if c1 == self.bias else c1) for key, (c0, c1) in blocks.items()
                        if c0 != self.bias or c1 not in (None, self.bias)}
 
-    def _pairs(self, halves, cmask: int, cval: int, op, lanes_of=None) -> None:
-        """Apply op to each pair of halves, c0 and c1 alike, in the lanes the controls
-        and lanes_of(key) pass: halves (b0, b1) are the keys that read b0 and b1 on
-        b0 | b1, or for an inner wire's (0, bit), the lanes that read 0 and 1."""
+    def _pairs(self, bits, cmask: int, cval: int, op, lanes_of=None) -> None:
+        """Apply op to the halves of each target key bit in `bits` in turn, c0 and c1 alike,
+        in the lanes the controls and lanes_of(key) pass: an inner wire's halves are the
+        lanes that read 0 and 1 on it, an outer wire's the blocks whose keys do."""
         ocm, ocv, icm, icv = self._controls(cmask, cval)
         bias, blocks, last = self.bias, self.blocks, 0
-        for bit0, bit1 in halves:
-            lane, both = 0 if bit0 else self.lanes.get(bit1, 0), bit0 | bit1
+        for bit in bits:
+            lane = self.lanes.get(bit, 0)
             sh = 8 * self.size * lane
             if lane and not icm and lane << 1 == last:  # its mask from the one before
                 base ^= base & base << sh
@@ -562,10 +580,9 @@ class _NumeratorState:
             else:
                 base = self._lanes(icm | lane, icv)
             last = lane
-            out = {} if lane and not ocm else {key: block for key, block in blocks.items()
-                                               if key & ocm != ocv or key & both not in (bit0, bit1)}
-            for k0 in blocks if lane and not ocm else {key & ~both | bit0 for key in blocks.keys() - out}:
-                k1 = k0 if lane else k0 ^ both  # a missing block reads as zeros
+            out = {key: block for key, block in blocks.items() if key & ocm != ocv} if ocm else {}
+            for k0 in blocks if lane and not ocm else {key & ~bit for key in blocks.keys() - out}:
+                k1 = k0 if lane else k0 | bit  # a missing block reads as zeros
                 mask = base if lanes_of is None else base & lanes_of(k0)
                 t, keep = bias & mask, ~(mask | mask << sh) if icm or lanes_of else 0
                 (a0, a1), (b0, b1) = blocks.get(k0, (bias, None)), blocks.get(k1, (bias, None))
@@ -609,7 +626,7 @@ class _NumeratorState:
                     wires.append(gates[i].wires[0])
                     i += 1
                 self._hadamards(wires, cmask, cval)
-            elif gate.kind in ("B", "G", "A"):  # N and the inverse kinds: one pass a gate
+            elif gate.kind in ("B", "G", "A"):
                 start = i
                 while i < end and gates[i] == gate:
                     i += 1
@@ -626,7 +643,7 @@ class _NumeratorState:
             up = lambda c, shift: c and (c - bias << shift) + bias  # noqa: E731
             self._map(cmask, cval, lambda c0, c1: (c0, c1), lambda c0, c1: (
                 (up(c1, half + 1) or bias, up(c0, half)) if size & 1 else (up(c0, half), up(c1, half))))
-        self._pairs([(0, 1 << self.width - 1 - w) for w in sorted(wires)], cmask, cval, _HALF_OPS["H"])
+        self._pairs([1 << self.width - 1 - w for w in sorted(wires)], cmask, cval, _HALF_OPS["H"])
         self.k += size
 
     def _shear(self, gate: Gate, cmask: int, cval: int) -> None:
@@ -637,46 +654,43 @@ class _NumeratorState:
         self._fit(len(gate.wires))
         u, v = 1 << top - gate.wires[0], 1 << top - gate.wires[-1]
         if u == v:
-            self._pairs([(0, u)], cmask, cval, _HALF_OPS[gate.kind])
+            self._pairs([u], cmask, cval, _HALF_OPS[gate.kind])
         elif v in self.lanes:
             m0, sh = self._lanes(self.lanes[v], 0), 8 * self.size * self.lanes[v]
-            self._pairs([(0, u)], cmask, cval, lambda lo, hi, t: (
+            self._pairs([u], cmask, cval, lambda lo, hi, t: (
                 lo + sign * ((hi & m0) + (hi >> sh & m0) - 2 * (t & m0)), hi))
         else:  # |10> += |11>, |00> -= |10> (or +=), |10> -= |11>
-            self._pairs([(0, v)], cmask | u, cval | u, _HALF_OPS["S"])
-            self._pairs([(0, u)], cmask | v, cval & ~v, _HALF_OPS["S" if sign > 0 else "SINV"])
-            self._pairs([(0, v)], cmask | u, cval | u, _HALF_OPS["SINV"])
+            self._pairs([v], cmask | u, cval | u, _HALF_OPS["S"])
+            self._pairs([u], cmask | v, cval & ~v, _HALF_OPS["S" if sign > 0 else "SINV"])
+            self._pairs([v], cmask | u, cval | u, _HALF_OPS["SINV"])
 
     def _diag(self, gate: Gate, cmask: int, cval: int, power: int = 1) -> None:
-        """diag(p**sign, 1), `power` times (above 1 only for B, G and A): multiply the
-        |0> lanes by p**power, an int product a block (an inverse kind divides them
-        exactly), powers of two going into k. p is 1/2 for B, else G's, A's or N's."""
-        p = gate.param if isinstance(gate.param, Amplitude) else (  # B's 1/2, G's or A's integer
-            Amplitude(1, 0, power) if gate.param is None else Amplitude(gate.param ** power, 0, 0))
-        u0, u1, odd, shift = p.reciprocal() if _KINDS[gate.kind].sign < 0 else (p.c0, p.c1, 1, -p.e)
-        lift, up = max(-shift, 0), max(shift, 0)  # lift: every other lane, and k
-        self._fit(max(lift, up + (abs(u0) + 2 * abs(u1) - 1).bit_length()))
+        """diag(p**power, 1) for B, G and A: G's or A's integer p multiplies the |0> lanes,
+        an int product a block; B's p = 1/2 lifts every other lane `power` bits instead,
+        and k by 2 * power."""
+        p, lift = (1, power) if gate.param is None else (gate.param ** power, 0)
+        self._fit(max(lift, (abs(p) - 1).bit_length()))
         bias, bit = self.bias, 1 << self.width - 1 - gate.wires[0]
-        cmask, cval = cmask | bit, cval & ~bit  # the target reading 0 is one more control
-
-        def scaled(c0, c1):
-            if odd != 1:
-                from quasiq.reference import divide_lanes
-                return divide_lanes(self, c0, c1, (u0, u1, odd, up, p), self._controls(cmask, cval))
-            a0, a1 = c0 - bias, 0 if c1 is None else c1 - bias
-            return ((a0 * u0 + 2 * a1 * u1 << up) + bias,
-                    None if c1 is None and not u1 else (a0 * u1 + a1 * u0 << up) + bias)
-
-        self._map(cmask, cval, scaled, lambda c0, c1: tuple(c and (c - bias << lift) + bias for c in (c0, c1)))
+        self._map(cmask | bit, cval & ~bit, lambda *block: tuple(c and (c - bias) * p + bias for c in block),
+                  lambda *block: tuple(c and (c - bias << lift) + bias for c in block))
         self.k += 2 * lift
+
+    def _by_reference(self, gate: Gate, *_) -> None:
+        """A gate no construction makes, through the per-gate reference."""
+        from quasiq.reference import apply_by_reference
+        apply_by_reference(self, gate)
 
     def _move(self, gate: Gate, cmask: int, cval: int) -> None:
         """X swaps its wire's halves and a projector zeros one; PERM is a product of
-        transpositions; ORACLE is X on the lanes an accept mask selects, a lane mask
-        per x value made by str.translate (if, as in every construction, the x
-        wires are outer and the b wires adjacent inner ones)."""
+        transpositions, each moving an inner wire's 1 lanes; ORACLE is X on the lanes an
+        accept mask selects, a lane mask per x value made by str.translate. A PERM on
+        more than one outer wire, or an ORACLE whose x wires are not all outer or whose
+        b wires are not adjacent inner ones, goes through the reference: no construction
+        makes one."""
         kind, top = gate.kind, self.width - 1
         if kind == "PERM":
+            if sum(1 << top - w not in self.lanes for w in gate.wires) > 1:
+                return self._by_reference(gate)
             at = {w: w for w in gate.wires}  # source wire -> the wire that holds its bit now
             for src, dest in zip(gate.wires, gate.param):
                 u, v = sorted((1 << top - at[src], 1 << top - dest), key=self.lanes.__contains__)
@@ -684,35 +698,27 @@ class _NumeratorState:
                     continue
                 other = next(s for s, w in at.items() if w == dest)
                 at[src], at[other] = dest, at[src]
-                if v not in self.lanes:  # both outer: pair the blocks that read 01 and 10
-                    self._pairs([(v, u)], cmask, cval, _HALF_OPS["X"])
-                    continue
                 ones, sh = self._lanes(self.lanes[v], self.lanes[v]), 8 * self.size * self.lanes[v]
-                self._pairs([(0, u)], cmask, cval, lambda lo, hi, t: (  # v's 1 lanes, shift
+                self._pairs([u], cmask, cval, lambda lo, hi, t: (  # v's 1 lanes, shift
                     lo & ~ones | (hi & ~ones) << sh, hi & ones | (lo & ones) >> sh))
         elif kind != "ORACLE":
-            self._pairs([(0, 1 << top - gate.wires[0])], cmask, cval, _HALF_OPS[kind])
+            self._pairs([1 << top - gate.wires[0]], cmask, cval, _HALF_OPS[kind])
         else:
             verifier, nx = gate.param
             xs, bs = gate.wires[:nx], gate.wires[nx:-1]
-            lbs, masks, mask_of = [self.lanes.get(1 << top - w, 0) for w in bs], {}, lru_cache()(
-                verifier.accept_mask)  # one accept mask per x value, for this gate only
-
-            def accept(key):
-                return mask_of(tuple(key >> top - w & 1 for w in xs))
+            lbs = [self.lanes.get(1 << top - w, 0) for w in bs]
+            if not (lbs and all(lb == lbs[0] >> i > 0 for i, lb in enumerate(lbs))
+                    and not any(1 << top - w in self.lanes for w in xs)):
+                return self._by_reference(gate)
+            low = lbs[-1].bit_length() - 1  # lanes b << low to (b + 1 << low) - 1 read b
+            table = {48: "\0" * (self.size << low), 49: "\xff" * (self.size << low)}
+            masks, mask_of = {}, lru_cache()(verifier.accept_mask)  # one accept mask per x value
 
             def lanes_of(key):
-                mask = accept(key)
+                mask = mask_of(tuple(key >> top - w & 1 for w in xs))
                 if mask not in masks:
                     masks[mask] = int.from_bytes(format(mask, f"0{1 << len(bs)}b")[::-1].translate(
                         table).encode("latin-1") * (self.count >> low + len(bs)), "little")
                 return masks[mask]
 
-            if (lbs and all(lb == lbs[0] >> i > 0 for i, lb in enumerate(lbs))
-                    and not any(1 << top - w in self.lanes for w in xs)):
-                low = lbs[-1].bit_length() - 1  # lanes b << low to (b + 1 << low) - 1 read b
-                table = {48: "\0" * (self.size << low), 49: "\xff" * (self.size << low)}
-            else:  # lane by lane
-                from quasiq.reference import oracle_lanes
-                lanes_of = partial(oracle_lanes, self, accept, bs)
-            self._pairs([(0, 1 << top - gate.wires[-1])], cmask, cval, _HALF_OPS["X"], lanes_of)
+            self._pairs([1 << top - gate.wires[-1]], cmask, cval, _HALF_OPS["X"], lanes_of)

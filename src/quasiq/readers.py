@@ -12,13 +12,30 @@ from quasiq.exactnum import Amplitude
 from quasiq.quasistate import _KINDS, Gate, StateVector, key_of_label
 
 
+def _expect(value, kind: type, what: str):
+    """`value` if it is a `kind` and no bool, else a ValueError naming `what` and the value."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
+def _pairs(value, what: str) -> tuple:
+    """A JSON list of two-item lists as a tuple of pairs, else a ValueError naming `what`."""
+    if any(not isinstance(pair, list) or len(pair) != 2 for pair in _expect(value, list, what)):
+        raise ValueError(f"{what} must be a list of pairs, got {value!r}")
+    return tuple(map(tuple, value))
+
+
 def gate_from_json(cls, obj: dict, verifiers: dict | None = None):
-    """The gate of a to_json dump. Gate() names a bad kind or a missing param;
-    a param of the wrong JSON type, or a dict param that lacks a field, is
-    refused here the same way. An ORACLE naming a verifier that `verifiers`
-    lacks is a KeyError."""
-    kind, param = obj["kind"], obj.get("param")
-    codec = _KINDS[kind].param if kind in _KINDS else None
+    """The gate of a to_json dump. Gate() names a missing param and a wire or
+    polarity of the wrong type; an unknown kind, a gate, wire list or control of
+    the wrong JSON shape, a param of the wrong JSON type, or a dict param that
+    lacks a field, is refused here the same way. An ORACLE naming a verifier that
+    `verifiers` lacks is a KeyError."""
+    kind, param = _expect(obj, dict, "a gate")["kind"], obj.get("param")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    codec = _KINDS[kind].param
     if codec and param is not None:
         try:
             param = codec.from_json(param, verifiers)
@@ -27,8 +44,8 @@ def gate_from_json(cls, obj: dict, verifiers: dict | None = None):
         if kind == "ORACLE" and param[0] is None:
             raise KeyError(f"no verifier named {obj['param']['verifier']!r} "
                            "to rebind the oracle gate")
-    return cls(kind, tuple(obj["wires"]), tuple((w, p) for w, p in obj.get("controls", [])),
-               param)
+    return cls(kind, tuple(_expect(obj["wires"], list, "gate wires")),
+               _pairs(obj.get("controls", []), "gate controls"), param)
 
 
 def state_from_json(cls, entries: list[dict], width: int | None = None):
@@ -44,11 +61,15 @@ def state_from_json(cls, entries: list[dict], width: int | None = None):
 
 
 def circuit_from_json(cls, obj: dict, verifiers: dict | None = None):
+    """The circuit of a to_json dump; a field of the wrong JSON shape is a ValueError."""
+    checkpoints = _pairs(_expect(obj, dict, "a circuit")["checkpoints"], "circuit checkpoints")
     return cls(
-        width=obj["width"],
-        registers={name: tuple(span) for name, span in obj["registers"].items()},
-        gates=tuple(Gate.from_json(g, verifiers) for g in obj["gates"]),
-        checkpoints=tuple((label, pos) for label, pos in obj["checkpoints"]),
+        width=_expect(obj["width"], int, "circuit width"),
+        registers={name: tuple(_expect(span, list, f"register {name!r}"))
+                   for name, span in _expect(obj["registers"], dict, "circuit registers").items()},
+        gates=tuple(Gate.from_json(g, verifiers) for g in _expect(obj["gates"], list, "circuit gates")),
+        checkpoints=tuple((_expect(label, str, "a checkpoint label"), _expect(pos, int, f"checkpoint {label!r}"))
+                          for label, pos in checkpoints),
     )
 
 

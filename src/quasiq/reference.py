@@ -1,22 +1,19 @@
 """Code that no command runs, compiled only by a caller that uses it: the
-per-gate reference simulator; the Amplitude operations that only it and
-people reading results need (exact division, the display form); the DSL's
-one-branch evaluator and printer; and the kernel's lane-by-lane paths, which
-no construction takes.
+per-gate reference simulator, and the kernel's way to apply through it the
+gates no construction makes; the Amplitude operations that only it and people
+reading results need (exact division, the display form); the DSL's one-branch
+evaluator and printer.
 
 Circuits run on quasistate's integer kernel, which the tests check against
 `apply_gate` term by term. StateVector.apply, Amplitude.div_exact,
 Amplitude.__str__, the DSL module's eval_dsl and print_dsl, and the kernel's
-exact division and general ORACLE masks delegate here.
+N, inverse diagonal kinds and other ORACLE and PERM layouts delegate here.
 """
 from __future__ import annotations
 
-from itertools import compress
-from operator import or_
-
-from quasiq.exactnum import HALF, INV_SQRT2, TWO, Amplitude, ExactDivisionError
+from quasiq.exactnum import HALF, INV_SQRT2, Amplitude, ExactDivisionError
 from quasiq.harness.dsl_language import _OPS, _PRECEDENCE, BinOp, Bits, DslExpr, Lit, Not, Parity, Ref
-from quasiq.quasistate import Gate, StateVector, key_of
+from quasiq.quasistate import Gate, StateVector
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -30,14 +27,15 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         out[key] = amp if prev is None else prev + amp
 
     kind = gate.kind
+    diag = kind in ("B", "BINV", "G", "GINV", "A", "AINV", "N", "NINV")
+    if diag:  # diag(p, 1), or diag(1/p, 1) for an inverse kind
+        p = HALF if kind[0] == "B" else gate.param if kind[0] == "N" else Amplitude(gate.param, 0, 0)
     if kind == "ORACLE":
         verifier, nx = gate.param
         xw, bw, target = gate.wires[:nx], gate.wires[nx:-1], gate.wires[-1]
     if kind == "PERM":
         shift = [(width - 1 - s, width - 1 - d) for s, d in zip(gate.wires, gate.param)]
-        moved = 0
-        for s, _ in shift:
-            moved |= 1 << s
+        moved = sum(1 << s for s, _ in shift)
 
     for key, amp in state.terms.items():
         if key & cmask != cval:
@@ -50,43 +48,24 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
             put(key | m, scaled if key & m == 0 else -scaled)
         elif kind == "X":
             put(key ^ (1 << (width - 1 - gate.wires[0])), amp)
-        elif kind == "S":
+        elif kind in ("S", "SINV"):
             m = 1 << (width - 1 - gate.wires[0])
             put(key, amp)
             if key & m:
-                put(key & ~m, amp)
-        elif kind == "SINV":
-            m = 1 << (width - 1 - gate.wires[0])
-            put(key, amp)
-            if key & m:
-                put(key & ~m, -amp)
-        elif kind in ("B", "BINV", "G", "GINV", "A", "AINV", "N", "NINV"):
-            m = 1 << (width - 1 - gate.wires[0])
-            if key & m:
+                put(key & ~m, amp if kind == "S" else -amp)
+        elif diag:
+            if key & (1 << (width - 1 - gate.wires[0])):
                 put(key, amp)
-            elif kind == "B":
-                put(key, amp * HALF)
-            elif kind == "BINV":
-                put(key, amp * TWO)
-            elif kind in ("G", "A"):
-                put(key, amp.scale_int(gate.param))
-            elif kind in ("GINV", "AINV"):
-                put(key, div_exact(amp, Amplitude(gate.param, 0, 0)))
-            elif kind == "N":
-                put(key, amp * gate.param)
-            else:  # NINV
-                put(key, div_exact(amp, gate.param))
+            else:
+                put(key, div_exact(amp, p) if kind.endswith("INV") else amp * p)
         elif kind in ("D", "DINV"):
             m1 = 1 << (width - 1 - gate.wires[0])
             m2 = 1 << (width - 1 - gate.wires[1])
             put(key, amp)
             if key & m1:
                 put(key & ~m1 & ~m2, -amp if kind == "D" else amp)
-        elif kind == "PROJ0":
-            if key & (1 << (width - 1 - gate.wires[0])) == 0:
-                put(key, amp)
-        elif kind == "PROJ1":
-            if key & (1 << (width - 1 - gate.wires[0])):
+        elif kind in ("PROJ0", "PROJ1"):
+            if bool(key & (1 << (width - 1 - gate.wires[0]))) == (kind == "PROJ1"):
                 put(key, amp)
         elif kind == "PERM":
             new = key & ~moved
@@ -105,9 +84,28 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return StateVector(width, out)
 
 
+def apply_by_reference(kernel, gate: Gate) -> None:
+    """Apply `gate` to a kernel state (quasistate._NumeratorState) through
+    apply_gate, and load the result back on the same inner wires."""
+    kernel.load(apply_gate(kernel.to_state(), gate))
+
+
+def reciprocal(a: Amplitude) -> tuple[int, int, int, int]:
+    """(u0, u1, odd, shift) with 1/a == Amplitude(u0, u1, -shift) / odd for a
+    positive odd `odd`, which is 0 when a is zero. From 1/a = 2**e *
+    (c0 - c1*sqrt(2)) / (c0**2 - 2*c1**2), with the norm's sign and powers of
+    two moved out."""
+    c0, c1 = a.c0, a.c1
+    norm = c0 * c0 - 2 * c1 * c1
+    if norm < 0:
+        c0, c1, norm = -c0, -c1, -norm
+    twos = (norm & -norm).bit_length() - 1
+    return c0, -c1, norm >> twos if norm else 0, a.e - twos
+
+
 def div_exact(a: Amplitude, b: Amplitude) -> Amplitude:
     """Exact quotient a / b, or ExactDivisionError if it leaves the ring."""
-    u0, u1, odd, shift = b.reciprocal()
+    u0, u1, odd, shift = reciprocal(b)
     if not odd:
         raise ExactDivisionError("division by zero")
     # The quotient exists iff the odd part divides both integer components.
@@ -133,37 +131,6 @@ def amplitude_str(a: Amplitude) -> str:
     if a.e == 0:
         return body
     return f"({body})/2^{a.e}" if (a.c0 and a.c1) else f"{body}/2^{a.e}"
-
-
-def divide_lanes(state, c0: int, c1: int | None, factor: tuple, controls: tuple) -> tuple[int, int]:
-    """A block's numerators after the kernel's exact division by p, lane by
-    lane in the lanes its lane controls select; (u0, u1, odd, up, p) are as
-    _diag has them: (u0 + u1*sqrt2) * 2**up / odd is 1/p."""
-    u0, u1, odd, up, p = factor
-    icm, icv = controls[2:]
-    v0 = state._unpack(c0)
-    v1 = (0,) * len(v0) if c1 is None else state._unpack(c1)
-    d0, d1 = [0] * len(v0), [0] * len(v0)
-    for i in compress(range(len(v0)), map(or_, v0, v1)):
-        if i & icm == icv:
-            if not odd:
-                raise ExactDivisionError("division by zero")
-            n0, n1 = v0[i] * u0 + 2 * v1[i] * u1, v0[i] * u1 + v1[i] * u0
-            if n0 % odd or n1 % odd:
-                raise ExactDivisionError(f"({v0[i]} + {v1[i]}*sqrt2) / sqrt2**{state.k} / {p!r}"
-                                         " is not in the ring")
-            d0[i], d1[i] = n0 // odd << up, n1 // odd << up
-    return state._pack(d0), state._pack(d1)
-
-
-def oracle_lanes(state, accept, b_wires, key: int) -> int:
-    """An ORACLE's lane mask for the block at `key`, lane by lane: for x wires
-    that are not all outer or b wires that are not adjacent inner ones."""
-    top, unit = state.width - 1, state.size
-    chars = "".join("01"[accept(f) >> key_of(f >> top - w & 1 for w in b_wires) & 1]
-                    for f in (key | off for off in state._offsets()))
-    return int.from_bytes(chars.translate({48: "\0" * unit, 49: "\xff" * unit}).encode("latin-1"),
-                          "little")
 
 
 # -- the DSL's printer and one-branch evaluator ---------------------------------------

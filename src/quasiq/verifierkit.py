@@ -335,6 +335,9 @@ def make_dual_lwpp(base: Verifier, h: HalfGapFunction,
     or after the base verifier by default.
     """
     n, m = base.n, base.m
+    if h.kind == "power" and h.base >= 2 and (t := h.exponent(n)) > m - 1:  # M**t > 2**(m-1)
+        raise HalfGapPromiseError(
+            f"half-gap h({n}) = {h.base}**{t} outside [1, 2**(m-1)] for m = {m}", witness="")
     hv = h.value(n)
     half = 2 ** (m - 1)
     if hv < 1 or hv > half:

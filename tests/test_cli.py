@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import hypothesis.strategies as st
 import jsonschema
@@ -216,6 +217,24 @@ def test_problem_spec_file_end_to_end(tmp_path, capsys):
     code, obj, _ = run_json(capsys, "verify", "--problem", str(path), "--n", "2")
     assert code == EXIT_OK
     assert obj["ok"] is True
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_a_power_witness_past_the_bound_is_refused_before_it_is_formed(tmp_path, capsys, M):
+    """h(n) = M**t(n) with t(n) > m - 1 exceeds 2**(m-1) for any M >= 2, so the
+    lemma refuses it by its exponent, naming it as M**t, and never forms the
+    power, whose decimal digits alone would exceed Python's limit."""
+    spec = {"name": "huge-h", "n": {"min": 1, "max": 3}, "m": {"affine": {"a": 1, "b": 0}},
+            "verifier": {"kind": "dsl", "base": "parity(x & b)"},
+            "h": {"kind": "power", "M": M, "t": {"a": 30000000, "b": 0}},
+            "dual": "derive-via-lemma"}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "gap", "--problem", str(path), "--input", "01")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: half-gap h(2) = {M}**60000000 outside [1, 2**(m-1)] for m = 2\n"
 
 
 def test_gap_output_round_trips(capsys):
@@ -859,8 +878,12 @@ sys.exit(code)
 # where the problem is resolved, 14 more: a cold command loaded 3,137. With the
 # DSL's lexer, parser and mask compiler loaded only for DSL text, 302 more.
 # With the package's re-exports deleted, 55 fewer, less the 7 that check a table
-# key and name a DSL text's field: a cold command loads 2,787.
-LINES_BEFORE, LINES_MOVED_OUT = 3404, 617
+# key and name a DSL text's field: 2,787. With verify's inputs run as one state,
+# 2,782. With the lanes kept to the gates the constructions make, the others run
+# through the reference and the ring's reciprocal moved out with its one caller,
+# 13 fewer, less the 9 that check a gate's wire types and bound a power-form
+# witness: a cold command loads 2,778.
+LINES_BEFORE, LINES_MOVED_OUT = 3404, 626
 
 
 @pytest.mark.parametrize("argv", [
@@ -874,6 +897,32 @@ def test_a_command_loads_no_deferred_module(argv):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert not set(loaded["modules"]) & set(DEFERRED_MODULES)
     assert loaded["lines"] <= LINES_BEFORE - LINES_MOVED_OUT
+
+
+@pytest.mark.parametrize("verifier, tables", [
+    ({"kind": "dsl", "base": "parity(x & b)"}, {}),
+    ({"kind": "table-file", "v0": "t0.json", "v1": "t1.json"},
+     {"t0.json": LANGUAGE_PAIR.v0, "t1.json": LANGUAGE_PAIR.v1}),
+], ids=["lemma-dsl", "table-pair"])
+def test_every_construction_runs_on_the_lanes(tmp_path, verifier, tables):
+    """verify runs all six constructions, on a pair derived from a DSL base
+    and on a given table-file pair, without loading the per-gate reference:
+    the kernel's lanes apply every gate they make."""
+    for name, table in tables.items():
+        (tmp_path / name).write_text(json.dumps(table_to_json(table)), encoding="utf-8")
+    spec = {"name": "lanes", "n": {"min": 2, "max": 2}, "m": {"affine": {"a": 1, "b": 0}},
+            "verifier": verifier, "h": {"kind": "power", "M": 2, "t": {"a": 0, "b": 1}},
+            "dual": "given-pair" if tables else "derive-via-lemma"}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    proc = run_fresh(LOAD_PROBE, "verify", "--problem", str(path), "--n", "2", "--json")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    *out, loaded = proc.stdout.splitlines()
+    rows = json.loads("\n".join(out))["results"]
+    assert {row["construction"] for row in rows} == {"un", "fig3-zqp", "fig3-post", "wn", "lwpp",
+                                                     "lpwpp"}
+    assert all(row["ok"] for row in rows)
+    assert "quasiq.reference" not in json.loads(loaded)["modules"]
 
 
 @pytest.mark.parametrize("call, module", [

@@ -101,10 +101,12 @@ def parity_verifier(n, m):
 
 def check_against_reference(width, key, gates, inner=()):
     """Apply gates one at a time through both paths, the kernel's lanes over
-    the `inner` wires; the states must be equal after every gate, and a
-    failing gate must fail with the same exception type. Returns the kernel."""
-    reference = StateVector.basis(width, key)
-    kernel = _NumeratorState(width, [key], inner)
+    the `inner` wires, from |key> or from the sum of |key> over a list of keys
+    that differ on the outer wires; the states must be equal after every gate,
+    and a failing gate must fail with the same exception type. Returns the kernel."""
+    keys = key if isinstance(key, list) else [key]
+    reference = StateVector(width, {k: Amplitude(1, 0, 0) for k in keys})
+    kernel = _NumeratorState(width, keys, inner)
     for gate in gates:
         try:
             reference = reference.apply(gate)
@@ -196,6 +198,36 @@ def test_division_by_zero_raises_only_where_a_term_is_divided():
     for key, gate in ((0b00, ninv_zero), (0b01, ginv_zero)):
         with pytest.raises(ExactDivisionError, match="division by zero"):
             _NumeratorState(2, [key]).run([gate])
+
+
+def test_the_kernel_goes_on_after_a_reference_gate():
+    """N and the inverse diagonal kinds go through the reference, and the
+    lanes hold its result: an odd k then NINV of 2 + sqrt2, whose quotient
+    needs one more exponent; GINV after a G wide enough to widen the lanes,
+    then NINV of 2**-70, which widens them again; an ORACLE whose x wires are
+    inner, on a state of several inputs. Every step matches StateVector.apply."""
+    def steps(width, key, gates, inner):
+        """(k, size) after each gate, checking every state against the reference."""
+        kernel, reference, seen = _NumeratorState(width, [key], inner), StateVector.basis(width, key), []
+        for gate in gates:
+            kernel.run([gate])
+            reference = reference.apply(gate)
+            assert kernel.to_state() == reference, gate
+            seen.append((kernel.k, kernel.size))
+        return seen
+
+    ks = [k for k, _ in steps(3, 0b010, [
+        Gate.h(0), Gate.n(0, Amplitude(2, 1, 0)).inverse(), Gate.h(2), Gate.h(1), Gate.h(0),
+        Gate.b(1), Gate.g(2, 3), Gate.s(1), Gate.h(2)], (0, 1, 2))]
+    assert ks[:2] == [1, 2]  # (sqrt2/2) / (2 + sqrt2) = (sqrt2 - 1)/2: needs k = 2
+    sizes = [size for _, size in steps(2, 0b01, [
+        Gate.h(0), Gate.h(1), Gate.g(0, 3**30), Gate.g(0, 3**30).inverse(), Gate.h(1),
+        Gate.n(0, Amplitude(1, 0, 70)).inverse(), Gate.h(0), Gate.d(0, 1), Gate.h(1)], (0, 1))]
+    assert sizes == sorted(sizes) and sizes[1] < sizes[2] == sizes[3] < sizes[5]
+    verifier = table_verifier(2, 2, {(0, 0): {1}, (0, 1): {0, 3}, (1, 0): set(), (1, 1): {2}})
+    check_against_reference(6, [0b000000, 0b100000, 0b100001], [
+        Gate.h(1), Gate.h(2), Gate.h(3), Gate.oracle(verifier, (0, 1), (2, 3), 4),
+        Gate.h(2), Gate.cnot(4, 5), Gate.s(3), Gate.h(1)], (1, 2, 3))
 
 
 def test_exact_division_that_succeeds_matches():
@@ -684,7 +716,8 @@ FUSED_RUNS = {
 @pytest.mark.parametrize("gates", FUSED_RUNS.values(), ids=FUSED_RUNS)
 def test_fused_diagonal_runs_match_one_gate_at_a_time(monkeypatch, gates):
     """A run of t equal B, G or A gates is one pass with p**t, and leaves the
-    terms and k of t passes; N and the inverse kinds stay one pass a gate."""
+    terms and k of t passes; N and the inverse kinds go through the reference
+    one gate at a time."""
     width = 4
     passes = []
     diag = _NumeratorState._diag
@@ -718,14 +751,18 @@ class CountingVerifier(Verifier):
 
 @pytest.mark.parametrize("x_wires, b_wires, target, controls", [
     ((0, 1), (2, 3, 4), 5, ()),
+    ((6, 0), (2, 3, 4), 1, ((5, 1),)),
     ((0, 5), (1, 3, 4), 2, ((6, 1),)),
     ((6, 0), (4, 1, 5), 3, ()),
     ((3,), (6, 0, 4), 1, ((2, 0), (5, 1))),
-], ids=["adjacent", "gapped", "out-of-order", "spread"])
+], ids=["adjacent", "adjacent-split-x", "gapped", "out-of-order", "spread"])
 def test_oracle_looks_up_one_mask_per_x_value(x_wires, b_wires, target, controls):
     """An ORACLE on a state with several x values, on adjacent and on
-    non-adjacent or unordered b wires, matches the reference, and asks for
-    one accept mask per x value among the terms that pass its controls."""
+    non-adjacent or unordered b wires, matches the reference with lanes on its
+    b wires and on none. With its x wires outer and its b wires adjacent inner
+    ones in order, as in every construction, the lanes apply it and ask for one
+    accept mask per x value among the terms that pass its controls; the
+    reference takes every other layout."""
     rng = random.Random(5)
     nx = len(x_wires)
     table = {x: frozenset(b for b in range(8) if rng.getrandbits(1))
@@ -736,8 +773,11 @@ def test_oracle_looks_up_one_mask_per_x_value(x_wires, b_wires, target, controls
     width = 7
     gate = Gate.oracle(verifier, x_wires, b_wires, target, controls)
     for key in (0, 0b1011001):
-        check_against_reference(width, key, spread(width) + [gate])
-        state = _NumeratorState(width, [key])
+        for inner in ((), b_wires):
+            check_against_reference(width, key, spread(width) + [gate], inner)
+        if b_wires != tuple(range(b_wires[0], b_wires[0] + len(b_wires))):
+            continue
+        state = _NumeratorState(width, [key], b_wires)
         state.run(spread(width))
         cmask, cval = gate.control_mask(width)
         xs = {tuple(key >> (width - 1 - w) & 1 for w in x_wires)

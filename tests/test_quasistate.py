@@ -5,7 +5,7 @@ import re
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from quasiq.exactnum import HALF, INV_SQRT2, ONE, ZERO, Amplitude
 from quasiq.quasistate import (
@@ -402,6 +402,17 @@ MALFORMED_GATES = {
     "perm-int-param": ("PERM", (0, 1), (), 5, 5, ValueError, "PERM takes a tuple parameter, got 5"),
     "oracle-list-param": ("ORACLE", (0, 1, 2, 3), (), [1], [1], ValueError,
                           "ORACLE takes a (verifier, int) parameter, got [1]"),
+    # Wires, control wires and PERM destinations are ints; a polarity is 0 or 1.
+    "float-wire": ("H", (0.5,), (), None, None, WireError, "H wire 0.5 is not an int"),
+    "str-wire": ("H", ("a",), (), None, None, WireError, "H wire 'a' is not an int"),
+    "bool-wire": ("X", (True,), (), None, None, WireError, "X wire True is not an int"),
+    "float-control-wire": ("X", (0,), ((1.0, 1),), None, None, WireError, "X wire 1.0 is not an int"),
+    "float-destination": ("PERM", (0, 1), (), (1, 0.0), [1, 0.0], WireError,
+                          "PERM wire 0.0 is not an int"),
+    "polarity-2": ("X", (0,), ((1, 2),), None, None, WireError,
+                   "control polarity 2 on wire 1 is not 0 or 1"),
+    "bool-polarity": ("H", (0,), ((2, True),), None, None, WireError,
+                      "control polarity True on wire 2 is not 0 or 1"),
 }
 
 
@@ -425,3 +436,51 @@ def test_gate_labels():
     assert Gate.mcx(((0, 0), (1, 1), (2, 1)), 3).label() == "MCX"
     assert Gate.x(0).label() == "X"
     assert Gate.h(0).label() == "H"
+
+
+# Any JSON value, for the fuzz of the gate and circuit readers below.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+FUZZ_GATES = [Gate.h(0), Gate.mcx(((0, 0), (1, 1)), 2), Gate.g(1, 3), Gate.n(1, Amplitude(3, -1, 1)),
+              Gate.d(1, 2), Gate.perm((0, 1, 2), (2, 0, 1)), Gate.proj(3, 1),
+              Gate.oracle(PROBE, (0,), (1, 2), 3, controls=((4, 0),))]
+
+
+def mutated(draw, value):
+    """`value` with one node of its JSON tree replaced by any JSON value or,
+    in a dict or a list, deleted."""
+    if isinstance(value, (dict, list)) and value and draw(st.integers(0, 3)):
+        at = draw(st.sampled_from(sorted(value) if isinstance(value, dict) else range(len(value))))
+        out = dict(value) if isinstance(value, dict) else list(value)
+        if draw(st.booleans()):
+            del out[at]
+        else:
+            out[at] = mutated(draw, value[at])
+        return out
+    return draw(JSON_VALUES)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_malformed_gate_and_circuit_json_raises_only_value_or_key_errors(data):
+    """A gate or circuit dump with some nodes replaced or deleted is read, or
+    refused with a ValueError (WireError among them) or, for an oracle's
+    unknown verifier, a KeyError: never another exception. What is read dumps
+    to JSON that reads back to it."""
+    from quasiq.circuitgen import Circuit
+
+    if data.draw(st.booleans()):
+        cls, dump = Gate, data.draw(st.sampled_from(FUZZ_GATES)).to_json()
+    else:
+        cls, dump = Circuit, Circuit(5, {"x": (0, 1), "b": (1, 2)}, tuple(FUZZ_GATES),
+                                     (("start", 0), ("end", len(FUZZ_GATES)))).to_json()
+    for _ in range(data.draw(st.integers(1, 3))):
+        dump = mutated(data.draw, dump)
+    try:
+        read = cls.from_json(dump, {"probe": PROBE})
+    except (ValueError, KeyError):
+        return
+    assert cls.from_json(read.to_json(), {"probe": PROBE}) == read
