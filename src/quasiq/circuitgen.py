@@ -34,8 +34,8 @@ from types import MappingProxyType
 from weakref import WeakKeyDictionary
 
 from quasiq.exactnum import HALF, ONE, ZERO, Amplitude
-from quasiq.quasistate import (Gate, StateVector, _NumeratorState, bits_label, key_of, label_of,
-                               record)
+from quasiq.quasistate import (Gate, ProjectionError, StateVector, _amplitude, _NumeratorState, bits_label,
+                               key_of, label_of, record)
 from quasiq.verifierkit import DualVerifierPair, HalfGapFunction
 
 VERDICT_YES = "YES"
@@ -78,8 +78,8 @@ class Circuit:
     """Gate list on named registers, with labeled checkpoint positions. A child
     circuit starts with its parent's gates, on the same wires plus extra ones
     last. A circuit that `forks` is one that children start from (un and wn);
-    only it keeps `last`, (input keys, kernel state, final state of every input's
-    sector) after its last run. Circuits are equal when all but parent, forks and last are."""
+    only it keeps `last`, (input keys, kernel state, live terms of every input's sector)
+    after its last run. Circuits are equal when all but parent, forks and last are."""
 
     __slots__ = ("width", "registers", "gates", "checkpoints", "parent", "forks", "last")
 
@@ -88,6 +88,11 @@ class Circuit:
                  forks: bool = False):
         self.width, self.registers, self.gates = width, registers, gates
         self.checkpoints, self.parent, self.forks, self.last = checkpoints, parent, forks, None
+        for name, span in registers.items():
+            if not (type(span) in (tuple, list) and len(span) == 2 and all(type(v) is int for v in span)
+                    and 0 <= span[0] <= sum(span) <= width):
+                raise RegisterMismatchError(f"register {name!r} must be [start, length] within width "
+                                            f"{width}, got {list(span)!r}")
         labels = [label for label, _ in self.checkpoints]
         if len(labels) != len(set(labels)):
             raise ValueError("checkpoint labels must be unique")
@@ -139,23 +144,16 @@ def gate_alphabet(circuit: Circuit) -> set[str]:
     return {gate.label() for gate in circuit.gates}
 
 
-def simulate_circuit(circuit: Circuit, x_bits, record=False, batch=None) -> tuple[StateVector, dict]:
-    """Run the circuit on |x>|0...0> and capture checkpoint states.
+def simulate_circuit(circuit: Circuit, x_bits, record=False) -> tuple[Numerators, dict]:
+    """Run the circuit on |x>|0...0> and capture checkpoint states, as the kernel's
+    numerators; each builds its StateVector when first read as one.
 
     record: False for none, True for all checkpoints, or an iterable of labels.
-    batch: None, or a dict from the inputs of a sweep, x_bits among them, to
-    their runs (None until run), which one circuit's calls share, with one
-    `record`: the first call runs simulate_inputs on them all, and each call
-    returns its own input's run.
     """
-    if batch is None:
-        return simulate_inputs(circuit, [x_bits], record)[0]
-    if batch[x_bits] is None:
-        batch.update(zip(list(batch), simulate_inputs(circuit, list(batch), record)))
-    return batch[x_bits]
+    return simulate_inputs(circuit, [x_bits], record)[0]
 
 
-def simulate_inputs(circuit: Circuit, inputs, record=False) -> list[tuple[StateVector, dict]]:
+def simulate_inputs(circuit: Circuit, inputs, record=False) -> list[tuple[Numerators, dict]]:
     """The final and checkpoint states of each input, from one kernel run on the
     sum of |x>|0...0> over `inputs`, amplitude 1 each. Several inputs need a
     circuit that targets no x wire: then each x's terms evolve as that run alone."""
@@ -182,34 +180,100 @@ def simulate_inputs(circuit: Circuit, inputs, record=False) -> list[tuple[StateV
     state = _NumeratorState(circuit.width, [key << shift for key in keys],
                             {gate.wires[0] for gate in gates[start:] if gate.kind == "H"})
     if start:  # one input is one sector, whatever x its terms come to read
-        state.fork(*parent.last[1:], n if len(keys) > 1 else 0)
-    captured: dict[str, list[StateVector]] = {}
+        state.fork(*parent.last[1:])
+    captured: dict[str, list[Numerators]] = {}
     for stop in sorted({*by_position, len(gates)}):
         state.run(gates[start:stop])
         start = stop
-        snapshot = state.to_state()
-        sectors = [snapshot] if len(keys) == 1 else _sectors(snapshot, keys, shift)
+        live = state.sectors(keys, shift) if len(keys) > 1 else state.sectors((0,), circuit.width)
+        sectors = [Numerators(circuit.width, state.k, terms) for terms in live]
         for label in by_position.get(stop, ()):
             captured[label] = sectors
     if circuit.forks:
-        circuit.last = (keys, state, snapshot)
+        circuit.last = (keys, state, live)
     return [(final, {label: states[i] for label, states in captured.items()})
             for i, final in enumerate(sectors)]
 
 
-def _sectors(state: StateVector, keys: tuple[int, ...], shift: int) -> list[StateVector]:
-    """`state` split by input: for each of the distinct `keys`, the terms that read key >> shift."""
-    parts = {key: StateVector(state.width) for key in keys}
-    for key, amp in state.terms.items():
-        parts[key >> shift].terms[key] = amp
-    return list(parts.values())
+def _lift(c0: int, c1: int, d: int) -> tuple[int, int]:
+    """The numerators of (c0 + c1*sqrt(2)) * sqrt(2)**d, d >= 0."""
+    return (c0 << d // 2, c1 << d // 2) if d % 2 == 0 else (c1 << d // 2 + 1, c0 << d // 2)
+
+
+def _negative(a: int, b: int) -> bool:
+    """Whether a + b*sqrt(2) < 0, exactly: where a and b differ in sign, a**2 against 2*b**2."""
+    if a >= 0 and b >= 0 or a <= 0 and b <= 0:
+        return a < 0 or b < 0
+    return a * a > 2 * b * b if a < 0 else 2 * b * b > a * a
+
+
+class Numerators:
+    """A state as the kernel leaves it: `numerators` maps each live key to the ints (c0, c1)
+    of its amplitude (c0 + c1*sqrt(2)) / sqrt(2)**k. The runs' checks read it in integers;
+    any other StateVector read (`match`, `to_json`, `==`, ...) builds the StateVector once."""
+
+    __slots__ = ("width", "k", "numerators", "_state")
+
+    def __init__(self, width: int, k: int, numerators: dict[int, tuple[int, int]]):
+        self.width, self.k, self.numerators, self._state = width, k, numerators, None
+
+    def masses(self, mask: int = 0, value: int = 0) -> tuple[tuple[int, int], tuple[int, int]]:
+        """The squared norms of the terms whose key & mask == value and of the others, each as
+        the numerators (s0, s1) of (s0 + s1*sqrt2) / 2**k, integer sums of
+        (c0 + c1*sqrt2)**2 = c0**2 + 2*c1**2 + 2*c0*c1*sqrt2."""
+        s0 = s1 = r0 = r1 = 0
+        for key, (c0, c1) in self.numerators.items():
+            if key & mask == value:
+                s0, s1 = s0 + c0 * c0 + 2 * c1 * c1, s1 + c0 * c1
+            else:
+                r0, r1 = r0 + c0 * c0 + 2 * c1 * c1, r1 + c0 * c1
+        return (s0, 2 * s1), (r0, 2 * r1)
+
+    def equals_at(self, key: int, amp: Amplitude) -> bool:
+        """Whether the amplitude at `key` is `amp`, in integers at the larger of their exponents."""
+        d = self.k - 2 * amp.e
+        numerators = self.numerators.get(key, (0, 0))
+        return numerators == _lift(amp.c0, amp.c1, d) if d >= 0 else _lift(*numerators, -d) == (amp.c0, amp.c1)
+
+    def holds(self, terms: dict[int, Amplitude]) -> bool:
+        """Whether the live terms are exactly the nonzero ones of `terms`, each equal."""
+        return (self.numerators.keys() == {key for key, amp in terms.items() if amp}
+                and all(self.equals_at(key, amp) for key, amp in terms.items()))
+
+    def wire_values(self, wire: int, mask: int = 0, value: int = 0) -> set[int]:
+        """The values of `wire` over the live terms whose key & mask == value."""
+        shift = self.width - 1 - wire
+        return {key >> shift & 1 for key in self.numerators if key & mask == value}
+
+    def to_state(self) -> StateVector:
+        if self._state is None:
+            self._state = StateVector(self.width)
+            self._state.terms = {key: _amplitude(c0, c1, self.k) for key, (c0, c1) in self.numerators.items()}
+        return self._state
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.to_state(), name)
+
+    def __eq__(self, other) -> bool:
+        return self.to_state() == (other.to_state() if isinstance(other, Numerators) else other)
+
+    __hash__ = None
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def __repr__(self) -> str:
+        return repr(self.to_state())
 
 
 class RunOutcome(record("RunOutcome", "construction input verdict answer success_mass failure_mass "
                         "final_state width checkpoints", (MappingProxyType({}),))):
     """Result of one simulation: exact masses, verdict (answer None when the
-    run certified none), the final StateVector on `width` wires, and the
-    checkpoint states by label (none by default)."""
+    run certified none), the final state on `width` wires, and the checkpoint
+    states by label (none by default). A run's states are the kernel's
+    Numerators, which build their StateVector when first read as one."""
 
     __slots__ = ()
 
@@ -237,7 +301,7 @@ class RunOutcome(record("RunOutcome", "construction input verdict answer success
         return outcome_from_json(cls, obj)
 
 
-def _outcome(construction: str, x_bits, final: StateVector, captured: dict, answer: int | None,
+def _outcome(construction: str, x_bits, final: Numerators, captured: dict, answer: int | None,
              success_mass: Amplitude, failure_mass: Amplitude,
              verdict: str | None = None) -> RunOutcome:
     """A run's outcome; by default the verdict is YES/NO from the answer, or
@@ -393,15 +457,15 @@ def build_lpwpp_decider(pair: DualVerifierPair, base: int, t: int, n: int) -> Ci
 # -- runs -------------------------------------------------------------------------
 
 
-def _single_wire_value(state: StateVector, wire: int, context: str) -> int:
-    values = {(key >> (state.width - 1 - wire)) & 1 for key, _ in state}
+def _single_wire_value(state: Numerators, wire: int, context: str, mask: int = 0, value: int = 0) -> int:
+    values = state.wire_values(wire, mask, value)
     if len(values) != 1:
         raise SimulationInvariantError(f"{context}: support spans both values of wire {wire}")
     return values.pop()
 
 
-def run_un(pair: DualVerifierPair, x_bits, record=False, batch=None) -> RunOutcome:
-    """Run the unitary gap-amplitude circuit.
+def check_un(pair: DualVerifierPair, circuit: Circuit, x_bits, final: Numerators, captured) -> RunOutcome:
+    """The unitary gap-amplitude circuit's outcome.
 
     success_mass is the mass of the b = 0...0, a = 1 block (the gap
     components); for a dual pair that block is a single term whose c bit is
@@ -409,35 +473,32 @@ def run_un(pair: DualVerifierPair, x_bits, record=False, batch=None) -> RunOutco
     oracle's delta_c on |c 1>, the norm must stay 1, and the rest of the
     state must carry mass below 1/2.
     """
-    n, m = pair.n, pair.m
     lx = pair.language_bit(tuple(x_bits))
-    circuit = _built(pair, build_un, n)
-    final, captured = simulate_circuit(circuit, x_bits, record, batch=batch)
-    gap_block = StateVector(final.width, dict(final.match(bits_label(x_bits) + "0" * m + "*1")))
-    success_mass, norm = gap_block.norm_sq(), final.norm_sq()
-    failure_mass = norm - success_mass
-    answer = _single_wire_value(gap_block, circuit.wire("c"), "gap-amplitude block")
+    prefix = key_of(x_bits) << (pair.m + 2)  # |x 0^m 0 0>
+    gap_block = ((1 << final.width) - 1) ^ 0b10, prefix | 1  # |x 0^m * 1>
+    (s0, s1), (f0, f1) = final.masses(*gap_block)  # over 2**k
+    success_mass, failure_mass = Amplitude(s0, s1, final.k), Amplitude(f0, f1, final.k)
+    answer = _single_wire_value(final, circuit.wire("c"), "gap-amplitude block", *gap_block)
     if answer != lx:
         raise SimulationInvariantError(
             f"gap-amplitude block sits on c = {answer}, oracle says L(x) = {lx}")
-    prefix = key_of(x_bits) << (m + 2)  # |x 0^m 0 0>
     for c, report in enumerate(pair.gap_reports(tuple(x_bits))):
-        got = final.amplitude(prefix | c << 1 | 1)
-        if got != report.delta:
-            raise SimulationInvariantError(
-                f"amplitude at c={c} is {got}, oracle delta is {report.delta}")
-        if final.amplitude(prefix | c << 1) != HALF:
+        if not final.equals_at(prefix | c << 1 | 1, report.delta):
+            raise SimulationInvariantError(f"amplitude at c={c} is {final.amplitude(prefix | c << 1 | 1)}, "
+                                           f"oracle delta is {report.delta}")
+        if not final.equals_at(prefix | c << 1, HALF):
             raise SimulationInvariantError(f"amplitude of |{c}0> block is not 1/2")
-    if norm != ONE:
+    if (s0 + f0, s1 + f1) != (1 << final.k, 0):
         raise SimulationInvariantError("unitary circuit did not preserve the norm")
-    # The b = 0...0 block now holds 1/2 plus the gap mass, so the rest is failure_mass - 1/2.
-    if not failure_mass - HALF < HALF:
+    # The b = 0...0 block now holds 1/2 plus the gap mass, so the rest is failure_mass - 1/2,
+    # which must be below 1/2: failure_mass < 1.
+    if not _negative(f0 - (1 << final.k), f1):
         raise SimulationInvariantError("residual mass is not strictly below 1/2")
     return _outcome("un", x_bits, final, captured, answer, success_mass, failure_mass)
 
 
-def run_zqp(pair: DualVerifierPair, x_bits, record=False, batch=None) -> RunOutcome:
-    """Zero-error run with p = 2^-m: success flag on a, answer on s.
+def check_zqp(pair: DualVerifierPair, circuit: Circuit, x_bits, final: Numerators, captured) -> RunOutcome:
+    """The zero-error outcome with p = 2^-m: success flag on a, answer on s.
 
     The exact success probability is certified strictly greater than 1/2
     (success mass > failure mass), the success-conditioned component is
@@ -445,42 +506,37 @@ def run_zqp(pair: DualVerifierPair, x_bits, record=False, batch=None) -> RunOutc
     be the square of the oracle's live delta.
     """
     lx = pair.language_bit(tuple(x_bits))  # DualityError on an invalid pair
-    circuit = _built(pair, build_fig3, pair.n, "bm")
-    final, captured = simulate_circuit(circuit, x_bits, record, batch=batch)
-    a, s = circuit.wire("a"), circuit.wire("s")
-    success_mass, conditional = final.project(a, 1)
-    failure_mass = final.norm_sq() - success_mass
-    wrong_mass = conditional.filter_terms(lambda key: (key >> final.width - 1 - s) & 1 != lx).norm_sq()
-    if not wrong_mass.is_zero():
+    if not final.numerators:
+        raise ProjectionError("cannot project the zero state")
+    a, s = (1 << final.width - 1 - circuit.wire(name) for name in "as")
+    (s0, s1), (f0, f1) = final.masses(a, a)  # over 2**k
+    success_mass, failure_mass = Amplitude(s0, s1, final.k), Amplitude(f0, f1, final.k)
+    wrong_mass = final.masses(a | s, a | s * (1 - lx))[0]
+    if wrong_mass != (0, 0):
         raise SimulationInvariantError(
-            f"success-conditioned state has mass {wrong_mass} on answer {1 - lx}")
+            f"success-conditioned state has mass {Amplitude(*wrong_mass, final.k)} on answer {1 - lx}")
     answer = None
-    if failure_mass < success_mass:
-        answer = _single_wire_value(conditional, s, "zero-error conditional")
+    if _negative(f0 - s0, f1 - s1):  # failure_mass < success_mass
+        answer = _single_wire_value(final, circuit.wire("s"), "zero-error conditional", a, a)
     live = pair.gap_reports(tuple(x_bits))[lx]
     if success_mass != live.delta * live.delta:
         raise SimulationInvariantError("success mass differs from the squared gap amplitude")
     return _outcome("fig3-zqp", x_bits, final, captured, answer, success_mass, failure_mass)
 
 
-def run_posteqp(pair: DualVerifierPair, x_bits, record=False, batch=None) -> RunOutcome:
-    """Postselected run: project a onto 1; the conditional state must be
-    supported entirely on the correct answer and have nonzero mass."""
+def check_posteqp(pair: DualVerifierPair, circuit: Circuit, x_bits, final: Numerators, captured) -> RunOutcome:
+    """The postselected outcome, a projected onto 1: the conditional state must be
+    supported entirely on the correct answer and have nonzero mass. It reads the
+    pre-projection state at checkpoint "cycled" to report the rejected mass."""
     lx = pair.language_bit(tuple(x_bits))
-    circuit = _built(pair, build_fig3, pair.n, "proj1")
-    # The pre-projection state is always captured to report the rejected mass.
-    wanted = True if record is True else set(record or ()) | {"cycled"}
-    final, captured = simulate_circuit(circuit, x_bits, wanted, batch=batch)
-    success_mass = final.norm_sq()
-    if success_mass.is_zero():
+    (s0, s1), _ = final.masses()
+    if (s0, s1) == (0, 0):
         raise PostselectionError(
             f"postselection mass is zero at x = {bits_label(x_bits)} "
             "(signals an invalid pair)")
-    failure_mass = captured["cycled"].norm_sq() - success_mass
-    if record is not True:
-        captured = {k: v for k, v in captured.items() if k in set(record or ())}
-    s = circuit.wire("s")
-    answer = _single_wire_value(final, s, "postselected state")
+    success_mass = Amplitude(s0, s1, final.k)
+    failure_mass = Amplitude(*captured["cycled"].masses()[0], captured["cycled"].k) - success_mass
+    answer = _single_wire_value(final, circuit.wire("s"), "postselected state")
     if answer != lx:
         raise SimulationInvariantError(
             f"postselected answer {answer} contradicts the oracle value {lx}")
@@ -488,78 +544,113 @@ def run_posteqp(pair: DualVerifierPair, x_bits, record=False, batch=None) -> Run
                     VERDICT_POSTSELECTED)
 
 
-def check_ancillas_restored(state: StateVector, circuit: Circuit) -> None:
+def check_ancillas_restored(state: Numerators, circuit: Circuit) -> None:
     """Every surviving component must hold the b register and a at zero."""
     mask = sum(1 << (state.width - 1 - w) for w in circuit.register_wires("b") + (circuit.wire("a"),))
-    for key, _ in state:
-        if key & mask:
-            term = label_of(key, state.width)
-            raise AncillaRestorationError(
-                f"component |{term}> leaves an ancilla nonzero", term=term)
+    stray = [key for key in state.numerators if key & mask]
+    if stray:
+        term = label_of(min(stray), state.width)
+        raise AncillaRestorationError(f"component |{term}> leaves an ancilla nonzero", term=term)
 
 
-def run_wn(pair: DualVerifierPair, x_bits, record=False, batch=None) -> RunOutcome:
-    """Run the uncomputing circuit and verify ancilla restoration and the
-    closed form |x 0^m>(|000> + delta|L(x) 0 1>).
+def check_wn(pair: DualVerifierPair, circuit: Circuit, x_bits, final: Numerators, captured) -> RunOutcome:
+    """The uncomputing circuit's outcome: ancilla restoration and the closed
+    form |x 0^m>(|000> + delta|L(x) 0 1>).
 
     success_mass is the mass of the s = 1 (gap-indicator) component; the
     answer is that component's c bit.
     """
-    n, m = pair.n, pair.m
     lx = pair.language_bit(tuple(x_bits))
-    circuit = _built(pair, build_wn, n)
-    final, captured = simulate_circuit(circuit, x_bits, record, batch=batch)
     check_ancillas_restored(final, circuit)
-    c, s = circuit.wire("c"), circuit.wire("s")
-    success_mass, indicator = final.project(s, 1)
-    failure_mass = final.norm_sq() - success_mass
+    if not final.numerators:
+        raise ProjectionError("cannot project the zero state")
+    (s0, s1), (f0, f1) = final.masses(1, 1)  # s is the last wire
+    success_mass, failure_mass = Amplitude(s0, s1, final.k), Amplitude(f0, f1, final.k)
     answer = None
-    if not indicator.is_zero():
-        answer = _single_wire_value(indicator, c, "gap-indicator component")
-    prefix = key_of(x_bits) << (m + 3)
+    if (s0, s1) != (0, 0):
+        answer = _single_wire_value(final, circuit.wire("c"), "gap-indicator component", 1, 1)
+    prefix = key_of(x_bits) << (pair.m + 3)
     delta = pair.gap_reports(tuple(x_bits))[lx].delta
-    if final != StateVector(final.width, {prefix: ONE, prefix | lx << 2 | 1: delta}):
+    if not final.holds({prefix: ONE, prefix | lx << 2 | 1: delta}):
         raise SimulationInvariantError(
             "uncomputed state differs from |x>(|00> + delta|L>|1>) plus ancillas")
     return _outcome("wn", x_bits, final, captured, answer, success_mass, failure_mass)
 
 
-def decider_term(pair: DualVerifierPair, x_bits, h: int) -> StateVector:
-    """Both exact deciders' closed-form output (h/2^m)|x 0^m 1 0 L(x)>."""
+def decider_term(pair: DualVerifierPair, x_bits, h: int) -> dict[int, Amplitude]:
+    """Both exact deciders' closed-form output (h/2^m)|x 0^m 1 0 L(x)>, as {key: amplitude}."""
     m = pair.m
-    key = key_of(x_bits) << (m + 3) | 0b100 | pair.language_bit(tuple(x_bits))
-    return StateVector.basis(pair.n + m + 3, key, Amplitude(h, 0, m))
+    return {key_of(x_bits) << (m + 3) | 0b100 | pair.language_bit(tuple(x_bits)): Amplitude(h, 0, m)}
 
 
-def _run_decider(circuit: Circuit, construction: str, pair: DualVerifierPair, h: int, x_bits,
-                 record, batch, mismatch: str) -> RunOutcome:
-    """Run a decider built for witness value h: its output must be the single
+def _check_decider(construction: str, mismatch: str, pair: DualVerifierPair, x_bits, final: Numerators,
+                   captured, h: int) -> RunOutcome:
+    """The outcome of a decider built for witness value h: its output must be the single
     term decider_term(pair, x, h), else ResidualTermError or the `mismatch`."""
-    final, captured = simulate_circuit(circuit, x_bits, record, batch=batch)
+    keys = sorted(final.numerators)
     stem = key_of(x_bits) << (pair.m + 2) | 0b10  # |x 0^m 1 0>: every wire but the answer
-    residuals = [label_of(key, final.width) for key, _ in final if key >> 1 != stem]
-    if residuals or len(final) != 1:
-        residuals = residuals or final.labels()
+    residuals = [label_of(key, final.width) for key in keys if key >> 1 != stem]
+    if residuals or len(keys) != 1:
+        residuals = residuals or [label_of(key, final.width) for key in keys]
         raise ResidualTermError(f"decider output is not a single clean term at x = "
                                 f"{bits_label(x_bits)}; residual terms: {residuals}", residuals)
-    if final != decider_term(pair, x_bits, h):
+    if not final.holds(decider_term(pair, x_bits, h)):
         raise SimulationInvariantError(mismatch)
     answer = pair.language_bit(tuple(x_bits))
-    return _outcome(construction, x_bits, final, captured, answer, final.norm_sq(), ZERO)
+    success_mass = Amplitude(*final.masses()[0], final.k)
+    return _outcome(construction, x_bits, final, captured, answer, success_mass, ZERO)
 
 
-def run_lwpp(pair: DualVerifierPair, h, x_bits, record=False, batch=None) -> RunOutcome:
-    """Exact decider run; raises ResidualTermError when the half-gap witness
-    fails to cancel the |00> tail."""
-    hv = _witness_value(h, pair.n)
-    circuit = _built(pair, build_lwpp_decider, hv, pair.n)
-    return _run_decider(circuit, "lwpp", pair, hv, x_bits, record, batch,
-                        "decider output is not the single term (h/2^m)|x>|1>|L(x)>")
+# Each construction as build(pair, *witness), the circuit it runs; the checkpoints its
+# check reads, recorded or not; and check(pair, circuit, x_bits, final, captured, *witness).
+# run_* is one input's run and check; verify runs a circuit once a chunk of inputs.
+RUNS = {
+    "un": (lambda pair: _built(pair, build_un, pair.n), (), check_un),
+    "fig3-zqp": (lambda pair: _built(pair, build_fig3, pair.n, "bm"), (), check_zqp),
+    "fig3-post": (lambda pair: _built(pair, build_fig3, pair.n, "proj1"), ("cycled",), check_posteqp),
+    "wn": (lambda pair: _built(pair, build_wn, pair.n), (), check_wn),
+    "lwpp": (lambda pair, h: _built(pair, build_lwpp_decider, _witness_value(h, pair.n), pair.n), (),
+             lambda pair, circuit, x_bits, final, captured, h: _check_decider(
+                 "lwpp", "decider output is not the single term (h/2^m)|x>|1>|L(x)>", pair, x_bits,
+                 final, captured, _witness_value(h, pair.n))),
+    "lpwpp": (lambda pair, base, t: _built(pair, build_lpwpp_decider, base, t, pair.n), (),
+              lambda pair, circuit, x_bits, final, captured, base, t: _check_decider(
+                  "lpwpp", "fixed-gate-set decider differs from the length-dependent one", pair, x_bits,
+                  final, captured, base**t)),
+}
 
 
-def run_lpwpp(pair: DualVerifierPair, base: int, t: int, x_bits, record=False, batch=None) -> RunOutcome:
-    """Exact decider run over the fixed gate alphabet, h = base**t; the circuit
-    must use no length-dependent gate."""
-    circuit = _built(pair, build_lpwpp_decider, base, t, pair.n)
-    return _run_decider(circuit, "lpwpp", pair, base**t, x_bits, record, batch,
-                        "fixed-gate-set decider differs from the length-dependent one")
+def _run(construction: str, pair: DualVerifierPair, x_bits, record, *witness) -> RunOutcome:
+    build, reads, check = RUNS[construction]
+    circuit = build(pair, *witness)
+    final, captured = simulate_circuit(circuit, x_bits, True if record is True else {*(record or ()), *reads})
+    outcome = check(pair, circuit, x_bits, final, captured, *witness)
+    if record is True or not reads:
+        return outcome
+    return outcome._replace(checkpoints={k: v for k, v in captured.items() if k in set(record or ())})
+
+
+def run_un(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
+    return _run("un", pair, x_bits, record)
+
+
+def run_zqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
+    return _run("fig3-zqp", pair, x_bits, record)
+
+
+def run_posteqp(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
+    return _run("fig3-post", pair, x_bits, record)
+
+
+def run_wn(pair: DualVerifierPair, x_bits, record=False) -> RunOutcome:
+    return _run("wn", pair, x_bits, record)
+
+
+def run_lwpp(pair: DualVerifierPair, h, x_bits, record=False) -> RunOutcome:
+    """h is a HalfGapFunction or its value at n; ResidualTermError when it fails to cancel the |00> tail."""
+    return _run("lwpp", pair, x_bits, record, h)
+
+
+def run_lpwpp(pair: DualVerifierPair, base: int, t: int, x_bits, record=False) -> RunOutcome:
+    """The decider over the fixed gate alphabet, h = base**t: the circuit must use no length-dependent gate."""
+    return _run("lpwpp", pair, x_bits, record, base, t)

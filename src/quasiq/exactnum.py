@@ -52,7 +52,9 @@ class Amplitude:
         )
 
     def __sub__(self, other: Amplitude) -> Amplitude:
-        return self + (-other)
+        e = max(self.e, other.e)
+        return Amplitude((self.c0 << e - self.e) - (other.c0 << e - other.e),
+                         (self.c1 << e - self.e) - (other.c1 << e - other.e), e)
 
     def __neg__(self) -> Amplitude:
         return Amplitude(-self.c0, -self.c1, self.e)
@@ -121,7 +123,8 @@ class Amplitude:
 
     @classmethod
     def from_json(cls, obj: dict) -> Amplitude:
-        return cls(int(obj["c0"]), int(obj["c1"]), int(obj["e"]))
+        from quasiq.readers import amplitude_from_json
+        return amplitude_from_json(cls, obj)
 
     def __repr__(self) -> str:
         return f"Amplitude({self.c0}, {self.c1}, {self.e})"

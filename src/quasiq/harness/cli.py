@@ -25,6 +25,7 @@ import os
 import sys
 
 from quasiq.circuitgen import (
+    RUNS,
     AncillaRestorationError,
     PostselectionError,
     RegisterMismatchError,
@@ -38,6 +39,7 @@ from quasiq.circuitgen import (
     run_wn,
     run_zqp,
     simulate_circuit,  # noqa: F401 -- unused; bench/layers.py traces it under this name
+    simulate_inputs,
 )
 from quasiq.harness.problems import ResolvedProblem, SpecError, load_problem_file, resolve_problem
 from quasiq.quasistate import bits_label, bits_of, record
@@ -112,13 +114,14 @@ _WITNESS_FORMS = {"value": "a half-gap witness h(n)",
                   "power": "a half-gap witness in power form M**t"}
 
 
-class Construction(record("Construction", "name run witness", (None,))):
+class Construction(record("Construction", "name runner witness", (None,))):
     """One construction as the CLI runs it.
 
-    run(resolved, x, record, corrupt_h, batch) gives the RunOutcome; the run_*
-    it calls checks the outcome against the oracle and raises on a mismatch,
-    and passes `batch` to simulate_circuit. witness is the half-gap witness
-    read: None, "value" for h(n), or "power" for the form M**t.
+    run(resolved, x, record, corrupt_h) gives the RunOutcome of one input from
+    runner(pair, *witness_args, x, record), its run_*, which checks the outcome
+    against the oracle and raises on a mismatch. verify runs circuitgen.RUNS[name] instead:
+    its circuit once a chunk of inputs, and its check once a row. witness is the
+    half-gap witness read: None, "value" for h(n), or "power" for the form M**t.
     """
 
     __slots__ = ()
@@ -136,19 +139,26 @@ class Construction(record("Construction", "name run witness", (None,))):
                             f"which problem {resolved.name!r} does not carry")
         return self
 
+    def witness_args(self, resolved: ResolvedProblem, corrupt: bool) -> tuple:
+        """What its run_*, circuit and check take after the pair: nothing, h(n), or (M, t)."""
+        if self.witness is None:
+            return ()
+        return (_h_value(resolved, corrupt),) if self.witness == "value" else (
+            resolved.h.base, resolved.h.exponent(resolved.n))
+
+    def run(self, resolved: ResolvedProblem, x, record, corrupt: bool):
+        return self.runner(resolved.pair, *self.witness_args(resolved, corrupt), x, record)
+
 
 # Each record calls its run_* through this module's binding, so a wrapper
 # installed on the module (a tracer, a test double) sees every run.
 CONSTRUCTION_TABLE = {c.name: c for c in (
-    Construction("un", lambda r, x, record, corrupt, batch: run_un(r.pair, x, record, batch)),
-    Construction("fig3-zqp", lambda r, x, record, corrupt, batch: run_zqp(r.pair, x, record, batch)),
-    Construction("fig3-post", lambda r, x, record, corrupt, batch:
-                 run_posteqp(r.pair, x, record, batch)),
-    Construction("wn", lambda r, x, record, corrupt, batch: run_wn(r.pair, x, record, batch)),
-    Construction("lwpp", lambda r, x, record, corrupt, batch:
-                 run_lwpp(r.pair, _h_value(r, corrupt), x, record, batch), "value"),
-    Construction("lpwpp", lambda r, x, record, corrupt, batch:
-                 run_lpwpp(r.pair, r.h.base, r.h.exponent(r.n), x, record, batch), "power"),
+    Construction("un", lambda *args: run_un(*args)),
+    Construction("fig3-zqp", lambda *args: run_zqp(*args)),
+    Construction("fig3-post", lambda *args: run_posteqp(*args)),
+    Construction("wn", lambda *args: run_wn(*args)),
+    Construction("lwpp", lambda *args: run_lwpp(*args), "value"),
+    Construction("lpwpp", lambda *args: run_lpwpp(*args), "power"),
 )}
 CONSTRUCTIONS = tuple(CONSTRUCTION_TABLE)
 # The constructions --corrupt-h reaches: simulate bumps the value h(n) that
@@ -170,7 +180,7 @@ def _require_corrupt_h_reader(args, resolved: ResolvedProblem, constructions) ->
 
 
 def _simulate_one(resolved: ResolvedProblem, construction: str, x, record, corrupt_h=False):
-    return CONSTRUCTION_TABLE[construction].require(resolved).run(resolved, x, record, corrupt_h, None)
+    return CONSTRUCTION_TABLE[construction].require(resolved).run(resolved, x, record, corrupt_h)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -207,18 +217,31 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(resolved: ResolvedProblem, construction: str, x, corrupt_h: bool,
-                batch: dict) -> str | None:
-    """None when the row passes, else a mismatch description. The run checks
-    itself against the oracle; a row adds that its answer is L(x) (only a
+def _chunk_checks(resolved: ResolvedProblem, construction: Construction, chunk: list, corrupt_h: bool):
+    """The construction's check of each row, x -> RunOutcome, on one kernel run of the chunk;
+    or the row error that building or running its circuit raised, which is then every row's."""
+    build, reads, check = RUNS[construction.name]
+    try:
+        witness = construction.witness_args(resolved, corrupt_h)
+        circuit = build(resolved.pair, *witness)
+        runs = dict(zip(chunk, simulate_inputs(circuit, chunk, reads)))
+    except _ROW_ERRORS as exc:
+        return exc
+    return lambda x: check(resolved.pair, circuit, x, *runs[x], *witness)
+
+
+def _verify_one(resolved: ResolvedProblem, name: str, x, lx: int, corrupt_h: bool, checks) -> str | None:
+    """None when the row passes, else a mismatch description. The check tests
+    the run against the oracle; a row adds that its answer is L(x) (only a
     fig3-zqp run that certifies no answer returns without one) and, under
     --corrupt-h, compares an lpwpp decider with the bumped witness."""
-    lx = resolved.pair.language_bit(x)
-    outcome = CONSTRUCTION_TABLE[construction].run(resolved, x, False, corrupt_h, batch)
+    if isinstance(checks, Exception):
+        raise checks
+    outcome = checks(x)
     if outcome.answer != lx:
         return f"zero-error answer {outcome.answer} != oracle {lx}"
-    if (corrupt_h and construction == "lpwpp"
-            and outcome.final_state != decider_term(resolved.pair, x, _h_value(resolved, True))):
+    if (corrupt_h and name == "lpwpp"
+            and not outcome.final_state.holds(decider_term(resolved.pair, x, _h_value(resolved, True)))):
         return "fixed-gate-set decider differs from the length-dependent one"
     return None
 
@@ -237,16 +260,19 @@ def cmd_verify(args) -> int:
     inputs = [bits_of(xkey, resolved.n) for xkey in range(2**resolved.n)]
     step = max(1, BATCH_LANES >> resolved.m + 2)  # un holds 2**(m + 2) lanes an input
     rows = {construction.name: [] for construction in constructions}
-    for chunk in range(0, len(inputs), step):
-        for name in rows:  # one kernel run on the chunk each, a child forked from its parent's
-            batch = dict.fromkeys(inputs[chunk:chunk + step])
-            for x in batch:
+    for start in range(0, len(inputs), step):
+        chunk = inputs[start:start + step]
+        for construction in constructions:  # one kernel run a chunk each, a child forked from its parent's
+            checks = None  # made once the first row has its L(x)
+            for x in chunk:
                 try:
-                    detail = _verify_one(resolved, name, x, args.corrupt_h, batch)
+                    lx = resolved.pair.language_bit(x)
+                    checks = checks or _chunk_checks(resolved, construction, chunk, args.corrupt_h)
+                    detail = _verify_one(resolved, construction.name, x, lx, args.corrupt_h, checks)
                 except _ROW_ERRORS as exc:
                     detail = f"{type(exc).__name__}: {exc}"
-                row = {"construction": name, "input": bits_label(x), "ok": detail is None}
-                rows[name].append(row if detail is None else {**row, "detail": detail})
+                row = {"construction": construction.name, "input": bits_label(x), "ok": detail is None}
+                rows[construction.name].append(row if detail is None else {**row, "detail": detail})
     results = [row for name in rows for row in rows[name]]
     ok = all(row["ok"] for row in results)
     _emit(

@@ -61,25 +61,11 @@ def label_of(key: int, width: int) -> str:
 
 def bits_label(bits: Iterable[int]) -> str:
     """A bit tuple as its string label, e.g. (1, 0, 1) -> "101"."""
-    return "".join(str(b) for b in bits)
+    return "".join(map(str, bits))
 
 
 def key_of_label(label: str) -> int:
     return int(label, 2) if label else 0
-
-
-# A pattern's mask bits and value bits; any other character passes through.
-_MASK_BITS = str.maketrans("01*.·", "11000")
-_VALUE_BITS = str.maketrans("*.·", "000")
-
-
-def compile_pattern(pattern: str) -> tuple[int, int]:
-    """Bit pattern with wildcards ('*', '.', or middle dot) -> (mask, value)."""
-    mask = pattern.translate(_MASK_BITS)
-    bad = mask.lstrip("01")
-    if bad:
-        raise ValueError(f"bad pattern character {bad[0]!r}")
-    return key_of_label(mask), key_of_label(pattern.translate(_VALUE_BITS))
 
 
 # The facts about one gate kind. family: the _NumeratorState method that
@@ -346,6 +332,7 @@ class StateVector:
         """All stored terms matching the wildcard pattern, in lexicographic order."""
         if len(pattern) != self.width:
             raise WireError(f"pattern width {len(pattern)} != state width {self.width}")
+        from quasiq.reference import compile_pattern
         mask, value = compile_pattern(pattern)
         return sorted((k, a) for k, a in self.terms.items() if k & mask == value)
 
@@ -435,6 +422,11 @@ class StateVector:
         return state_from_json(cls, entries, width)
 
 
+def _amplitude(c0: int, c1: int, k: int) -> Amplitude:
+    """(c0 + c1*sqrt2) / sqrt2**k, for k odd (2*c1 + c0*sqrt2) / 2**((k + 1) / 2)."""
+    return Amplitude(c1 << 1, c0, k + 1 >> 1) if k & 1 else Amplitude(c0, c1, k >> 1)
+
+
 # -- integer-numerator kernel -------------------------------------------------------
 
 # Each gate family as op(lo, hi, t) on the halves of its target: the lanes that
@@ -469,33 +461,34 @@ class _NumeratorState:
         self.bias = int.from_bytes((bytes(self.size - 1) + b"\x80") * self.count, "little")
         self.fmt = f"<{self.count}{'bhiq'[self.size.bit_length() - 1]}" if self.size <= 8 else None
 
-    def fork(self, parent: _NumeratorState, final: StateVector, outer: int) -> None:
-        """Go on from `parent`'s state, held by `final` too, on the wires this state's H gates
-        target and `final` spans within a sector, the terms that agree on the first `outer`
-        wires: as its blocks if it has them inner, else loaded from `final`."""
+    def fork(self, parent: _NumeratorState, sectors: list[dict]) -> None:
+        """Go on from `parent`'s state, whose live terms `sectors` hold by input, on the wires
+        this state's H gates target and the terms of a sector differ on: as the parent's blocks
+        if they are on the same inner wires, else regrouped from the sectors' numerators."""
         self.k, self.size, self.bits, lift = parent.k, parent.size, parent.bits, self.width - parent.width
-        firsts, shift = {}, parent.width - outer  # the first key of each sector
-        spread = reduce(or_, (key ^ firsts.setdefault(key >> shift, key) for key in final.terms), 0)
+        spread = 0
+        for sector in sectors:
+            spread = reduce(or_, map(next(iter(sector), 0).__xor__, sector), spread)
         self._place({w for w in range(parent.width) if spread >> parent.width - 1 - w & 1} | set(self.inner))
         if self.inner == parent.inner:
             self.blocks = {key << lift: block for key, block in parent.blocks.items()}
         else:
-            self.load(final, lift)
+            self.hold({key << lift: c for sector in sectors for key, c in sector.items()}, parent.k)
 
-    def load(self, state: StateVector, lift: int = 0) -> None:
-        """Hold `state`, its keys `lift` wires longer, in lanes on the same inner wires: k the
-        least even one that every exponent fits, the lanes widened to fit the numerators."""
-        e = max((amp.e for amp in state.terms.values()), default=0)
-        self.k, self.bits = 2 * e, max((max(abs(amp.c0), abs(amp.c1)).bit_length() + e - amp.e
-                                        for amp in state.terms.values()), default=1)
+    def hold(self, numerators: dict[int, tuple[int, int]], k: int) -> None:
+        """Hold `numerators` over sqrt(2)**k in lanes on the same inner wires, widened to fit
+        them, k less twice the powers of two they all share."""
+        both = reduce(or_, (c0 | c1 for c0, c1 in numerators.values()), 0)
+        twos = min((both & -both).bit_length() - 1, k >> 1) if both else k >> 1
+        self.k, self.bits = k - 2 * twos, max(max(abs(c0), abs(c1)).bit_length() - twos
+                                              for c0, c1 in numerators.values()) if both else 1
         while 8 * self.size <= self.bits:
             self.size = self.size << 1 if self.size < 8 else self.size + 1
         self._place(self.inner)
-        blocks = {}
-        for key, amp in state.terms.items():
-            v0, v1 = blocks.setdefault(key << lift & self.outer, ([0] * self.count, [0] * self.count))
-            lane = sum(lb for bit, lb in self.lanes.items() if key << lift & bit)
-            v0[lane], v1[lane] = amp.c0 << e - amp.e, amp.c1 << e - amp.e
+        blocks, lane = {}, dict(zip(self._offsets(), range(self.count)))
+        for key, (c0, c1) in numerators.items():
+            v0, v1 = blocks.setdefault(key & self.outer, ([0] * self.count, [0] * self.count))
+            v0[lane[key & ~self.outer]], v1[lane[key & ~self.outer]] = c0 >> twos, c1 >> twos
         self.blocks = {key: (self._pack(v0), self._pack(v1) if any(v1) else None)
                        for key, (v0, v1) in blocks.items()}
 
@@ -518,15 +511,21 @@ class _NumeratorState:
             offsets += [o | bit for o in offsets]
         return offsets
 
-    def to_state(self) -> StateVector:
-        offsets, k, state = self._offsets(), self.k, StateVector(self.width)
-        e = (k + 1) >> 1  # k odd: (c0 + c1*sqrt2) / sqrt2**k == (2*c1 + c0*sqrt2) / 2**e
-        for key, (c0, c1) in self.blocks.items():  # one unpack and one compress a block
+    def sectors(self, keys: Iterable[int], shift: int) -> list[dict[int, tuple[int, int]]]:
+        """The live terms by input, each key's numerators (c0, c1) over sqrt(2)**k: for each of
+        the distinct `keys`, the terms whose key >> shift is it. One unpack a block, and a tuple
+        only for each live lane."""
+        offsets, parts = self._offsets(), {key: {} for key in keys}
+        for key, (c0, c1) in self.blocks.items():
             v0 = self._unpack(c0)
             v1 = (0,) * len(v0) if c1 is None else self._unpack(c1)
-            state.terms.update({key | offsets[i]: Amplitude(v1[i] << 1, v0[i], e) if k & 1
-                                else Amplitude(v0[i], v1[i], e) for i in compress(
-                                    range(len(v0)), v0 if c1 is None else map(or_, v0, v1))})
+            parts[key >> shift].update({key | offsets[i]: (v0[i], v1[i]) for i in compress(
+                range(len(v0)), v0 if c1 is None else map(or_, v0, v1))})
+        return list(parts.values())
+
+    def to_state(self) -> StateVector:
+        state, (live,) = StateVector(self.width), self.sectors((0,), self.width)
+        state.terms = {key: _amplitude(c0, c1, self.k) for key, (c0, c1) in live.items()}
         return state
 
     def _fit(self, grow: int) -> None:

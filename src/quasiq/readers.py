@@ -8,8 +8,12 @@ first called, and the table reader is called only to report a bad table.
 """
 from __future__ import annotations
 
+import re
+
 from quasiq.exactnum import Amplitude
 from quasiq.quasistate import _KINDS, Gate, StateVector, key_of_label
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _expect(value, kind: type, what: str):
@@ -26,6 +30,21 @@ def _pairs(value, what: str) -> tuple:
     return tuple(map(tuple, value))
 
 
+def amplitude_from_json(cls, obj: dict):
+    """The amplitude of a to_json dump: c0 and c1 ints in decimal (strings, as dumped, or
+    JSON ints) and e an int >= 0; a field of another value is a ValueError naming it.
+    No canonical dump has e < 0, which would scale c0 and c1 up by 2**-e."""
+    fields = _expect(obj, dict, "an amplitude")
+    for name in ("c0", "c1", "e"):
+        value = fields.get(name)
+        if not (type(value) is int or name != "e" and isinstance(value, str) and _DECIMAL.fullmatch(value)):
+            kinds = "an int" if name == "e" else "an int or a decimal string"
+            raise ValueError(f"amplitude field {name!r} must be {kinds}, got {value!r:.40}")
+    if fields["e"] < 0:
+        raise ValueError(f"amplitude field 'e' must be at least 0, got {fields['e']}")
+    return cls(int(fields["c0"]), int(fields["c1"]), fields["e"])
+
+
 def gate_from_json(cls, obj: dict, verifiers: dict | None = None):
     """The gate of a to_json dump. Gate() names a missing param and a wire or
     polarity of the wrong type; an unknown kind, a gate, wire list or control of
@@ -39,7 +58,7 @@ def gate_from_json(cls, obj: dict, verifiers: dict | None = None):
     if codec and param is not None:
         try:
             param = codec.from_json(param, verifiers)
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, ValueError) as exc:  # ValueError: an Amplitude field, named in the cause
             raise ValueError(f"{kind} takes {codec.what} parameter, got {param!r}") from exc
         if kind == "ORACLE" and param[0] is None:
             raise KeyError(f"no verifier named {obj['param']['verifier']!r} "

@@ -1,8 +1,8 @@
 """Code that no command runs, compiled only by a caller that uses it: the
 per-gate reference simulator, and the kernel's way to apply through it the
-gates no construction makes; the Amplitude operations that only it and people
-reading results need (exact division, the display form); the DSL's one-branch
-evaluator and printer.
+gates no construction makes; the wildcard patterns of StateVector.match; the
+Amplitude operations that only it and people reading results need (exact
+division, the display form); the DSL's one-branch evaluator and printer.
 
 Circuits run on quasistate's integer kernel, which the tests check against
 `apply_gate` term by term. StateVector.apply, Amplitude.div_exact,
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from quasiq.exactnum import HALF, INV_SQRT2, Amplitude, ExactDivisionError
 from quasiq.harness.dsl_language import _OPS, _PRECEDENCE, BinOp, Bits, DslExpr, Lit, Not, Parity, Ref
-from quasiq.quasistate import Gate, StateVector
+from quasiq.quasistate import Gate, StateVector, key_of_label
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -86,8 +86,25 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 def apply_by_reference(kernel, gate: Gate) -> None:
     """Apply `gate` to a kernel state (quasistate._NumeratorState) through
-    apply_gate, and load the result back on the same inner wires."""
-    kernel.load(apply_gate(kernel.to_state(), gate))
+    apply_gate, and hold the result on the same inner wires, k the least even
+    one that every exponent fits."""
+    terms = apply_gate(kernel.to_state(), gate).terms
+    e = max((amp.e for amp in terms.values()), default=0)
+    kernel.hold({key: (amp.c0 << e - amp.e, amp.c1 << e - amp.e) for key, amp in terms.items()}, 2 * e)
+
+
+# A pattern's mask bits and value bits; any other character passes through.
+_MASK_BITS = str.maketrans("01*.·", "11000")
+_VALUE_BITS = str.maketrans("*.·", "000")
+
+
+def compile_pattern(pattern: str) -> tuple[int, int]:
+    """Bit pattern with wildcards ('*', '.', or middle dot) -> (mask, value)."""
+    mask = pattern.translate(_MASK_BITS)
+    bad = mask.lstrip("01")
+    if bad:
+        raise ValueError(f"bad pattern character {bad[0]!r}")
+    return key_of_label(mask), key_of_label(pattern.translate(_VALUE_BITS))
 
 
 def reciprocal(a: Amplitude) -> tuple[int, int, int, int]:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from test_acceptance import all_inputs, builtin_pairs, lemma_pairs
 
 from quasiq.exactnum import HALF, ONE, ZERO, Amplitude
-from quasiq.quasistate import Gate, StateVector, bits_of, key_of
+from quasiq.quasistate import Gate, StateVector, _NumeratorState, bits_label, bits_of, key_of
 from quasiq.verifierkit import (
     DualityError,
     DualVerifierPair,
@@ -29,12 +29,14 @@ from quasiq.verifierkit import (
     random_dual_pair,
 )
 from quasiq.circuitgen import (
+    RUNS,
     AncillaRestorationError,
     Circuit,
     PostselectionError,
     RegisterMismatchError,
     ResidualTermError,
     RunOutcome,
+    SimulationInvariantError,
     _built,
     build_fig3,
     build_lpwpp_decider,
@@ -50,6 +52,7 @@ from quasiq.circuitgen import (
     run_wn,
     run_zqp,
     simulate_circuit,
+    simulate_inputs,
 )
 
 H_HALF = HalfGapFunction.power(2, 1, -1)
@@ -560,30 +563,40 @@ def sweep_pairs():
 
 
 def pair_runs(pair):
-    """(run(x, record) -> (final, checkpoints), circuit it simulates) for every
-    construction the pair supports, and the lwpp decider built from h + 1,
-    which shares the wn parent and fails its own check, so it is run alone."""
+    """((run(x, record), chunk(inputs, record)) -> (final, checkpoints) of x or
+    of each input, circuit it simulates) for every construction the pair
+    supports, and the lwpp decider built from h + 1, which shares the wn
+    parent and fails its own check, so it is run alone. chunk is verify's
+    per-chunk call: one kernel run on the inputs, then each input's check."""
     n = pair.n
 
-    def outcome(run):
-        def go(x, record, batch=None):
-            result = run(x, record, batch)
+    def outcome(run, name, *witness):
+        def go(x, record):
+            result = run(x, record)
             return result.final_state, result.checkpoints
-        return go
 
-    runs = [(outcome(partial(run_un, pair)), _built(pair, build_un, n)),
-            (outcome(partial(run_zqp, pair)), _built(pair, build_fig3, n, "bm")),
-            (outcome(partial(run_posteqp, pair)), _built(pair, build_fig3, n, "proj1")),
-            (outcome(partial(run_wn, pair)), _built(pair, build_wn, n))]
+        def chunk(inputs, record):
+            build, reads, check = RUNS[name]
+            circuit = build(pair, *witness)
+            runs = simulate_inputs(circuit, inputs, True if record else reads)
+            return [(check(pair, circuit, x, *run, *witness).final_state, run[1])
+                    for x, run in zip(inputs, runs)]
+        return go, chunk
+
+    runs = [(outcome(partial(run_un, pair), "un"), _built(pair, build_un, n)),
+            (outcome(partial(run_zqp, pair), "fig3-zqp"), _built(pair, build_fig3, n, "bm")),
+            (outcome(partial(run_posteqp, pair), "fig3-post"), _built(pair, build_fig3, n, "proj1")),
+            (outcome(partial(run_wn, pair), "wn"), _built(pair, build_wn, n))]
     h = pair.h_witness
     if h is not None:
         hv = h.value(n)
-        runs.append((outcome(partial(run_lwpp, pair, hv)), _built(pair, build_lwpp_decider, hv, n)))
+        runs.append((outcome(partial(run_lwpp, pair, hv), "lwpp", hv),
+                     _built(pair, build_lwpp_decider, hv, n)))
         bumped = _built(pair, build_lwpp_decider, hv + 1, n)
-        runs.append((partial(simulate_circuit, bumped), bumped))
+        runs.append(((partial(simulate_circuit, bumped), partial(simulate_inputs, bumped)), bumped))
         if h.kind == "power":
             base, t = h.base, h.exponent(n)
-            runs.append((outcome(partial(run_lpwpp, pair, base, t)),
+            runs.append((outcome(partial(run_lpwpp, pair, base, t), "lpwpp", base, t),
                          _built(pair, build_lpwpp_decider, base, t, n)))
     return runs
 
@@ -611,14 +624,140 @@ def test_runs_in_any_order_match_runs_from_the_start(data):
             circuit.last = None
     for pair_index, which, xkey, record, batched in steps:
         pair, runs = SWEEP[pair_index]
-        run, circuit = runs[which % len(runs)]
+        (run, chunk), circuit = runs[which % len(runs)]
         inputs = all_inputs(pair.n) if batched else [bits_of(xkey % 2**pair.n, pair.n)]
-        batch = dict.fromkeys(inputs) if batched else None
-        for x in inputs:
+        results = chunk(inputs, record) if batched else [run(inputs[0], record)]
+        for x, (final, checkpoints) in zip(inputs, results):
             key = (pair_index, which % len(runs), x)
             if key not in FULL_RUNS:
                 FULL_RUNS[key] = full_run(circuit, x)
-            final, checkpoints = run(x, record, batch)
             assert final == FULL_RUNS[key][0]
             if record:
                 assert checkpoints == FULL_RUNS[key][1]
+
+
+# -- failure messages: a perturbed kernel state fails each run as it always has ------
+
+# (perturbation, input, construction) -> (exception class, message), or (None, None)
+# when the run passes, as the runs read them from StateVector before the checks read
+# numerators; the builtin parity pair at n = 2.
+PERTURBED_RUNS = {
+    ('low', '01', 'un'): ('SimulationInvariantError', 'amplitude of |00> block is not 1/2'),
+    ('low', '01', 'fig3-zqp'): (None, None),
+    ('low', '01', 'fig3-post'): (None, None),
+    ('low', '01', 'wn'): ('SimulationInvariantError', 'uncomputed state differs from |x>(|00> + delta|L>|1>) plus ancillas'),
+    ('low', '01', 'lwpp'): ('SimulationInvariantError', 'decider output is not the single term (h/2^m)|x>|1>|L(x)>'),
+    ('low', '01', 'lpwpp'): ('SimulationInvariantError', 'fixed-gate-set decider differs from the length-dependent one'),
+    ('low', '11', 'un'): ('SimulationInvariantError', 'amplitude of |00> block is not 1/2'),
+    ('low', '11', 'fig3-zqp'): (None, None),
+    ('low', '11', 'fig3-post'): (None, None),
+    ('low', '11', 'wn'): ('SimulationInvariantError', 'uncomputed state differs from |x>(|00> + delta|L>|1>) plus ancillas'),
+    ('low', '11', 'lwpp'): ('SimulationInvariantError', 'decider output is not the single term (h/2^m)|x>|1>|L(x)>'),
+    ('low', '11', 'lpwpp'): ('SimulationInvariantError', 'fixed-gate-set decider differs from the length-dependent one'),
+    ('high', '01', 'un'): ('SimulationInvariantError', 'unitary circuit did not preserve the norm'),
+    ('high', '01', 'fig3-zqp'): ('SimulationInvariantError', 'success mass differs from the squared gap amplitude'),
+    ('high', '01', 'fig3-post'): (None, None),
+    ('high', '01', 'wn'): ('SimulationInvariantError', 'uncomputed state differs from |x>(|00> + delta|L>|1>) plus ancillas'),
+    ('high', '01', 'lwpp'): ('SimulationInvariantError', 'decider output is not the single term (h/2^m)|x>|1>|L(x)>'),
+    ('high', '01', 'lpwpp'): ('SimulationInvariantError', 'fixed-gate-set decider differs from the length-dependent one'),
+    ('high', '11', 'un'): ('SimulationInvariantError', 'unitary circuit did not preserve the norm'),
+    ('high', '11', 'fig3-zqp'): (None, None),
+    ('high', '11', 'fig3-post'): (None, None),
+    ('high', '11', 'wn'): ('SimulationInvariantError', 'uncomputed state differs from |x>(|00> + delta|L>|1>) plus ancillas'),
+    ('high', '11', 'lwpp'): ('SimulationInvariantError', 'decider output is not the single term (h/2^m)|x>|1>|L(x)>'),
+    ('high', '11', 'lpwpp'): ('SimulationInvariantError', 'fixed-gate-set decider differs from the length-dependent one'),
+    ('new', '01', 'un'): ('SimulationInvariantError', 'gap-amplitude block: support spans both values of wire 4'),
+    ('new', '01', 'fig3-zqp'): ('SimulationInvariantError', 'success mass differs from the squared gap amplitude'),
+    ('new', '01', 'fig3-post'): (None, None),
+    ('new', '01', 'wn'): ('SimulationInvariantError', 'gap-indicator component: support spans both values of wire 4'),
+    ('new', '01', 'lwpp'): ('ResidualTermError', "decider output is not a single clean term at x = 01; residual terms: ['0100001']"),
+    ('new', '01', 'lpwpp'): ('ResidualTermError', "decider output is not a single clean term at x = 01; residual terms: ['0100001']"),
+    ('new', '11', 'un'): ('SimulationInvariantError', 'gap-amplitude block: support spans both values of wire 4'),
+    ('new', '11', 'fig3-zqp'): ('SimulationInvariantError', 'success-conditioned state has mass 1/2^10 on answer 1'),
+    ('new', '11', 'fig3-post'): ('SimulationInvariantError', 'postselected state: support spans both values of wire 6'),
+    ('new', '11', 'wn'): ('AncillaRestorationError', 'component |1100011> leaves an ancilla nonzero'),
+    ('new', '11', 'lwpp'): ('ResidualTermError', "decider output is not a single clean term at x = 11; residual terms: ['1100000']"),
+    ('new', '11', 'lpwpp'): ('ResidualTermError', "decider output is not a single clean term at x = 11; residual terms: ['1100000']"),
+    ('sqrt2', '01', 'un'): ('SimulationInvariantError', 'amplitude of |00> block is not 1/2'),
+    ('sqrt2', '01', 'fig3-zqp'): (None, None),
+    ('sqrt2', '01', 'fig3-post'): (None, None),
+    ('sqrt2', '01', 'wn'): ('SimulationInvariantError', 'uncomputed state differs from |x>(|00> + delta|L>|1>) plus ancillas'),
+    ('sqrt2', '01', 'lwpp'): ('SimulationInvariantError', 'decider output is not the single term (h/2^m)|x>|1>|L(x)>'),
+    ('sqrt2', '01', 'lpwpp'): ('SimulationInvariantError', 'fixed-gate-set decider differs from the length-dependent one'),
+    ('sqrt2', '11', 'un'): ('SimulationInvariantError', 'amplitude of |00> block is not 1/2'),
+    ('sqrt2', '11', 'fig3-zqp'): (None, None),
+    ('sqrt2', '11', 'fig3-post'): (None, None),
+    ('sqrt2', '11', 'wn'): ('SimulationInvariantError', 'uncomputed state differs from |x>(|00> + delta|L>|1>) plus ancillas'),
+    ('sqrt2', '11', 'lwpp'): ('SimulationInvariantError', 'decider output is not the single term (h/2^m)|x>|1>|L(x)>'),
+    ('sqrt2', '11', 'lpwpp'): ('SimulationInvariantError', 'fixed-gate-set decider differs from the length-dependent one'),
+    ('lane1', '01', 'un'): ('SimulationInvariantError', 'gap-amplitude block: support spans both values of wire 4'),
+    ('lane1', '01', 'fig3-zqp'): ('SimulationInvariantError', 'success-conditioned state has mass 1/2^10 on answer 0'),
+    ('lane1', '01', 'fig3-post'): ('SimulationInvariantError', 'postselected state: support spans both values of wire 6'),
+    ('lane1', '01', 'wn'): ('AncillaRestorationError', 'component |0100010> leaves an ancilla nonzero'),
+    ('lane1', '01', 'lwpp'): ('ResidualTermError', "decider output is not a single clean term at x = 01; residual terms: ['0100011']"),
+    ('lane1', '01', 'lpwpp'): ('ResidualTermError', "decider output is not a single clean term at x = 01; residual terms: ['0100011']"),
+    ('lane1', '11', 'un'): ('SimulationInvariantError', 'amplitude at c=0 is 5/2^3, oracle delta is 1/2^1'),
+    ('lane1', '11', 'fig3-zqp'): ('SimulationInvariantError', 'success mass differs from the squared gap amplitude'),
+    ('lane1', '11', 'fig3-post'): (None, None),
+    ('lane1', '11', 'wn'): ('AncillaRestorationError', 'component |1100010> leaves an ancilla nonzero'),
+    ('lane1', '11', 'lwpp'): ('ResidualTermError', "decider output is not a single clean term at x = 11; residual terms: ['1100010']"),
+    ('lane1', '11', 'lpwpp'): ('ResidualTermError', "decider output is not a single clean term at x = 11; residual terms: ['1100010']"),
+}
+
+
+def perturb_every_segment(monkeypatch, mode):
+    """Change one lane of the kernel state after each segment it runs: +1 on the c0
+    numerator of the first ("low", "lane1": lane 1) or last ("high") live lane, or of
+    the first dead lane ("new", a term that should not be there), or +1 on c1 ("sqrt2")."""
+    run = _NumeratorState.run
+
+    def perturbed(self, gates):
+        run(self, gates)
+        key = max(self.blocks) if mode in ("high", "new") else min(self.blocks)
+        c0, c1 = self.blocks[key]
+        lanes = self._unpack(c0)
+        live = [i for i, v in enumerate(lanes) if v]
+        lane = {"high": live[-1], "new": lanes.index(0), "lane1": 1}.get(mode, live[0])
+        step = 1 << 8 * self.size * lane
+        self.blocks[key] = (c0, (c1 or self.bias) + step) if mode == "sqrt2" else (c0 + step, c1)
+
+    monkeypatch.setattr(_NumeratorState, "run", perturbed)
+
+
+@pytest.mark.parametrize("mode", ["low", "high", "new", "sqrt2", "lane1"])
+def test_a_perturbed_lane_fails_each_construction_with_its_message(monkeypatch, mode):
+    perturb_every_segment(monkeypatch, mode)
+    for x in ((0, 1), (1, 1)):
+        for name, run in (("un", run_un), ("fig3-zqp", run_zqp), ("fig3-post", run_posteqp),
+                          ("wn", run_wn), ("lwpp", None), ("lpwpp", None)):
+            pair = builtin_problems()["parity"].pair(2)  # a fresh pair: no fork
+            h = pair.h_witness
+            if name == "lwpp":
+                run = partial(run_lwpp, pair, h)
+            elif name == "lpwpp":
+                run = partial(run_lpwpp, pair, h.base, h.exponent(2))
+            else:
+                run = partial(run, pair)
+            try:
+                run(x, False)
+                got = (None, None)
+            except (ValueError, SimulationInvariantError) as exc:
+                got = (type(exc).__name__, str(exc))
+            assert got == PERTURBED_RUNS[mode, bits_label(x), name]
+
+
+@pytest.mark.parametrize("span", [[0, "a"], [-1, 2], [3, 2], [2, -1], [0], [0, 1, 2], [True, 1], "01"],
+                         ids=["str-length", "negative-start", "past-width", "negative-length",
+                              "one-field", "three-fields", "bool", "str"])
+def test_a_register_span_that_is_no_range_of_wires_is_refused_when_read(span):
+    """A register must be [start, length] within the width: the reader refuses
+    {"x": [0, "a"]} and the rest at once, naming the register, not later inside
+    simulate_circuit."""
+    dump = Circuit(4, {"x": (0, 2)}, (Gate.h(2),)).to_json()
+    dump["registers"]["x"] = span
+    with pytest.raises(ValueError, match="register 'x'"):
+        Circuit.from_json(dump)
+    with pytest.raises(ValueError, match="register 'x'"):
+        Circuit(4, {"x": tuple(span) if isinstance(span, list) else span}, (Gate.h(2),))
+    assert Circuit(4, {"x": (0, 2), "y": (2, 2), "z": (4, 0)}, ()).registers["y"] == (2, 2)
+

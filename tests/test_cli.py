@@ -1,6 +1,7 @@
 """CLI behavior: JSON output, exit codes, guardrails, fault injection."""
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,7 +25,7 @@ from quasiq.harness.cli import (
     main,
 )
 from quasiq.harness.dsl import ParseError, parse_dsl
-from quasiq.harness.problems import SCHEMA
+from quasiq.harness.schema import SCHEMA
 from quasiq.quasistate import _NumeratorState
 from quasiq.verifierkit import allzero_verifier, language_pair, table_to_json
 
@@ -769,9 +770,9 @@ def test_only_a_circuit_children_start_from_keeps_its_final_terms(monkeypatch, c
     runs = []
     simulate = circuitgen.simulate_circuit
 
-    def recording(circuit, x, record=False, batch=None):
+    def recording(circuit, x, record=False):
         runs.append(circuit)
-        return simulate(circuit, x, record, batch)
+        return simulate(circuit, x, record)
 
     monkeypatch.setattr(circuitgen, "simulate_circuit", recording)
     code, _, err = run_cli(capsys, "simulate", "--problem", "parity", "--input", "101",
@@ -859,7 +860,7 @@ def run_fresh(code, *argv):
 
 # Modules that hold only code no workload command runs; each loads on first use.
 DEFERRED_MODULES = ("quasiq.reference", "quasiq.readers", "quasiq.generators",
-                    "quasiq.harness.duals", "quasiq.harness.dsl_language")
+                    "quasiq.harness.duals", "quasiq.harness.dsl_language", "quasiq.harness.schema")
 # Runs the CLI, then prints the loaded quasiq modules and their source lines.
 LOAD_PROBE = """
 import json, sys
@@ -882,8 +883,11 @@ sys.exit(code)
 # 2,782. With the lanes kept to the gates the constructions make, the others run
 # through the reference and the ring's reciprocal moved out with its one caller,
 # 13 fewer, less the 9 that check a gate's wire types and bound a power-form
-# witness: a cold command loads 2,778.
-LINES_BEFORE, LINES_MOVED_OUT = 3404, 626
+# witness: a cold command loads 2,778. With the checks reading the kernel's
+# numerators (the Numerators class; the batch protocol, _sectors and the
+# Amplitude-building to_state gone), 119 more, and the spec and table schemas
+# loaded only for a spec or table file, 207 fewer: 2,690.
+LINES_BEFORE, LINES_MOVED_OUT = 3404, 714
 
 
 @pytest.mark.parametrize("argv", [
@@ -923,6 +927,42 @@ def test_every_construction_runs_on_the_lanes(tmp_path, verifier, tables):
                                                      "lpwpp"}
     assert all(row["ok"] for row in rows)
     assert "quasiq.reference" not in json.loads(loaded)["modules"]
+
+
+# Runs the CLI with StateVector.__init__ and the kernel's to_state counted, then
+# prints the counts and whether the per-gate reference loaded.
+STATE_PROBE = """
+import json, sys
+from quasiq.quasistate import StateVector, _NumeratorState
+made = []
+init, to_state = StateVector.__init__, _NumeratorState.to_state
+StateVector.__init__ = lambda self, *args: made.append("StateVector") or init(self, *args)
+_NumeratorState.to_state = lambda self: made.append("to_state") or to_state(self)
+from quasiq.harness.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"made": made, "reference": "quasiq.reference" in sys.modules}))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["parity", "table-pair"])
+def test_verify_checks_numerators_and_builds_no_state(tmp_path, table):
+    """verify reads its checks off the kernel's numerators: no StateVector is
+    made, the kernel's to_state never runs, and the reference does not load."""
+    problem, n = "parity", 3
+    if table:
+        for name, verifier in (("t0.json", LANGUAGE_PAIR.v0), ("t1.json", LANGUAGE_PAIR.v1)):
+            (tmp_path / name).write_text(json.dumps(table_to_json(verifier)), encoding="utf-8")
+        spec = {"name": "tables", "n": {"min": 2, "max": 2}, "m": {"affine": {"a": 1, "b": 0}},
+                "verifier": {"kind": "table-file", "v0": "t0.json", "v1": "t1.json"},
+                "dual": "given-pair"}
+        problem, n = str(tmp_path / "spec.json"), 2
+        (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+    proc = run_fresh(STATE_PROBE, "verify", "--problem", problem, "--n", str(n), "--json")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    *out, probe = proc.stdout.splitlines()
+    assert len(json.loads("\n".join(out))["results"]) >= 4 * 2**n
+    assert json.loads(probe) == {"made": [], "reference": False}
 
 
 @pytest.mark.parametrize("call, module", [
@@ -1176,3 +1216,61 @@ def test_closed_stdout_exits_quietly():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, "")
+
+
+NEGATIVE_E = {"c0": "1", "c1": "0", "e": -10**12}  # as read before, 2**(10**12): about 125 GB
+
+
+@pytest.mark.parametrize("obj, message", [
+    (NEGATIVE_E, "amplitude field 'e' must be at least 0, got -1000000000000"),
+    ({"c0": "1", "c1": "0", "e": "3"}, "amplitude field 'e' must be an int, got '3'"),
+    ({"c0": "1", "c1": "0", "e": 2.0}, "amplitude field 'e' must be an int, got 2.0"),
+    ({"c0": "1", "c1": "0"}, "amplitude field 'e' must be an int, got None"),
+    ({"c0": 1.5, "c1": "0", "e": 0}, "amplitude field 'c0' must be an int or a decimal string, got 1.5"),
+    ({"c0": True, "c1": "0", "e": 0}, "amplitude field 'c0' must be an int or a decimal string, got True"),
+    ({"c0": "1", "c1": " 2", "e": 0}, "amplitude field 'c1' must be an int or a decimal string, got ' 2'"),
+    ({"c0": "1", "c1": "1e3", "e": 0}, "amplitude field 'c1' must be an int or a decimal string, got '1e3'"),
+])
+def test_an_amplitude_field_that_is_not_a_canonical_int_is_refused_by_name(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        Amplitude.from_json(obj)
+
+
+def test_a_negative_exponent_is_refused_quickly_by_every_reader(monkeypatch, capsys):
+    """The N gate's parameter, a state dump and an outcome all read amplitudes
+    through Amplitude.from_json, which refuses e < 0 before any shift; main maps
+    the ValueError to exit 2 with one line naming the field."""
+    from quasiq.circuitgen import RunOutcome, run_un
+    from quasiq.quasistate import Gate, StateVector
+    from quasiq.verifierkit import builtin_problems
+
+    outcome = run_un(builtin_problems()["parity"].pair(1), (1,), True).to_json()
+    outcome["final_state"][0]["amp"] = NEGATIVE_E
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="N takes an Amplitude parameter") as info:
+        Gate.from_json({"kind": "N", "wires": [0], "param": NEGATIVE_E})
+    assert "'e' must be at least 0" in str(info.value.__cause__)
+    with pytest.raises(ValueError, match="'e' must be at least 0"):
+        StateVector.from_json([{"basis": "01", "amp": NEGATIVE_E}])
+    with pytest.raises(ValueError, match="'e' must be at least 0"):
+        RunOutcome.from_json(outcome)
+    assert time.monotonic() - start < 1.0
+    monkeypatch.setattr(cli, "_simulate_one", lambda *args, **kwargs: RunOutcome.from_json(outcome))
+    code, out, err = run_cli(capsys, "simulate", "--problem", "parity", "--input", "1",
+                             "--construction", "un")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: amplitude field 'e' must be at least 0, got -1000000000000\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-2**200, 2**200), st.integers(-2**200, 2**200), st.integers(0, 300))
+def test_every_canonical_amplitude_dump_reads_back(c0, c1, e):
+    amp = Amplitude(c0, c1, e)
+    assert Amplitude.from_json(json.loads(json.dumps(amp.to_json()))) == amp
+    from quasiq.quasistate import Gate, StateVector
+    if amp:
+        gate = Gate.n(0, amp)
+        assert Gate.from_json(json.loads(json.dumps(gate.to_json()))) == gate
+        state = StateVector(2, {1: amp, 2: Amplitude(1, 0, 0)})
+        assert StateVector.from_json(json.loads(json.dumps(state.to_json()))) == state
+

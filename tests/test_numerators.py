@@ -6,25 +6,29 @@ import re
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from quasiq.circuitgen import (
+    AncillaRestorationError,
     Circuit,
+    Numerators,
     build_fig3,
     build_lpwpp_decider,
     build_lwpp_decider,
     build_un,
     build_wn,
+    check_ancillas_restored,
     simulate_circuit,
     simulate_inputs,
 )
-from quasiq.exactnum import Amplitude, ExactDivisionError
+from quasiq.exactnum import ZERO, Amplitude, ExactDivisionError
 from quasiq.quasistate import (
     _KINDS,
     Gate,
     NotInvertibleError,
     StateVector,
     WireError,
+    _amplitude,
     _NumeratorState,
     bits_of,
     key_of,
@@ -874,3 +878,96 @@ def test_several_inputs_need_a_circuit_that_targets_no_x_wire(gate):
     assert simulate_inputs(circuit, [(1, 0)]) == [simulate_circuit(circuit, (1, 0))]
     with pytest.raises(ValueError, match="must target no x wire"):
         simulate_inputs(circuit, inputs)
+
+
+# -- numerator reads against the reference ------------------------------------------
+
+
+def check_reads(sector, data):
+    """Every read the runs' checks make of a sector equals the same quantity
+    computed on its StateVector: masses of a pattern and of the rest, a projected
+    mass, the amplitude at a key compared in integers, the whole state compared,
+    a wire's values, and the ancilla test."""
+    ref, width = sector.to_state(), sector.width
+    assert ref == StateVector(width, {key: _amplitude(*c, sector.k) for key, c in sector.numerators.items()})
+    mask = data.draw(st.integers(0, 2**width - 1))
+    value = data.draw(st.integers(0, 2**width - 1)) & mask
+    wire = data.draw(st.integers(0, width - 1))
+    bit = 1 << width - 1 - wire
+    match = lambda key: key & mask == value  # noqa: E731
+    mass = lambda sums: Amplitude(*sums, sector.k)  # noqa: E731
+    assert tuple(map(mass, sector.masses(mask, value))) == (
+        ref.filter_terms(match).norm_sq(), ref.filter_terms(lambda key: not match(key)).norm_sq())
+    assert mass(sector.masses()[0]) == ref.norm_sq()
+    if ref.terms:
+        assert mass(sector.masses(bit, bit)[0]) == ref.project(wire, 1)[0]
+    assert sector.wire_values(wire, mask, value) == {key >> width - 1 - wire & 1 for key in ref.terms
+                                                     if match(key)}
+    keys = sorted(ref.terms)[:3] + [data.draw(st.integers(0, 2**width - 1))]
+    for key in keys:
+        amp = ref.amplitude(key)
+        assert sector.equals_at(key, amp)
+        for other in (amp + Amplitude(1, 0, sector.k // 2 + 1), amp + Amplitude(0, 1, 0), -amp):
+            assert sector.equals_at(key, other) == (other == amp)
+    dead = [key for key in range(2**width) if key not in ref.terms][:1]
+    assert sector.holds(ref.terms) and sector.holds({**ref.terms, **dict.fromkeys(dead, ZERO)})
+    if ref.terms:
+        key = keys[0]
+        assert not sector.holds({**ref.terms, key: ref.terms[key] + Amplitude(1, 1, 3)})
+        assert not sector.holds({k: a for k, a in ref.terms.items() if k != key})
+    if width < 2:  # the ancilla test below needs two wires
+        return
+    circuit = Circuit(width, {"b": (wire, 1), "a": ((wire + 1) % width, 1)}, ())
+    stray = sorted(key for key in ref.terms if key & (bit | 1 << width - 1 - (wire + 1) % width))
+    if stray:
+        with pytest.raises(AncillaRestorationError) as info:
+            check_ancillas_restored(sector, circuit)
+        assert info.value.term == format(stray[0], f"0{width}b")
+    else:
+        check_ancillas_restored(sector, circuit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inner_cases(), st.data())
+def test_numerator_reads_of_a_run_match_its_state(case, data):
+    """Random gate lists and layered circuits on any inner wires: odd and even
+    k, c1 None and nonzero, sparse and dense blocks."""
+    width, key, gates, inner = case
+    kernel = _NumeratorState(width, [key], inner)
+    try:
+        kernel.run(gates)
+    except (ExactDivisionError, NotInvertibleError, WireError):
+        return
+    check_reads(Numerators(width, kernel.k, kernel.sectors((0,), width)[0]), data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(butterfly_cases(), st.integers(0, 5), st.data())
+def test_numerator_reads_of_lanes_of_every_width(case, k, data):
+    """One block whose lanes hold numerators near the bounds of 1-, 2-, 4- and
+    8-byte lanes or past them, over an odd or even k, with c1 None or not."""
+    c0, _ = case
+    assume(len(c0) > 1)
+    c1 = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(c0 + [0, 1, -3]), min_size=len(c0),
+                                                 max_size=len(c0))))
+    state = packed_state(c0, c1)
+    state.k = k
+    live = state.sectors((0,), state.width)[0]
+    assert live == {key: (a, b) for key, a, b in zip(state._offsets(), c0, c1 or [0] * len(c0)) if a or b}
+    check_reads(Numerators(state.width, k, live), data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(batched_cases(), st.data())
+def test_numerator_reads_of_each_sector_of_a_batch_and_its_fork(case, data):
+    """Each input's sector, final and recorded, of a batched run and of a child
+    forked from it."""
+    parent, child, inputs, record = case
+    try:
+        runs = simulate_inputs(parent, inputs, True) + simulate_inputs(child, inputs, record)
+    except ExactDivisionError:
+        return
+    for final, captured in runs:
+        for sector in (final, *captured.values()):
+            check_reads(sector, data)
+

@@ -8,19 +8,8 @@ import pytest
 from hypothesis import given, settings
 from test_golden import SPECS
 
-from quasiq.harness.problems import (
-    _KEYWORDS,
-    _TYPES,
-    SCHEMA,
-    TABLE_SCHEMA,
-    ProblemSpec,
-    SpecError,
-    _conforms,
-    _validator,
-    load_problem_file,
-    read_table_file,
-    resolve_problem,
-)
+from quasiq.harness.problems import ProblemSpec, SpecError, load_problem_file, read_table_file, resolve_problem
+from quasiq.harness.schema import _KEYWORDS, _TYPES, SCHEMA, TABLE_SCHEMA, _conforms, _validator
 from quasiq.quasistate import bits_of
 from quasiq.verifierkit import allzero_verifier, gap_stats, table_to_json
 

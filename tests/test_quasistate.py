@@ -16,10 +16,10 @@ from quasiq.quasistate import (
     StateVector,
     WireError,
     bits_of,
-    compile_pattern,
     key_of,
     label_of,
 )
+from quasiq.reference import compile_pattern
 
 
 def amp(c0, c1=0, e=0):
