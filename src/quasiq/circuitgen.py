@@ -460,7 +460,8 @@ def build_lpwpp_decider(pair: DualVerifierPair, base: int, t: int, n: int) -> Ci
 def _single_wire_value(state: Numerators, wire: int, context: str, mask: int = 0, value: int = 0) -> int:
     values = state.wire_values(wire, mask, value)
     if len(values) != 1:
-        raise SimulationInvariantError(f"{context}: support spans both values of wire {wire}")
+        spread = f"spans both values of wire {wire}" if values else "is empty"
+        raise SimulationInvariantError(f"{context}: support {spread}")
     return values.pop()
 
 
@@ -601,31 +602,54 @@ def _check_decider(construction: str, mismatch: str, pair: DualVerifierPair, x_b
     return _outcome(construction, x_bits, final, captured, answer, success_mass, ZERO)
 
 
-# Each construction as build(pair, *witness), the circuit it runs; the checkpoints its
-# check reads, recorded or not; and check(pair, circuit, x_bits, final, captured, *witness).
-# run_* is one input's run and check; verify runs a circuit once a chunk of inputs.
+class Construction(record("Construction", "build reads check witness", (None,))):
+    """One construction: build(pair, *witness), the circuit it runs; reads, the checkpoints
+    its check reads, recorded or not; check(pair, circuit, x_bits, final, captured, *witness),
+    one input's outcome checked against the oracle; and witness, the half-gap witness it
+    reads: None, "value" for h(n), or "power" for the form M**t. Its run_* is one input's
+    run and check; verify runs the circuit once a chunk of inputs and the check once a row."""
+
+    __slots__ = ()
+
+    def available(self, h: HalfGapFunction | None) -> bool:
+        """Whether a problem whose half-gap witness is h (None: it has none) can run it."""
+        return self.witness is None or h is not None and (self.witness == "value" or h.kind == "power")
+
+    def witness_args(self, h: HalfGapFunction, n: int, corrupt: bool = False) -> tuple:
+        """What build, check and run_* take after the pair at input size n: nothing,
+        h(n) (h(n) + 1 when corrupt), or (M, t)."""
+        if self.witness is None:
+            return ()
+        return (h.value(n) + (1 if corrupt else 0),) if self.witness == "value" else (
+            h.base, h.exponent(n))
+
+
+# The one table of constructions, in the order verify's rows and the CLI's choices take.
 RUNS = {
-    "un": (lambda pair: _built(pair, build_un, pair.n), (), check_un),
-    "fig3-zqp": (lambda pair: _built(pair, build_fig3, pair.n, "bm"), (), check_zqp),
-    "fig3-post": (lambda pair: _built(pair, build_fig3, pair.n, "proj1"), ("cycled",), check_posteqp),
-    "wn": (lambda pair: _built(pair, build_wn, pair.n), (), check_wn),
-    "lwpp": (lambda pair, h: _built(pair, build_lwpp_decider, _witness_value(h, pair.n), pair.n), (),
-             lambda pair, circuit, x_bits, final, captured, h: _check_decider(
-                 "lwpp", "decider output is not the single term (h/2^m)|x>|1>|L(x)>", pair, x_bits,
-                 final, captured, _witness_value(h, pair.n))),
-    "lpwpp": (lambda pair, base, t: _built(pair, build_lpwpp_decider, base, t, pair.n), (),
-              lambda pair, circuit, x_bits, final, captured, base, t: _check_decider(
-                  "lpwpp", "fixed-gate-set decider differs from the length-dependent one", pair, x_bits,
-                  final, captured, base**t)),
+    "un": Construction(lambda pair: _built(pair, build_un, pair.n), (), check_un),
+    "fig3-zqp": Construction(lambda pair: _built(pair, build_fig3, pair.n, "bm"), (), check_zqp),
+    "fig3-post": Construction(lambda pair: _built(pair, build_fig3, pair.n, "proj1"), ("cycled",),
+                              check_posteqp),
+    "wn": Construction(lambda pair: _built(pair, build_wn, pair.n), (), check_wn),
+    "lwpp": Construction(
+        lambda pair, h: _built(pair, build_lwpp_decider, _witness_value(h, pair.n), pair.n), (),
+        lambda pair, circuit, x_bits, final, captured, h: _check_decider(
+            "lwpp", "decider output is not the single term (h/2^m)|x>|1>|L(x)>", pair, x_bits,
+            final, captured, _witness_value(h, pair.n)), "value"),
+    "lpwpp": Construction(
+        lambda pair, base, t: _built(pair, build_lpwpp_decider, base, t, pair.n), (),
+        lambda pair, circuit, x_bits, final, captured, base, t: _check_decider(
+            "lpwpp", "fixed-gate-set decider differs from the length-dependent one", pair, x_bits,
+            final, captured, base**t), "power"),
 }
 
 
 def _run(construction: str, pair: DualVerifierPair, x_bits, record, *witness) -> RunOutcome:
-    build, reads, check = RUNS[construction]
-    circuit = build(pair, *witness)
-    final, captured = simulate_circuit(circuit, x_bits, True if record is True else {*(record or ()), *reads})
-    outcome = check(pair, circuit, x_bits, final, captured, *witness)
-    if record is True or not reads:
+    run = RUNS[construction]
+    circuit = run.build(pair, *witness)
+    final, captured = simulate_circuit(circuit, x_bits, True if record is True else {*(record or ()), *run.reads})
+    outcome = run.check(pair, circuit, x_bits, final, captured, *witness)
+    if record is True or not run.reads:
         return outcome
     return outcome._replace(checkpoints={k: v for k, v in captured.items() if k in set(record or ())})
 

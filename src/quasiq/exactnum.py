@@ -109,12 +109,6 @@ class Amplitude:
     def __le__(self, other: Amplitude) -> bool:
         return (self - other).sign() <= 0
 
-    def __gt__(self, other: Amplitude) -> bool:
-        return (self - other).sign() > 0
-
-    def __ge__(self, other: Amplitude) -> bool:
-        return (self - other).sign() >= 0
-
     # -- serialization and display -------------------------------------------
 
     def to_json(self) -> dict:

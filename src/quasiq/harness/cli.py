@@ -42,7 +42,7 @@ from quasiq.circuitgen import (
     simulate_inputs,
 )
 from quasiq.harness.problems import ResolvedProblem, SpecError, load_problem_file, resolve_problem
-from quasiq.quasistate import bits_label, bits_of, record
+from quasiq.quasistate import bits_label, bits_of
 from quasiq.verifierkit import DualityError, HalfGapPromiseError, builtin_problems, gap_stats
 
 EXIT_OK = 0
@@ -102,77 +102,36 @@ def _load(args, inputs=None) -> ResolvedProblem:
                            max_size=None if args.force_large else DESK_SCALE_LIMIT)
 
 
-def _h_value(resolved: ResolvedProblem, corrupt: bool) -> int:
-    value = resolved.h.value(resolved.n)
-    return value + 1 if corrupt else value
-
-
-# -- the construction table ------------------------------------------------------
-
-
 _WITNESS_FORMS = {"value": "a half-gap witness h(n)",
                   "power": "a half-gap witness in power form M**t"}
 
-
-class Construction(record("Construction", "name runner witness", (None,))):
-    """One construction as the CLI runs it.
-
-    run(resolved, x, record, corrupt_h) gives the RunOutcome of one input from
-    runner(pair, *witness_args, x, record), its run_*, which checks the outcome
-    against the oracle and raises on a mismatch. verify runs circuitgen.RUNS[name] instead:
-    its circuit once a chunk of inputs, and its check once a row. witness is the
-    half-gap witness read: None, "value" for h(n), or "power" for the form M**t.
-    """
-
-    __slots__ = ()
-
-    def available(self, resolved: ResolvedProblem) -> bool:
-        if self.witness is None:
-            return True
-        return resolved.h is not None and (self.witness == "value" or resolved.h.kind == "power")
-
-    def require(self, resolved: ResolvedProblem) -> Construction:
-        """This construction, when it can run on the resolved problem."""
-        resolved.require_pair()
-        if not self.available(resolved):
-            raise SpecError(f"construction {self.name!r} needs {_WITNESS_FORMS[self.witness]}, "
-                            f"which problem {resolved.name!r} does not carry")
-        return self
-
-    def witness_args(self, resolved: ResolvedProblem, corrupt: bool) -> tuple:
-        """What its run_*, circuit and check take after the pair: nothing, h(n), or (M, t)."""
-        if self.witness is None:
-            return ()
-        return (_h_value(resolved, corrupt),) if self.witness == "value" else (
-            resolved.h.base, resolved.h.exponent(resolved.n))
-
-    def run(self, resolved: ResolvedProblem, x, record, corrupt: bool):
-        return self.runner(resolved.pair, *self.witness_args(resolved, corrupt), x, record)
-
-
-# Each record calls its run_* through this module's binding, so a wrapper
-# installed on the module (a tracer, a test double) sees every run.
-CONSTRUCTION_TABLE = {c.name: c for c in (
-    Construction("un", lambda *args: run_un(*args)),
-    Construction("fig3-zqp", lambda *args: run_zqp(*args)),
-    Construction("fig3-post", lambda *args: run_posteqp(*args)),
-    Construction("wn", lambda *args: run_wn(*args)),
-    Construction("lwpp", lambda *args: run_lwpp(*args), "value"),
-    Construction("lpwpp", lambda *args: run_lpwpp(*args), "power"),
-)}
-CONSTRUCTIONS = tuple(CONSTRUCTION_TABLE)
+CONSTRUCTIONS = tuple(RUNS)
+# Each construction's run_*, which simulate calls through this module's binding, so a
+# wrapper installed on the module (bench/layers.py's tracer, a test double) sees every run.
+RUNNERS = {"un": lambda *a: run_un(*a), "fig3-zqp": lambda *a: run_zqp(*a),
+           "fig3-post": lambda *a: run_posteqp(*a), "wn": lambda *a: run_wn(*a),
+           "lwpp": lambda *a: run_lwpp(*a), "lpwpp": lambda *a: run_lpwpp(*a)}
 # The constructions --corrupt-h reaches: simulate bumps the value h(n) that
 # it runs on; verify checks every row that reads a witness against the bumped one.
 CORRUPTIBLE = {
-    "simulate": tuple(c.name for c in CONSTRUCTION_TABLE.values() if c.witness == "value"),
-    "verify": tuple(c.name for c in CONSTRUCTION_TABLE.values() if c.witness),
+    "simulate": tuple(name for name, run in RUNS.items() if run.witness == "value"),
+    "verify": tuple(name for name, run in RUNS.items() if run.witness),
 }
 
 
-def _require_corrupt_h_reader(args, resolved: ResolvedProblem, constructions) -> None:
+def _require(resolved: ResolvedProblem, name: str) -> str:
+    """The construction `name`, when it can run on the resolved problem."""
+    resolved.require_pair()
+    if not RUNS[name].available(resolved.h):
+        raise SpecError(f"construction {name!r} needs {_WITNESS_FORMS[RUNS[name].witness]}, "
+                        f"which problem {resolved.name!r} does not carry")
+    return name
+
+
+def _require_corrupt_h_reader(args, resolved: ResolvedProblem, names) -> None:
     """--corrupt-h is a usage error unless some construction to be run reads it."""
     allowed = CORRUPTIBLE[args.command]
-    if args.corrupt_h and not any(c.name in allowed for c in constructions):
+    if args.corrupt_h and not any(name in allowed for name in names):
         raise SpecError(
             f"--corrupt-h bumps the half-gap witness, which {args.command} reads only with "
             f"--construction {' or '.join(allowed)} on a problem that carries one; "
@@ -180,7 +139,9 @@ def _require_corrupt_h_reader(args, resolved: ResolvedProblem, constructions) ->
 
 
 def _simulate_one(resolved: ResolvedProblem, construction: str, x, record, corrupt_h=False):
-    return CONSTRUCTION_TABLE[construction].require(resolved).run(resolved, x, record, corrupt_h)
+    _require(resolved, construction)
+    witness = RUNS[construction].witness_args(resolved.h, resolved.n, corrupt_h)
+    return RUNNERS[construction](resolved.pair, *witness, x, record)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -207,7 +168,7 @@ def cmd_gap(args) -> int:
 def cmd_simulate(args) -> int:
     x = _parse_input(args.input, args.n)
     resolved = _load(args, [x])
-    _require_corrupt_h_reader(args, resolved, [CONSTRUCTION_TABLE[args.construction]])
+    _require_corrupt_h_reader(args, resolved, [args.construction])
     outcome = _simulate_one(resolved, args.construction, x, args.checkpoints,
                             corrupt_h=args.corrupt_h)
     obj = outcome.to_json(final_state=args.dump_state, checkpoints=args.checkpoints)
@@ -217,63 +178,57 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _chunk_checks(resolved: ResolvedProblem, construction: Construction, chunk: list, corrupt_h: bool):
-    """The construction's check of each row, x -> RunOutcome, on one kernel run of the chunk;
-    or the row error that building or running its circuit raised, which is then every row's."""
-    build, reads, check = RUNS[construction.name]
-    try:
-        witness = construction.witness_args(resolved, corrupt_h)
-        circuit = build(resolved.pair, *witness)
-        runs = dict(zip(chunk, simulate_inputs(circuit, chunk, reads)))
-    except _ROW_ERRORS as exc:
-        return exc
-    return lambda x: check(resolved.pair, circuit, x, *runs[x], *witness)
-
-
-def _verify_one(resolved: ResolvedProblem, name: str, x, lx: int, corrupt_h: bool, checks) -> str | None:
-    """None when the row passes, else a mismatch description. The check tests
-    the run against the oracle; a row adds that its answer is L(x) (only a
-    fig3-zqp run that certifies no answer returns without one) and, under
-    --corrupt-h, compares an lpwpp decider with the bumped witness."""
-    if isinstance(checks, Exception):
-        raise checks
-    outcome = checks(x)
-    if outcome.answer != lx:
-        return f"zero-error answer {outcome.answer} != oracle {lx}"
-    if (corrupt_h and name == "lpwpp"
-            and not outcome.final_state.holds(decider_term(resolved.pair, x, _h_value(resolved, True)))):
-        return "fixed-gate-set decider differs from the length-dependent one"
-    return None
+def _chunk_rows(resolved: ResolvedProblem, name: str, chunk: list, corrupt_h: bool) -> list[dict]:
+    """verify's rows of one construction on a chunk of inputs. Its circuit is built and run
+    once on the whole chunk, when the first row has its L(x); a row error raised then is the
+    detail of that row and every later one. Each row's check tests its run against the oracle;
+    the row adds that its answer is L(x) (only a fig3-zqp run that certifies no answer returns
+    without one) and, under --corrupt-h, compares an lpwpp decider with the bumped witness."""
+    run, pair, rows, runs, error = RUNS[name], resolved.pair, [], None, None
+    for x in chunk:
+        detail = None
+        try:
+            lx = pair.language_bit(x)
+            if runs is None and error is None:
+                try:
+                    witness = run.witness_args(resolved.h, resolved.n, corrupt_h)
+                    circuit = run.build(pair, *witness)
+                    runs = dict(zip(chunk, simulate_inputs(circuit, chunk, run.reads)))
+                except _ROW_ERRORS as exc:
+                    error = exc
+            if error is not None:
+                raise error
+            outcome = run.check(pair, circuit, x, *runs[x], *witness)
+            if outcome.answer != lx:
+                detail = f"zero-error answer {outcome.answer} != oracle {lx}"
+            elif corrupt_h and name == "lpwpp" and not outcome.final_state.holds(
+                    decider_term(pair, x, resolved.h.value(resolved.n) + 1)):
+                detail = "fixed-gate-set decider differs from the length-dependent one"
+        except _ROW_ERRORS as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+        row = {"construction": name, "input": bits_label(x), "ok": detail is None}
+        rows.append(row if detail is None else {**row, "detail": detail})
+    return rows
 
 
 def cmd_verify(args) -> int:
     resolved = _load(args)
     resolved.require_pair()
     if args.construction == "all":
-        constructions = [c for c in CONSTRUCTION_TABLE.values() if c.available(resolved)]
-        skipped = [c.name for c in CONSTRUCTION_TABLE.values() if not c.available(resolved)]
-        if skipped:
+        names = [name for name, run in RUNS.items() if run.available(resolved.h)]
+        if skipped := [name for name in RUNS if name not in names]:
             _diag(f"skipping {', '.join(skipped)}: no usable half-gap witness")
     else:
-        constructions = [CONSTRUCTION_TABLE[args.construction].require(resolved)]
-    _require_corrupt_h_reader(args, resolved, constructions)
+        names = [_require(resolved, args.construction)]
+    _require_corrupt_h_reader(args, resolved, names)
     inputs = [bits_of(xkey, resolved.n) for xkey in range(2**resolved.n)]
     step = max(1, BATCH_LANES >> resolved.m + 2)  # un holds 2**(m + 2) lanes an input
-    rows = {construction.name: [] for construction in constructions}
+    rows = {name: [] for name in names}
     for start in range(0, len(inputs), step):
         chunk = inputs[start:start + step]
-        for construction in constructions:  # one kernel run a chunk each, a child forked from its parent's
-            checks = None  # made once the first row has its L(x)
-            for x in chunk:
-                try:
-                    lx = resolved.pair.language_bit(x)
-                    checks = checks or _chunk_checks(resolved, construction, chunk, args.corrupt_h)
-                    detail = _verify_one(resolved, construction.name, x, lx, args.corrupt_h, checks)
-                except _ROW_ERRORS as exc:
-                    detail = f"{type(exc).__name__}: {exc}"
-                row = {"construction": construction.name, "input": bits_label(x), "ok": detail is None}
-                rows[construction.name].append(row if detail is None else {**row, "detail": detail})
-    results = [row for name in rows for row in rows[name]]
+        for name in names:  # one kernel run a chunk each, a child forked from its parent's
+            rows[name] += _chunk_rows(resolved, name, chunk, args.corrupt_h)
+    results = [row for name in names for row in rows[name]]
     ok = all(row["ok"] for row in results)
     _emit(
         {

@@ -576,10 +576,10 @@ def pair_runs(pair):
             return result.final_state, result.checkpoints
 
         def chunk(inputs, record):
-            build, reads, check = RUNS[name]
-            circuit = build(pair, *witness)
-            runs = simulate_inputs(circuit, inputs, True if record else reads)
-            return [(check(pair, circuit, x, *run, *witness).final_state, run[1])
+            construction = RUNS[name]
+            circuit = construction.build(pair, *witness)
+            runs = simulate_inputs(circuit, inputs, True if record else construction.reads)
+            return [(construction.check(pair, circuit, x, *run, *witness).final_state, run[1])
                     for x, run in zip(inputs, runs)]
         return go, chunk
 
@@ -702,17 +702,34 @@ PERTURBED_RUNS = {
     ('lane1', '11', 'wn'): ('AncillaRestorationError', 'component |1100010> leaves an ancilla nonzero'),
     ('lane1', '11', 'lwpp'): ('ResidualTermError', "decider output is not a single clean term at x = 11; residual terms: ['1100010']"),
     ('lane1', '11', 'lpwpp'): ('ResidualTermError', "decider output is not a single clean term at x = 11; residual terms: ['1100010']"),
+    # The zero state: un names its empty support, the others fail before they read a wire.
+    ('zero', '01', 'un'): ('SimulationInvariantError', 'gap-amplitude block: support is empty'),
+    ('zero', '01', 'fig3-zqp'): ('ProjectionError', 'cannot project the zero state'),
+    ('zero', '01', 'fig3-post'): ('PostselectionError', 'postselection mass is zero at x = 01 (signals an invalid pair)'),
+    ('zero', '01', 'wn'): ('ProjectionError', 'cannot project the zero state'),
+    ('zero', '01', 'lwpp'): ('ResidualTermError', 'decider output is not a single clean term at x = 01; residual terms: []'),
+    ('zero', '01', 'lpwpp'): ('ResidualTermError', 'decider output is not a single clean term at x = 01; residual terms: []'),
+    ('zero', '11', 'un'): ('SimulationInvariantError', 'gap-amplitude block: support is empty'),
+    ('zero', '11', 'fig3-zqp'): ('ProjectionError', 'cannot project the zero state'),
+    ('zero', '11', 'fig3-post'): ('PostselectionError', 'postselection mass is zero at x = 11 (signals an invalid pair)'),
+    ('zero', '11', 'wn'): ('ProjectionError', 'cannot project the zero state'),
+    ('zero', '11', 'lwpp'): ('ResidualTermError', 'decider output is not a single clean term at x = 11; residual terms: []'),
+    ('zero', '11', 'lpwpp'): ('ResidualTermError', 'decider output is not a single clean term at x = 11; residual terms: []'),
 }
 
 
 def perturb_every_segment(monkeypatch, mode):
     """Change one lane of the kernel state after each segment it runs: +1 on the c0
     numerator of the first ("low", "lane1": lane 1) or last ("high") live lane, or of
-    the first dead lane ("new", a term that should not be there), or +1 on c1 ("sqrt2")."""
+    the first dead lane ("new", a term that should not be there), or +1 on c1 ("sqrt2");
+    or clear every block ("zero", the zero state)."""
     run = _NumeratorState.run
 
     def perturbed(self, gates):
         run(self, gates)
+        if mode == "zero":
+            self.blocks.clear()
+            return
         key = max(self.blocks) if mode in ("high", "new") else min(self.blocks)
         c0, c1 = self.blocks[key]
         lanes = self._unpack(c0)
@@ -724,7 +741,7 @@ def perturb_every_segment(monkeypatch, mode):
     monkeypatch.setattr(_NumeratorState, "run", perturbed)
 
 
-@pytest.mark.parametrize("mode", ["low", "high", "new", "sqrt2", "lane1"])
+@pytest.mark.parametrize("mode", ["low", "high", "new", "sqrt2", "lane1", "zero"])
 def test_a_perturbed_lane_fails_each_construction_with_its_message(monkeypatch, mode):
     perturb_every_segment(monkeypatch, mode)
     for x in ((0, 1), (1, 1)):

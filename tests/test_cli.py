@@ -652,7 +652,31 @@ def test_every_construction_is_a_choice_and_a_verify_row(capsys):
     assert code == EXIT_OK
     rows = [(row["construction"], row["input"]) for row in obj["results"]]
     assert sorted(rows) == sorted(
-        (name, format(x, "02b")) for name in cli.CONSTRUCTION_TABLE for x in range(4))
+        (name, format(x, "02b")) for name in cli.RUNS for x in range(4))
+
+
+def test_simulate_calls_each_constructions_cli_binding_once(monkeypatch, capsys):
+    """cli.RUNNERS, the one per-construction list beside circuitgen.RUNS, names the same
+    constructions, and simulate reaches each run_* through cli's module binding, as a
+    wrapper installed on the module (bench/layers.py's tracer) needs."""
+    assert cli.RUNNERS.keys() == cli.RUNS.keys()
+    bindings = {"un": "run_un", "fig3-zqp": "run_zqp", "fig3-post": "run_posteqp", "wn": "run_wn",
+                "lwpp": "run_lwpp", "lpwpp": "run_lpwpp"}
+    calls = []
+
+    def counting(binding, original):
+        def run(*args):
+            calls.append(binding)
+            return original(*args)
+        return run
+
+    for binding in bindings.values():
+        monkeypatch.setattr(cli, binding, counting(binding, getattr(cli, binding)))
+    for name, binding in bindings.items():
+        calls.clear()
+        code = cli.main(["simulate", "--problem", "parity", "--input", "01", "--construction", name])
+        assert (code, calls) == (EXIT_OK, [binding]), name
+        assert json.loads(capsys.readouterr().out)["construction"] == name
 
 
 # n = m = 2, L(x) = x[0], h = 2: where a side's half-gap vanishes it accepts
@@ -886,8 +910,10 @@ sys.exit(code)
 # witness: a cold command loads 2,778. With the checks reading the kernel's
 # numerators (the Numerators class; the batch protocol, _sectors and the
 # Amplitude-building to_state gone), 119 more, and the spec and table schemas
-# loaded only for a spec or table file, 207 fewer: 2,690.
-LINES_BEFORE, LINES_MOVED_OUT = 3404, 714
+# loaded only for a spec or table file, 207 fewer: 2,690. With the CLI's construction
+# records folded into circuitgen.RUNS and verify's rows of a chunk made by one function,
+# 27 fewer: 2,663.
+LINES_BEFORE, LINES_MOVED_OUT = 3404, 741
 
 
 @pytest.mark.parametrize("argv", [

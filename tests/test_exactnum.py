@@ -136,6 +136,19 @@ def test_sign_and_order_against_mpmath(a, b):
             assert (a < b) == (va < vb)
 
 
+# Nonzero elements whose c0 and c1 differ in sign, where sign() compares c0**2 with 2*c1**2.
+mixed = st.builds(lambda c0, c1, e, flip: Amplitude(-c0 if flip else c0, c1 if flip else -c1, e),
+                  st.integers(1, 10**6), st.integers(1, 10**6), exps, st.booleans())
+
+
+@given(amps, st.one_of(amps, mixed))
+def test_each_comparison_agrees_with_the_sign_of_the_difference(a, d):
+    """Amplitude defines < and <= only: Python answers a > b with b < a and a >= b with b <= a."""
+    for b in (d, a - d):  # a - (a - d) is d
+        sign = (a - b).sign()
+        assert (a < b, a <= b, a > b, a >= b) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+
+
 @given(amps, amps)
 def test_div_exact_inverts_mul(a, b):
     if b.is_zero():

@@ -7,10 +7,9 @@ import weakref
 import pytest
 from test_problems import GOOD_LEMMA_SPEC, GOOD_PAIR_SPEC
 
-from quasiq.circuitgen import Circuit, RunOutcome, build_un, build_wn
+from quasiq.circuitgen import Circuit, Construction, RunOutcome, build_un, build_wn, check_un
 from quasiq.exactnum import HALF, ONE, Amplitude
 from quasiq.harness import cli, problems
-from quasiq.harness.cli import Construction
 from quasiq.harness.dsl import BinOp, Lit, Not, Parity, Ref, _Token, dsl_verifier
 from quasiq.harness.problems import ProblemSpec, ResolvedProblem
 from quasiq.quasistate import Gate, StateVector, WireError
@@ -28,10 +27,6 @@ def _m_of(n):
     return n
 
 
-def _run(resolved, x, record, corrupt):
-    return None
-
-
 ALLZERO = allzero_verifier(1)  # a Verifier equals only itself
 
 
@@ -41,7 +36,7 @@ FROZEN = {
     "GapReport": lambda: GapReport("v", "01", 2, 1, 1, 1, 0, HALF, HALF, Amplitude(0, 0, 1)),
     "HalfGapFunction": lambda: HalfGapFunction.power(2, 1, -1),
     "BuiltinProblem": lambda: BuiltinProblem("p", "a problem", _m_of, h=HalfGapFunction.power(2, 1, 0)),
-    "Construction": lambda: Construction("un", _run),
+    "Construction": lambda: Construction(build_un, (), check_un),
     "Lit": lambda: Lit(1),
     "Ref": lambda: Ref("x", 0),
     "Not": lambda: Not(Ref("b", 1)),
