@@ -44,6 +44,11 @@ VERDICT_FAIL = "FAIL-branch-mass"
 VERDICT_POSTSELECTED = "POSTSELECTED"
 
 GATE_CHOICES = ("bm", "n", "proj1")
+# A run on several inputs makes the x wires from the first one they differ on inner while a
+# block then holds at most this many lanes. Blocks of up to 2**11 lanes gain; at parity n = 9
+# (2**11 lanes an input) un and wn took 1-7% longer a chunk on blocks of 2**12 lanes, 12-17%
+# on 2**13 and about 50% on 2**15, as their whole-int operations leave the cache.
+X_LANES = 2**11
 
 
 class RegisterMismatchError(ValueError):
@@ -126,12 +131,8 @@ class Circuit:
         return [label for label, _ in self.checkpoints]
 
     def to_json(self) -> dict:
-        return {
-            "width": self.width,
-            "registers": {name: list(span) for name, span in self.registers.items()},
-            "gates": [g.to_json() for g in self.gates],
-            "checkpoints": [[label, pos] for label, pos in self.checkpoints],
-        }
+        from quasiq.readers import circuit_to_json
+        return circuit_to_json(self)
 
     @classmethod
     def from_json(cls, obj: dict, verifiers: dict | None = None) -> Circuit:
@@ -155,11 +156,15 @@ def simulate_circuit(circuit: Circuit, x_bits, record=False) -> tuple[Numerators
 
 def simulate_inputs(circuit: Circuit, inputs, record=False) -> list[tuple[Numerators, dict]]:
     """The final and checkpoint states of each input, from one kernel run on the
-    sum of |x>|0...0> over `inputs`, amplitude 1 each. Several inputs need a
+    sum of |x>|0...0> over the distinct `inputs`, amplitude 1 each. Several inputs need a
     circuit that targets no x wire: then each x's terms evolve as that run alone."""
     n = circuit.registers["x"][1]
     if (bits := next((len(x_bits) for x_bits in inputs if len(x_bits) != n), n)) != n:
         raise RegisterMismatchError(f"input has {bits} bits, x register has {n} wires")
+    keys = tuple(key_of(x_bits) for x_bits in inputs)
+    if len(set(keys)) < len(keys):
+        twice = next(x_bits for i, x_bits in enumerate(inputs) if keys.index(keys[i]) < i)
+        raise ValueError(f"input {bits_label(twice)} is given more than once")
     gates, start, parent, shift = circuit.gates, 0, circuit.parent, circuit.width - n
     if len(inputs) > 1 and any(w < n for g in gates  # an ORACLE writes its last wire only
                                for w in (g.wires[-1:] if g.kind == "ORACLE" else g.wires)):
@@ -173,12 +178,15 @@ def simulate_inputs(circuit: Circuit, inputs, record=False) -> list[tuple[Numera
     # The kernel runs one segment between recorded checkpoints at a time. A
     # child run on the inputs its parent last ran on, with no recorded checkpoint
     # before the fork, starts from the parent's final state (kernel.fork).
-    keys = tuple(key_of(x_bits) for x_bits in inputs)
     if (parent and parent.last and parent.last[0] == keys
             and min(by_position, default=len(gates)) >= len(parent.gates)):
         start = len(parent.gates)
-    state = _NumeratorState(circuit.width, [key << shift for key in keys],
-                            {gate.wires[0] for gate in gates[start:] if gate.kind == "H"})
+    # The x wires from the first one the inputs differ on join the lanes, as many as X_LANES has
+    # room for beside the wires the circuit's H gates target, so a child keeps its parent's.
+    room = X_LANES.bit_length() - 1 - len({gate.wires[0] for gate in gates if gate.kind == "H"})
+    x_lanes = range(n - min(max((key ^ keys[0] for key in keys), default=0).bit_length(), room), n)
+    state = _NumeratorState(circuit.width, () if start else [key << shift for key in keys],
+                            {gate.wires[0] for gate in gates[start:] if gate.kind == "H"}.union(x_lanes))
     if start:  # one input is one sector, whatever x its terms come to read
         state.fork(*parent.last[1:])
     captured: dict[str, list[Numerators]] = {}
@@ -465,8 +473,8 @@ def _single_wire_value(state: Numerators, wire: int, context: str, mask: int = 0
     return values.pop()
 
 
-def check_un(pair: DualVerifierPair, circuit: Circuit, x_bits, final: Numerators, captured) -> RunOutcome:
-    """The unitary gap-amplitude circuit's outcome.
+def check_un(pair: DualVerifierPair, circuit: Circuit, x_bits, lx, final: Numerators, captured):
+    """The unitary gap-amplitude circuit's answer and outcome.
 
     success_mass is the mass of the b = 0...0, a = 1 block (the gap
     components); for a dual pair that block is a single term whose c bit is
@@ -474,11 +482,10 @@ def check_un(pair: DualVerifierPair, circuit: Circuit, x_bits, final: Numerators
     oracle's delta_c on |c 1>, the norm must stay 1, and the rest of the
     state must carry mass below 1/2.
     """
-    lx = pair.language_bit(tuple(x_bits))
+    lx = pair.language_bit(tuple(x_bits)) if lx is None else lx
     prefix = key_of(x_bits) << (pair.m + 2)  # |x 0^m 0 0>
     gap_block = ((1 << final.width) - 1) ^ 0b10, prefix | 1  # |x 0^m * 1>
     (s0, s1), (f0, f1) = final.masses(*gap_block)  # over 2**k
-    success_mass, failure_mass = Amplitude(s0, s1, final.k), Amplitude(f0, f1, final.k)
     answer = _single_wire_value(final, circuit.wire("c"), "gap-amplitude block", *gap_block)
     if answer != lx:
         raise SimulationInvariantError(
@@ -495,54 +502,54 @@ def check_un(pair: DualVerifierPair, circuit: Circuit, x_bits, final: Numerators
     # which must be below 1/2: failure_mass < 1.
     if not _negative(f0 - (1 << final.k), f1):
         raise SimulationInvariantError("residual mass is not strictly below 1/2")
-    return _outcome("un", x_bits, final, captured, answer, success_mass, failure_mass)
+    return answer, lambda: _outcome("un", x_bits, final, captured, answer, Amplitude(s0, s1, final.k),
+                                    Amplitude(f0, f1, final.k))
 
 
-def check_zqp(pair: DualVerifierPair, circuit: Circuit, x_bits, final: Numerators, captured) -> RunOutcome:
-    """The zero-error outcome with p = 2^-m: success flag on a, answer on s.
+def check_zqp(pair: DualVerifierPair, circuit: Circuit, x_bits, lx, final: Numerators, captured):
+    """The zero-error answer and outcome with p = 2^-m: success flag on a, answer on s.
 
     The exact success probability is certified strictly greater than 1/2
     (success mass > failure mass), the success-conditioned component is
     checked to carry zero mass on the wrong answer, and the success mass must
     be the square of the oracle's live delta.
     """
-    lx = pair.language_bit(tuple(x_bits))  # DualityError on an invalid pair
+    lx = pair.language_bit(tuple(x_bits)) if lx is None else lx  # DualityError on an invalid pair
     if not final.numerators:
         raise ProjectionError("cannot project the zero state")
     a, s = (1 << final.width - 1 - circuit.wire(name) for name in "as")
     (s0, s1), (f0, f1) = final.masses(a, a)  # over 2**k
-    success_mass, failure_mass = Amplitude(s0, s1, final.k), Amplitude(f0, f1, final.k)
-    wrong_mass = final.masses(a | s, a | s * (1 - lx))[0]
-    if wrong_mass != (0, 0):
-        raise SimulationInvariantError(
-            f"success-conditioned state has mass {Amplitude(*wrong_mass, final.k)} on answer {1 - lx}")
+    wrong = a | s * (1 - lx)  # a live term there has a nonzero mass
+    if any(key & (a | s) == wrong for key in final.numerators):
+        raise SimulationInvariantError(f"success-conditioned state has mass "
+                                       f"{Amplitude(*final.masses(a | s, wrong)[0], final.k)} on answer {1 - lx}")
     answer = None
     if _negative(f0 - s0, f1 - s1):  # failure_mass < success_mass
         answer = _single_wire_value(final, circuit.wire("s"), "zero-error conditional", a, a)
     live = pair.gap_reports(tuple(x_bits))[lx]
-    if success_mass != live.delta * live.delta:
+    if (s0 << 2 * live.m, s1) != (live.Delta ** 2 << final.k, 0):  # delta**2 = Delta**2 / 2**(2m)
         raise SimulationInvariantError("success mass differs from the squared gap amplitude")
-    return _outcome("fig3-zqp", x_bits, final, captured, answer, success_mass, failure_mass)
+    return answer, lambda: _outcome("fig3-zqp", x_bits, final, captured, answer, Amplitude(s0, s1, final.k),
+                                    Amplitude(f0, f1, final.k))
 
 
-def check_posteqp(pair: DualVerifierPair, circuit: Circuit, x_bits, final: Numerators, captured) -> RunOutcome:
-    """The postselected outcome, a projected onto 1: the conditional state must be
-    supported entirely on the correct answer and have nonzero mass. It reads the
+def check_posteqp(pair: DualVerifierPair, circuit: Circuit, x_bits, lx, final: Numerators, captured):
+    """The postselected answer and outcome, a projected onto 1: the conditional state must
+    be supported entirely on the correct answer and have nonzero mass. Its outcome reads the
     pre-projection state at checkpoint "cycled" to report the rejected mass."""
-    lx = pair.language_bit(tuple(x_bits))
-    (s0, s1), _ = final.masses()
-    if (s0, s1) == (0, 0):
+    lx = pair.language_bit(tuple(x_bits)) if lx is None else lx
+    if not final.numerators:  # the mass is zero
         raise PostselectionError(
             f"postselection mass is zero at x = {bits_label(x_bits)} "
             "(signals an invalid pair)")
-    success_mass = Amplitude(s0, s1, final.k)
-    failure_mass = Amplitude(*captured["cycled"].masses()[0], captured["cycled"].k) - success_mass
     answer = _single_wire_value(final, circuit.wire("s"), "postselected state")
     if answer != lx:
         raise SimulationInvariantError(
             f"postselected answer {answer} contradicts the oracle value {lx}")
-    return _outcome("fig3-post", x_bits, final, captured, answer, success_mass, failure_mass,
-                    VERDICT_POSTSELECTED)
+    cycled = captured["cycled"]
+    return answer, lambda: _outcome("fig3-post", x_bits, final, captured, answer,
+                                    success := Amplitude(*final.masses()[0], final.k),
+                                    Amplitude(*cycled.masses()[0], cycled.k) - success, VERDICT_POSTSELECTED)
 
 
 def check_ancillas_restored(state: Numerators, circuit: Circuit) -> None:
@@ -554,19 +561,18 @@ def check_ancillas_restored(state: Numerators, circuit: Circuit) -> None:
         raise AncillaRestorationError(f"component |{term}> leaves an ancilla nonzero", term=term)
 
 
-def check_wn(pair: DualVerifierPair, circuit: Circuit, x_bits, final: Numerators, captured) -> RunOutcome:
-    """The uncomputing circuit's outcome: ancilla restoration and the closed
+def check_wn(pair: DualVerifierPair, circuit: Circuit, x_bits, lx, final: Numerators, captured):
+    """The uncomputing circuit's answer and outcome: ancilla restoration and the closed
     form |x 0^m>(|000> + delta|L(x) 0 1>).
 
     success_mass is the mass of the s = 1 (gap-indicator) component; the
     answer is that component's c bit.
     """
-    lx = pair.language_bit(tuple(x_bits))
+    lx = pair.language_bit(tuple(x_bits)) if lx is None else lx
     check_ancillas_restored(final, circuit)
     if not final.numerators:
         raise ProjectionError("cannot project the zero state")
     (s0, s1), (f0, f1) = final.masses(1, 1)  # s is the last wire
-    success_mass, failure_mass = Amplitude(s0, s1, final.k), Amplitude(f0, f1, final.k)
     answer = None
     if (s0, s1) != (0, 0):
         answer = _single_wire_value(final, circuit.wire("c"), "gap-indicator component", 1, 1)
@@ -575,19 +581,19 @@ def check_wn(pair: DualVerifierPair, circuit: Circuit, x_bits, final: Numerators
     if not final.holds({prefix: ONE, prefix | lx << 2 | 1: delta}):
         raise SimulationInvariantError(
             "uncomputed state differs from |x>(|00> + delta|L>|1>) plus ancillas")
-    return _outcome("wn", x_bits, final, captured, answer, success_mass, failure_mass)
+    return answer, lambda: _outcome("wn", x_bits, final, captured, answer, Amplitude(s0, s1, final.k),
+                                    Amplitude(f0, f1, final.k))
 
 
-def decider_term(pair: DualVerifierPair, x_bits, h: int) -> dict[int, Amplitude]:
+def decider_term(pair: DualVerifierPair, x_bits, lx: int, h: int) -> dict[int, Amplitude]:
     """Both exact deciders' closed-form output (h/2^m)|x 0^m 1 0 L(x)>, as {key: amplitude}."""
-    m = pair.m
-    return {key_of(x_bits) << (m + 3) | 0b100 | pair.language_bit(tuple(x_bits)): Amplitude(h, 0, m)}
+    return {key_of(x_bits) << (pair.m + 3) | 0b100 | lx: Amplitude(h, 0, pair.m)}
 
 
-def _check_decider(construction: str, mismatch: str, pair: DualVerifierPair, x_bits, final: Numerators,
-                   captured, h: int) -> RunOutcome:
-    """The outcome of a decider built for witness value h: its output must be the single
-    term decider_term(pair, x, h), else ResidualTermError or the `mismatch`."""
+def _check_decider(construction: str, mismatch: str, pair: DualVerifierPair, x_bits, lx, final: Numerators,
+                   captured, h: int):
+    """The answer and outcome of a decider built for witness value h: its output must be the
+    single term decider_term(pair, x, L(x), h), else ResidualTermError or the `mismatch`."""
     keys = sorted(final.numerators)
     stem = key_of(x_bits) << (pair.m + 2) | 0b10  # |x 0^m 1 0>: every wire but the answer
     residuals = [label_of(key, final.width) for key in keys if key >> 1 != stem]
@@ -595,18 +601,19 @@ def _check_decider(construction: str, mismatch: str, pair: DualVerifierPair, x_b
         residuals = residuals or [label_of(key, final.width) for key in keys]
         raise ResidualTermError(f"decider output is not a single clean term at x = "
                                 f"{bits_label(x_bits)}; residual terms: {residuals}", residuals)
-    if not final.holds(decider_term(pair, x_bits, h)):
+    lx = pair.language_bit(tuple(x_bits)) if lx is None else lx
+    if not final.holds(decider_term(pair, x_bits, lx, h)):
         raise SimulationInvariantError(mismatch)
-    answer = pair.language_bit(tuple(x_bits))
-    success_mass = Amplitude(*final.masses()[0], final.k)
-    return _outcome(construction, x_bits, final, captured, answer, success_mass, ZERO)
+    return lx, lambda: _outcome(construction, x_bits, final, captured, lx,
+                                Amplitude(*final.masses()[0], final.k), ZERO)
 
 
 class Construction(record("Construction", "build reads check witness", (None,))):
     """One construction: build(pair, *witness), the circuit it runs; reads, the checkpoints
-    its check reads, recorded or not; check(pair, circuit, x_bits, final, captured, *witness),
-    one input's outcome checked against the oracle; and witness, the half-gap witness it
-    reads: None, "value" for h(n), or "power" for the form M**t. Its run_* is one input's
+    its check reads, recorded or not; check(pair, circuit, x_bits, lx, final, captured,
+    *witness), one input's run checked against the oracle, L(x) read there if lx is None:
+    its answer and a function that makes its RunOutcome; and witness, the half-gap witness
+    it reads: None, "value" for h(n), or "power" for the form M**t. Its run_* is one input's
     run and check; verify runs the circuit once a chunk of inputs and the check once a row."""
 
     __slots__ = ()
@@ -633,14 +640,14 @@ RUNS = {
     "wn": Construction(lambda pair: _built(pair, build_wn, pair.n), (), check_wn),
     "lwpp": Construction(
         lambda pair, h: _built(pair, build_lwpp_decider, _witness_value(h, pair.n), pair.n), (),
-        lambda pair, circuit, x_bits, final, captured, h: _check_decider(
+        lambda pair, circuit, x_bits, lx, final, captured, h: _check_decider(
             "lwpp", "decider output is not the single term (h/2^m)|x>|1>|L(x)>", pair, x_bits,
-            final, captured, _witness_value(h, pair.n)), "value"),
+            lx, final, captured, _witness_value(h, pair.n)), "value"),
     "lpwpp": Construction(
         lambda pair, base, t: _built(pair, build_lpwpp_decider, base, t, pair.n), (),
-        lambda pair, circuit, x_bits, final, captured, base, t: _check_decider(
+        lambda pair, circuit, x_bits, lx, final, captured, base, t: _check_decider(
             "lpwpp", "fixed-gate-set decider differs from the length-dependent one", pair, x_bits,
-            final, captured, base**t), "power"),
+            lx, final, captured, base**t), "power"),
 }
 
 
@@ -648,7 +655,7 @@ def _run(construction: str, pair: DualVerifierPair, x_bits, record, *witness) ->
     run = RUNS[construction]
     circuit = run.build(pair, *witness)
     final, captured = simulate_circuit(circuit, x_bits, True if record is True else {*(record or ()), *run.reads})
-    outcome = run.check(pair, circuit, x_bits, final, captured, *witness)
+    outcome = run.check(pair, circuit, x_bits, None, final, captured, *witness)[1]()
     if record is True or not run.reads:
         return outcome
     return outcome._replace(checkpoints={k: v for k, v in captured.items() if k in set(record or ())})

@@ -79,15 +79,8 @@ class Amplitude:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}; never approximates sqrt(2)."""
-        s0 = (self.c0 > 0) - (self.c0 < 0)
-        s1 = (self.c1 > 0) - (self.c1 < 0)
-        if s1 == 0:
-            return s0
-        if s0 == 0 or s0 == s1:
-            return s1
-        # Opposite signs: the dominant term is decided by c0**2 vs 2*c1**2.
-        # They can never be equal (sqrt(2) is irrational).
-        return s0 if self.c0 * self.c0 > 2 * self.c1 * self.c1 else s1
+        from quasiq.reference import amplitude_sign
+        return amplitude_sign(self)
 
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c1 == 0

@@ -178,17 +178,27 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _chunk_rows(resolved: ResolvedProblem, name: str, chunk: list, corrupt_h: bool) -> list[dict]:
-    """verify's rows of one construction on a chunk of inputs. Its circuit is built and run
-    once on the whole chunk, when the first row has its L(x); a row error raised then is the
-    detail of that row and every later one. Each row's check tests its run against the oracle;
-    the row adds that its answer is L(x) (only a fig3-zqp run that certifies no answer returns
-    without one) and, under --corrupt-h, compares an lpwpp decider with the bumped witness."""
+def _language_bit(pair, x):
+    """L(x), or the DualityError reading it raised, which each of x's rows then fails with."""
+    try:
+        return pair.language_bit(x)
+    except DualityError as exc:
+        return exc
+
+
+def _chunk_rows(resolved: ResolvedProblem, name: str, chunk: list, lxs: dict, corrupt_h: bool) -> list[dict]:
+    """verify's rows of one construction on a chunk of inputs, whose L(x) (or the error reading
+    it raised) `lxs` holds. Its circuit is built and run once on the whole chunk, when the first
+    row has its L(x); a row error raised then is the detail of that row and every later one.
+    Each row's check tests its run against the oracle; the row adds that its answer is L(x)
+    (only a fig3-zqp run that certifies no answer returns without one) and, under --corrupt-h,
+    compares an lpwpp decider with the bumped witness."""
     run, pair, rows, runs, error = RUNS[name], resolved.pair, [], None, None
     for x in chunk:
         detail = None
         try:
-            lx = pair.language_bit(x)
+            if isinstance(lx := lxs[x], DualityError):
+                raise lx
             if runs is None and error is None:
                 try:
                     witness = run.witness_args(resolved.h, resolved.n, corrupt_h)
@@ -198,11 +208,11 @@ def _chunk_rows(resolved: ResolvedProblem, name: str, chunk: list, corrupt_h: bo
                     error = exc
             if error is not None:
                 raise error
-            outcome = run.check(pair, circuit, x, *runs[x], *witness)
-            if outcome.answer != lx:
-                detail = f"zero-error answer {outcome.answer} != oracle {lx}"
-            elif corrupt_h and name == "lpwpp" and not outcome.final_state.holds(
-                    decider_term(pair, x, resolved.h.value(resolved.n) + 1)):
+            answer = run.check(pair, circuit, x, lx, *runs[x], *witness)[0]
+            if answer != lx:
+                detail = f"zero-error answer {answer} != oracle {lx}"
+            elif corrupt_h and name == "lpwpp" and not runs[x][0].holds(
+                    decider_term(pair, x, lx, resolved.h.value(resolved.n) + 1)):
                 detail = "fixed-gate-set decider differs from the length-dependent one"
         except _ROW_ERRORS as exc:
             detail = f"{type(exc).__name__}: {exc}"
@@ -226,8 +236,9 @@ def cmd_verify(args) -> int:
     rows = {name: [] for name in names}
     for start in range(0, len(inputs), step):
         chunk = inputs[start:start + step]
+        lxs = {x: _language_bit(resolved.pair, x) for x in chunk}  # once an input
         for name in names:  # one kernel run a chunk each, a child forked from its parent's
-            rows[name] += _chunk_rows(resolved, name, chunk, args.corrupt_h)
+            rows[name] += _chunk_rows(resolved, name, chunk, lxs, args.corrupt_h)
     results = [row for name in names for row in rows[name]]
     ok = all(row["ok"] for row in results)
     _emit(

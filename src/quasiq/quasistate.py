@@ -23,7 +23,7 @@ which also applies to the kernel's state the gates no construction makes.
 from __future__ import annotations
 
 import struct
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import or_
@@ -80,12 +80,6 @@ _Kind = namedtuple("_Kind", "family inverse sign arity param", defaults=(0, 1, N
 _Param = namedtuple("_Param", "to_json from_json accepts what")
 
 
-def _oracle_from_json(obj: dict, verifiers: dict | None) -> tuple:
-    """(verifier, n_input_wires), the verifier None if `verifiers` lacks its name."""
-    name, nx = obj["verifier"], obj["n_input_wires"]
-    return (None if verifiers is None else verifiers.get(name)), nx
-
-
 _INT = _Param(lambda p: p, lambda obj, verifiers: obj, lambda p: type(p) is int, "an int")
 _AMP = _Param(Amplitude.to_json, lambda obj, verifiers: Amplitude.from_json(obj),
               lambda p: isinstance(p, Amplitude), "an Amplitude")
@@ -96,7 +90,7 @@ _KINDS = {
         list, lambda obj, verifiers: tuple(obj), lambda p: isinstance(p, tuple), "a tuple")),
     "ORACLE": _Kind("_move", "ORACLE", 0, None, _Param(
         lambda p: {"verifier": getattr(p[0], "name", "?"), "n_input_wires": p[1]},
-        _oracle_from_json,
+        lambda obj, verifiers: ((verifiers or {}).get(obj["verifier"]), obj["n_input_wires"]),
         lambda p: isinstance(p, tuple) and len(p) == 2 and type(p[1]) is int,
         "a (verifier, int)")),
     "PROJ0": _Kind("_move", None), "PROJ1": _Kind("_move", None),
@@ -281,13 +275,8 @@ class Gate(record("Gate", "kind wires controls param")):
         return cmask, cval
 
     def to_json(self) -> dict:
-        obj: dict = {"kind": self.kind, "label": self.label(), "wires": list(self.wires)}
-        if self.controls:
-            obj["controls"] = [[w, p] for w, p in self.controls]
-        codec = _KINDS[self.kind].param
-        if codec:
-            obj["param"] = codec.to_json(self.param)
-        return obj
+        from quasiq.readers import gate_to_json
+        return gate_to_json(self)
 
     @classmethod
     def from_json(cls, obj: dict, verifiers: dict | None = None) -> Gate:
@@ -296,7 +285,8 @@ class Gate(record("Gate", "kind wires controls param")):
 
 
 class StateVector:
-    """Map from basis keys to nonzero amplitudes over a fixed wire count."""
+    """Map from basis keys to nonzero amplitudes over a fixed wire count. The methods
+    no command calls run in quasiq.reference."""
 
     __slots__ = ("width", "terms")
 
@@ -306,11 +296,8 @@ class StateVector:
 
     @classmethod
     def basis(cls, width: int, key: int | str, amp: Amplitude = ONE) -> StateVector:
-        if isinstance(key, str):
-            if len(key) != width:
-                raise WireError(f"label width {len(key)} != state width {width}")
-            key = key_of_label(key)
-        return cls(width, {key: amp})
+        from quasiq.reference import state_basis
+        return state_basis(cls, width, key, amp)
 
     # -- inspection ----------------------------------------------------------
 
@@ -330,22 +317,13 @@ class StateVector:
 
     def match(self, pattern: str) -> list[tuple[int, Amplitude]]:
         """All stored terms matching the wildcard pattern, in lexicographic order."""
-        if len(pattern) != self.width:
-            raise WireError(f"pattern width {len(pattern)} != state width {self.width}")
-        from quasiq.reference import compile_pattern
-        mask, value = compile_pattern(pattern)
-        return sorted((k, a) for k, a in self.terms.items() if k & mask == value)
+        from quasiq.reference import state_match
+        return state_match(self, pattern)
 
     def norm_sq(self) -> Amplitude:
-        """The sum of the squared amplitudes, added in integers over the
-        largest exponent: (c0 + c1*sqrt2)**2 = c0**2 + 2*c1**2 + 2*c0*c1*sqrt2."""
-        top = max((a.e for a in self.terms.values()), default=0)
-        s0 = s1 = 0
-        for a in self.terms.values():
-            shift = 2 * (top - a.e)
-            s0 += (a.c0 * a.c0 + 2 * a.c1 * a.c1) << shift
-            s1 += a.c0 * a.c1 << shift + 1
-        return Amplitude(s0, s1, 2 * top)
+        """The sum of the squared amplitudes."""
+        from quasiq.reference import state_norm_sq
+        return state_norm_sq(self)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateVector):
@@ -359,18 +337,14 @@ class StateVector:
         return len(self.terms)
 
     def __repr__(self) -> str:
-        body = " + ".join(f"{a}|{label_of(k, self.width)}>" for k, a in self.items_sorted())
-        return f"StateVector({body or '0'})"
+        from quasiq.reference import state_repr
+        return state_repr(self)
 
     # -- linear structure ------------------------------------------------------
 
     def __add__(self, other: StateVector) -> StateVector:
-        if self.width != other.width:
-            raise WireError("width mismatch in superposition")
-        out = dict(self.terms)
-        for k, a in other.terms.items():
-            out[k] = out.get(k, ZERO) + a
-        return StateVector(self.width, out)
+        from quasiq.reference import state_add
+        return state_add(self, other)
 
     def scale(self, factor: Amplitude) -> StateVector:
         return StateVector(self.width, {k: a * factor for k, a in self.terms.items()})
@@ -398,14 +372,8 @@ class StateVector:
         component and the projected state left unnormalized, so probabilities
         stay exact ratios.
         """
-        if self.is_zero():
-            raise ProjectionError("cannot project the zero state")
-        if not 0 <= wire < self.width:
-            raise WireError(f"wire {wire} out of range for width {self.width}")
-        m = 1 << (self.width - 1 - wire)
-        want = m if value else 0
-        conditional = self.filter_terms(lambda k: k & m == want)
-        return conditional.norm_sq(), conditional
+        from quasiq.reference import state_project
+        return state_project(self, wire, value)
 
     # -- serialization --------------------------------------------------------------
 
@@ -444,14 +412,19 @@ class _NumeratorState:
     is all zeros. `bits` bounds each numerator's length, so `_fit` can widen
     the lanes in time and no lane borrows from the next."""
 
-    __slots__ = ("width", "inner", "lanes", "count", "outer", "blocks", "k", "size", "bits", "bias", "fmt")
+    __slots__ = ("width", "inner", "lanes", "count", "outer", "blocks", "k", "size", "bits", "bias", "fmt",
+                 "spread", "regrouped")
 
     def __init__(self, width: int, keys: Iterable[int], inner: Iterable[int] = ()):
-        """The sum of |key> over `keys`, whose outer wires differ from key to key."""
-        self.width, self.k, self.size, self.bits = width, 0, 1, 1
+        """The sum of |key> over the distinct `keys`; the keys that differ only on inner wires
+        share a block, each a 1 in its own lane."""
+        self.width, self.k, self.size, self.bits, self.spread, self.regrouped = width, 0, 1, 1, None, {}
         self._place(inner)
-        self.blocks = {key & self.outer: (self.bias + (1 << 8 * sum(
-            lb for bit, lb in self.lanes.items() if key & bit)), None) for key in keys}
+        blocks = {}
+        for key in keys:
+            blocks[key & self.outer] = blocks.get(key & self.outer, self.bias) + (1 << 8 * sum(
+                lb for bit, lb in self.lanes.items() if key & bit))
+        self.blocks = {key: (c0, None) for key, c0 in blocks.items()}
 
     def _place(self, inner: Iterable[int]) -> None:
         self.inner = tuple(sorted(inner))
@@ -464,16 +437,22 @@ class _NumeratorState:
     def fork(self, parent: _NumeratorState, sectors: list[dict]) -> None:
         """Go on from `parent`'s state, whose live terms `sectors` hold by input, on the wires
         this state's H gates target and the terms of a sector differ on: as the parent's blocks
-        if they are on the same inner wires, else regrouped from the sectors' numerators."""
+        if they are on the same inner wires, else regrouped from the sectors' numerators. The
+        parent keeps those wires and each regrouping for the children that fork after this one."""
         self.k, self.size, self.bits, lift = parent.k, parent.size, parent.bits, self.width - parent.width
-        spread = 0
-        for sector in sectors:
-            spread = reduce(or_, map(next(iter(sector), 0).__xor__, sector), spread)
-        self._place({w for w in range(parent.width) if spread >> parent.width - 1 - w & 1} | set(self.inner))
+        if parent.spread is None:
+            parent.spread = 0
+            for sector in sectors:
+                parent.spread = reduce(or_, map(next(iter(sector), 0).__xor__, sector), parent.spread)
+        self._place({w for w in range(parent.width) if parent.spread >> parent.width - 1 - w & 1} | set(self.inner))
         if self.inner == parent.inner:
             self.blocks = {key << lift: block for key, block in parent.blocks.items()}
+        elif (self.width, self.inner) in parent.regrouped:  # no gate changes a blocks dict in place
+            self.k, self.size, self.bits, self.blocks = parent.regrouped[self.width, self.inner]
+            self._place(self.inner)
         else:
             self.hold({key << lift: c for sector in sectors for key, c in sector.items()}, parent.k)
+            parent.regrouped[self.width, self.inner] = self.k, self.size, self.bits, self.blocks
 
     def hold(self, numerators: dict[int, tuple[int, int]], k: int) -> None:
         """Hold `numerators` over sqrt(2)**k in lanes on the same inner wires, widened to fit
@@ -485,9 +464,10 @@ class _NumeratorState:
         while 8 * self.size <= self.bits:
             self.size = self.size << 1 if self.size < 8 else self.size + 1
         self._place(self.inner)
-        blocks, lane = {}, dict(zip(self._offsets(), range(self.count)))
+        lane = dict(zip(self._offsets(), range(self.count)))
+        blocks = defaultdict(lambda: ([0] * self.count, [0] * self.count))
         for key, (c0, c1) in numerators.items():
-            v0, v1 = blocks.setdefault(key & self.outer, ([0] * self.count, [0] * self.count))
+            v0, v1 = blocks[key & self.outer]
             v0[lane[key & ~self.outer]], v1[lane[key & ~self.outer]] = c0 >> twos, c1 >> twos
         self.blocks = {key: (self._pack(v0), self._pack(v1) if any(v1) else None)
                        for key, (v0, v1) in blocks.items()}
@@ -514,14 +494,18 @@ class _NumeratorState:
     def sectors(self, keys: Iterable[int], shift: int) -> list[dict[int, tuple[int, int]]]:
         """The live terms by input, each key's numerators (c0, c1) over sqrt(2)**k: for each of
         the distinct `keys`, the terms whose key >> shift is it. One unpack a block, and a tuple
-        only for each live lane."""
-        offsets, parts = self._offsets(), {key: {} for key in keys}
+        only for each live lane. The inner wires above bit `shift` lead the lanes, so each of
+        their values, an input, is one range of `per` lanes."""
+        offsets, parts, per = self._offsets(), {}, self.count >> sum(bit >> shift > 0 for bit in self.lanes)
         for key, (c0, c1) in self.blocks.items():
             v0 = self._unpack(c0)
             v1 = (0,) * len(v0) if c1 is None else self._unpack(c1)
-            parts[key >> shift].update({key | offsets[i]: (v0[i], v1[i]) for i in compress(
-                range(len(v0)), v0 if c1 is None else map(or_, v0, v1))})
-        return list(parts.values())
+            # A lane is live where c0 or c1 has a nonzero byte; compress takes `per` of it a range.
+            live = iter(v0 if c1 is None else self._unpack((c0 ^ self.bias | c1 ^ self.bias) ^ self.bias))
+            for r in range(0, self.count, per):
+                parts.setdefault((key | offsets[r]) >> shift, {}).update(
+                    {key | offsets[i]: (v0[i], v1[i]) for i in compress(range(r, r + per), live)})
+        return [parts.get(key, {}) for key in keys]
 
     def to_state(self) -> StateVector:
         state, (live,) = StateVector(self.width), self.sectors((0,), self.width)
@@ -682,10 +666,10 @@ class _NumeratorState:
     def _move(self, gate: Gate, cmask: int, cval: int) -> None:
         """X swaps its wire's halves and a projector zeros one; PERM is a product of
         transpositions, each moving an inner wire's 1 lanes; ORACLE is X on the lanes an
-        accept mask selects, a lane mask per x value made by str.translate. A PERM on
-        more than one outer wire, or an ORACLE whose x wires are not all outer or whose
-        b wires are not adjacent inner ones, goes through the reference: no construction
-        makes one."""
+        accept mask selects, a block's lane mask its x values' accept masks concatenated by
+        one str.translate. A PERM on more than one outer wire, or an ORACLE whose inner x
+        wires do not lead the lanes or whose b wires are not adjacent inner ones, goes
+        through the reference: no construction makes one."""
         kind, top = gate.kind, self.width - 1
         if kind == "PERM":
             if sum(1 << top - w not in self.lanes for w in gate.wires) > 1:
@@ -706,18 +690,20 @@ class _NumeratorState:
             verifier, nx = gate.param
             xs, bs = gate.wires[:nx], gate.wires[nx:-1]
             lbs = [self.lanes.get(1 << top - w, 0) for w in bs]
+            per = self.count >> sum(1 << top - w in self.lanes for w in xs)  # the lanes of an x value
             if not (lbs and all(lb == lbs[0] >> i > 0 for i, lb in enumerate(lbs))
-                    and not any(1 << top - w in self.lanes for w in xs)):
+                    and all(self.lanes.get(1 << top - w, per) >= per for w in xs)):
                 return self._by_reference(gate)
             low = lbs[-1].bit_length() - 1  # lanes b << low to (b + 1 << low) - 1 read b
             table = {48: "\0" * (self.size << low), 49: "\xff" * (self.size << low)}
             masks, mask_of = {}, lru_cache()(verifier.accept_mask)  # one accept mask per x value
+            starts, shifts = self._offsets()[::per], [top - w for w in xs]
 
-            def lanes_of(key):
-                mask = mask_of(tuple(key >> top - w & 1 for w in xs))
-                if mask not in masks:
-                    masks[mask] = int.from_bytes(format(mask, f"0{1 << len(bs)}b")[::-1].translate(
-                        table).encode("latin-1") * (self.count >> low + len(bs)), "little")
-                return masks[mask]
+            def lanes_of(key):  # the masks of the block's x values, one x value a range of `per` lanes
+                ms = tuple(mask_of(tuple([k >> s & 1 for s in shifts])) for k in map(key.__or__, starts))
+                if ms not in masks:
+                    masks[ms] = int.from_bytes("".join(format(mask, f"0{1 << len(bs)}b")[::-1] * (
+                        per >> low + len(bs)) for mask in ms).translate(table).encode("latin-1"), "little")
+                return masks[ms]
 
             self._pairs([1 << top - gate.wires[-1]], cmask, cval, _HALF_OPS["X"], lanes_of)

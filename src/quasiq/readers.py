@@ -1,10 +1,11 @@
-"""JSON readers of quasiq's records, the inverses of their to_json, and the
-label-by-label truth-table reader.
+"""JSON readers of quasiq's records, the inverses of their to_json, the JSON
+writers of gates and circuits, and the label-by-label truth-table reader.
 
-No command reads a gate, state, circuit, outcome or gap report back, and a
-valid table is read in bulk (verifierkit.verifier_from_table_json), so this
-code lives here: the records' from_json classmethods import this module when
-first called, and the table reader is called only to report a bad table.
+No command reads a gate, state, circuit, outcome or gap report back or writes
+a gate or circuit, and a valid table is read in bulk
+(verifierkit.verifier_from_table_json), so this code lives here: the records'
+from_json and to_json methods import this module when first called, and the
+table reader is called only to report a bad table.
 """
 from __future__ import annotations
 
@@ -43,6 +44,25 @@ def amplitude_from_json(cls, obj: dict):
     if fields["e"] < 0:
         raise ValueError(f"amplitude field 'e' must be at least 0, got {fields['e']}")
     return cls(int(fields["c0"]), int(fields["c1"]), fields["e"])
+
+
+def gate_to_json(gate: Gate) -> dict:
+    obj: dict = {"kind": gate.kind, "label": gate.label(), "wires": list(gate.wires)}
+    if gate.controls:
+        obj["controls"] = [[w, p] for w, p in gate.controls]
+    codec = _KINDS[gate.kind].param
+    if codec:
+        obj["param"] = codec.to_json(gate.param)
+    return obj
+
+
+def circuit_to_json(circuit) -> dict:
+    return {
+        "width": circuit.width,
+        "registers": {name: list(span) for name, span in circuit.registers.items()},
+        "gates": [g.to_json() for g in circuit.gates],
+        "checkpoints": [[label, pos] for label, pos in circuit.checkpoints],
+    }
 
 
 def gate_from_json(cls, obj: dict, verifiers: dict | None = None):

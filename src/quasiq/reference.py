@@ -1,19 +1,21 @@
 """Code that no command runs, compiled only by a caller that uses it: the
 per-gate reference simulator, and the kernel's way to apply through it the
-gates no construction makes; the wildcard patterns of StateVector.match; the
-Amplitude operations that only it and people reading results need (exact
-division, the display form); the DSL's one-branch evaluator and printer.
+gates no construction makes; the StateVector methods no command calls (basis,
+match and its wildcard patterns, norm_sq, project, repr and +); the Amplitude
+operations that only it and people reading results need (exact division, the
+sign, the display form); the DSL's one-branch evaluator and printer.
 
 Circuits run on quasistate's integer kernel, which the tests check against
-`apply_gate` term by term. StateVector.apply, Amplitude.div_exact,
-Amplitude.__str__, the DSL module's eval_dsl and print_dsl, and the kernel's
-N, inverse diagonal kinds and other ORACLE and PERM layouts delegate here.
+`apply_gate` term by term. StateVector.apply and the methods above,
+Amplitude.div_exact, sign and __str__, the DSL module's eval_dsl and
+print_dsl, and the kernel's N, inverse diagonal kinds and other ORACLE and
+PERM layouts delegate here.
 """
 from __future__ import annotations
 
-from quasiq.exactnum import HALF, INV_SQRT2, Amplitude, ExactDivisionError
+from quasiq.exactnum import HALF, INV_SQRT2, ZERO, Amplitude, ExactDivisionError
 from quasiq.harness.dsl_language import _OPS, _PRECEDENCE, BinOp, Bits, DslExpr, Lit, Not, Parity, Ref
-from quasiq.quasistate import Gate, StateVector, key_of_label
+from quasiq.quasistate import Gate, ProjectionError, StateVector, WireError, key_of_label, label_of
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -93,6 +95,61 @@ def apply_by_reference(kernel, gate: Gate) -> None:
     kernel.hold({key: (amp.c0 << e - amp.e, amp.c1 << e - amp.e) for key, amp in terms.items()}, 2 * e)
 
 
+# -- StateVector operations no command calls ------------------------------------------
+
+
+def state_basis(cls, width: int, key: int | str, amp: Amplitude) -> StateVector:
+    if isinstance(key, str):
+        if len(key) != width:
+            raise WireError(f"label width {len(key)} != state width {width}")
+        key = key_of_label(key)
+    return cls(width, {key: amp})
+
+
+def state_match(state: StateVector, pattern: str) -> list[tuple[int, Amplitude]]:
+    if len(pattern) != state.width:
+        raise WireError(f"pattern width {len(pattern)} != state width {state.width}")
+    mask, value = compile_pattern(pattern)
+    return sorted((k, a) for k, a in state.terms.items() if k & mask == value)
+
+
+def state_norm_sq(state: StateVector) -> Amplitude:
+    """The sum of the squared amplitudes, added in integers over the
+    largest exponent: (c0 + c1*sqrt2)**2 = c0**2 + 2*c1**2 + 2*c0*c1*sqrt2."""
+    top = max((a.e for a in state.terms.values()), default=0)
+    s0 = s1 = 0
+    for a in state.terms.values():
+        shift = 2 * (top - a.e)
+        s0 += (a.c0 * a.c0 + 2 * a.c1 * a.c1) << shift
+        s1 += a.c0 * a.c1 << shift + 1
+    return Amplitude(s0, s1, 2 * top)
+
+
+def state_repr(state: StateVector) -> str:
+    body = " + ".join(f"{a}|{label_of(k, state.width)}>" for k, a in state.items_sorted())
+    return f"StateVector({body or '0'})"
+
+
+def state_add(state: StateVector, other: StateVector) -> StateVector:
+    if state.width != other.width:
+        raise WireError("width mismatch in superposition")
+    out = dict(state.terms)
+    for k, a in other.terms.items():
+        out[k] = out.get(k, ZERO) + a
+    return StateVector(state.width, out)
+
+
+def state_project(state: StateVector, wire: int, value: int) -> tuple[Amplitude, StateVector]:
+    if state.is_zero():
+        raise ProjectionError("cannot project the zero state")
+    if not 0 <= wire < state.width:
+        raise WireError(f"wire {wire} out of range for width {state.width}")
+    m = 1 << (state.width - 1 - wire)
+    want = m if value else 0
+    conditional = state.filter_terms(lambda k: k & m == want)
+    return conditional.norm_sq(), conditional
+
+
 # A pattern's mask bits and value bits; any other character passes through.
 _MASK_BITS = str.maketrans("01*.·", "11000")
 _VALUE_BITS = str.maketrans("*.·", "000")
@@ -130,6 +187,19 @@ def div_exact(a: Amplitude, b: Amplitude) -> Amplitude:
     if num.c0 % odd or num.c1 % odd:
         raise ExactDivisionError(f"{a!r} / {b!r} is not in the ring")
     return Amplitude(num.c0 // odd, num.c1 // odd, num.e)
+
+
+def amplitude_sign(a: Amplitude) -> int:
+    """The exact sign of a, in {-1, 0, +1}."""
+    s0 = (a.c0 > 0) - (a.c0 < 0)
+    s1 = (a.c1 > 0) - (a.c1 < 0)
+    if s1 == 0:
+        return s0
+    if s0 == 0 or s0 == s1:
+        return s1
+    # Opposite signs: the dominant term is decided by c0**2 vs 2*c1**2.
+    # They can never be equal (sqrt(2) is irrational).
+    return s0 if a.c0 * a.c0 > 2 * a.c1 * a.c1 else s1
 
 
 def amplitude_str(a: Amplitude) -> str:

@@ -579,7 +579,8 @@ def pair_runs(pair):
             construction = RUNS[name]
             circuit = construction.build(pair, *witness)
             runs = simulate_inputs(circuit, inputs, True if record else construction.reads)
-            return [(construction.check(pair, circuit, x, *run, *witness).final_state, run[1])
+            return [(construction.check(pair, circuit, x, pair.language_bit(x), *run, *witness)[1]().final_state,
+                     run[1])
                     for x, run in zip(inputs, runs)]
         return go, chunk
 

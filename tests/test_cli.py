@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from test_problems import GOOD_LEMMA_SPEC, GOOD_PAIR_SPEC, _edit
 
+from quasiq import circuitgen
 from quasiq.circuitgen import AncillaRestorationError, ResidualTermError, SimulationInvariantError
 from quasiq.exactnum import Amplitude
 from quasiq.harness import cli
@@ -26,8 +27,8 @@ from quasiq.harness.cli import (
 )
 from quasiq.harness.dsl import ParseError, parse_dsl
 from quasiq.harness.schema import SCHEMA
-from quasiq.quasistate import _NumeratorState
-from quasiq.verifierkit import allzero_verifier, language_pair, table_to_json
+from quasiq.quasistate import _NumeratorState, bits_of
+from quasiq.verifierkit import DualVerifierPair, allzero_verifier, language_pair, table_to_json
 
 
 def run_cli(capsys, *argv):
@@ -912,8 +913,11 @@ sys.exit(code)
 # Amplitude-building to_state gone), 119 more, and the spec and table schemas
 # loaded only for a spec or table file, 207 fewer: 2,690. With the CLI's construction
 # records folded into circuitgen.RUNS and verify's rows of a chunk made by one function,
-# 27 fewer: 2,663.
-LINES_BEFORE, LINES_MOVED_OUT = 3404, 741
+# 27 fewer: 2,663. With a chunk's x wires in the lanes, L(x) read once an input and passed
+# to the checks, and a fork's regrouping shared by the children that need it, 44 more, and
+# the StateVector methods no command calls, Amplitude.sign and the gate and circuit JSON
+# writers moved to quasiq.reference and quasiq.readers, 47 fewer: 2,660.
+LINES_BEFORE, LINES_MOVED_OUT = 3404, 744
 
 
 @pytest.mark.parametrize("argv", [
@@ -1300,3 +1304,79 @@ def test_every_canonical_amplitude_dump_reads_back(c0, c1, e):
         state = StateVector(2, {1: amp, 2: Amplitude(1, 0, 0)})
         assert StateVector.from_json(json.loads(json.dumps(state.to_json()))) == state
 
+
+
+# -- x wires in the lanes ---------------------------------------------------------------
+
+
+def _spec_files(tmp_path, kind):
+    """A spec path: a DSL lemma spec, a table-file pair, or that pair broken at one input,
+    so that rows in the middle of a chunk fail (a residual at 10, a duality error at 01)."""
+    if kind == "lemma-dsl":
+        spec = GOOD_LEMMA_SPEC
+    else:
+        tables = {"t0.json": table_to_json(LANGUAGE_PAIR.v0), "t1.json": table_to_json(LANGUAGE_PAIR.v1)}
+        if kind == "broken-pair":
+            tables["t1.json"]["table"].update({"10": ["00"], "01": []})
+        for name, table in tables.items():
+            (tmp_path / name).write_text(json.dumps(table), encoding="utf-8")
+        spec = {"name": kind, "n": {"min": 2, "max": 2}, "dual": "given-pair",
+                "verifier": {"kind": "table-file", "v0": "t0.json", "v1": "t1.json"},
+                "h": {"kind": "power", "M": 2, "t": {"a": 0, "b": 1}}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    *(["--problem", "parity", "--n", str(n)] for n in range(1, 8)),
+    ["--problem", "allzero", "--n", "3"],
+    ["--problem", "allzero", "--n", "4", "--corrupt-h"],
+    ["--problem", "parity", "--n", "3", "--construction", "lwpp", "--corrupt-h"],
+    ["--problem", "lemma-dsl", "--n", "2"],
+    ["--problem", "table-pair", "--n", "2"],
+    ["--problem", "broken-pair", "--n", "2"],
+], ids=lambda argv: "-".join(argv[1::2]))
+def test_verify_prints_the_same_with_x_in_the_lanes_and_out(monkeypatch, capsys, tmp_path, argv):
+    """verify's exit code, stdout and stderr do not depend on whether a chunk's x
+    wires join the lanes: forced out (X_LANES = 1) and in, as they go by default."""
+    if argv[1] in ("lemma-dsl", "table-pair", "broken-pair"):
+        argv = [argv[0], _spec_files(tmp_path, argv[1]), *argv[2:]]
+    n, inner = int(argv[3]), []
+    init = _NumeratorState.__init__
+
+    def recording(self, width, keys, wires=()):
+        init(self, width, keys, wires)
+        inner.append(any(w < n for w in self.inner))
+
+    monkeypatch.setattr(_NumeratorState, "__init__", recording)
+    outputs = []
+    for x_lanes in (1, circuitgen.X_LANES):
+        monkeypatch.setattr(circuitgen, "X_LANES", x_lanes)
+        outputs.append((run_cli(capsys, "verify", *argv), inner[:]))
+        inner.clear()
+    (off, off_inner), (on, on_inner) = outputs
+    assert on == off and on[0] in (EXIT_OK, EXIT_MISMATCH)
+    assert not any(off_inner) and all(on_inner)
+    if argv[1].endswith("spec.json") and "broken" in open(argv[1]).read():
+        assert on[0] == EXIT_MISMATCH and '"ok": false' in on[1]
+
+
+def test_verify_reads_l_of_x_once_an_input_and_builds_no_mass_amplitude(monkeypatch, capsys):
+    """verify reads L(x) once an input and passes it to every row's check; no row builds
+    a RunOutcome or a mass Amplitude: the only Amplitudes circuitgen makes are the
+    deciders' closed-form amplitudes h/2^m, one a decider row."""
+    reads, made = [], []
+    language_bit = DualVerifierPair.language_bit
+    monkeypatch.setattr(DualVerifierPair, "language_bit",
+                        lambda self, x: reads.append(x) or language_bit(self, x))
+    monkeypatch.setattr(circuitgen, "Amplitude", lambda *args: made.append(args) or Amplitude(*args))
+
+    def no_outcome(*args):
+        raise AssertionError("a verify row built a RunOutcome")
+
+    monkeypatch.setattr(circuitgen, "_outcome", no_outcome)
+    code, obj, _ = run_json(capsys, "verify", "--problem", "parity", "--n", "3")
+    assert code == EXIT_OK and obj["ok"] and len(obj["results"]) == 48
+    assert sorted(reads) == [bits_of(x, 3) for x in range(8)]
+    assert made == [(4, 0, 3)] * 16  # h(3) = 4 for parity at m = 3

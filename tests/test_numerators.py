@@ -33,6 +33,7 @@ from quasiq.quasistate import (
     bits_of,
     key_of,
 )
+from quasiq.reference import apply_by_reference
 from quasiq.verifierkit import Verifier, random_dual_pair, table_verifier
 
 from test_acceptance import all_inputs, builtin_pairs, lemma_pairs
@@ -838,7 +839,7 @@ def test_each_sector_of_a_batched_run_is_that_inputs_run(case):
     """Run on several inputs at once, as one state, a circuit that targets no
     x wire gives each input the final and recorded states of its run alone
     and of the reference, and so does a child forked from that batched run,
-    which keeps every x wire outer; a run that fails for some input fails."""
+    which keeps the parent's x lanes; a run that fails for some input fails."""
     parent, child, inputs, record = case
     n, width = len(inputs[0]), child.width
     try:
@@ -854,7 +855,10 @@ def test_each_sector_of_a_batched_run_is_that_inputs_run(case):
         patch.setattr(_NumeratorState, "fork",
                       lambda self, *args: fork(self, *args) or forked.append(self.inner))
         runs = [simulate_inputs(parent, inputs, True), simulate_inputs(child, inputs, record)]
-    assert len(forked) == 1 and min(forked[0], default=n) >= n
+    keys = [key_of(x) for x in inputs]  # the x wires from the first the inputs differ on join the lanes
+    x_lanes = list(range(n - max(key ^ keys[0] for key in keys).bit_length(), n))
+    assert len(forked) == 1 and [w for w in forked[0] if w < n] == x_lanes
+    assert [w for w in parent.last[1].inner if w < n] == x_lanes
     for circuit, wanted, batched in zip((parent, child), (True, record), runs):
         alone = Circuit(width, circuit.registers, circuit.gates, circuit.checkpoints)
         for x, states, (final, captured) in zip(inputs, expected, batched):
@@ -971,3 +975,155 @@ def test_numerator_reads_of_each_sector_of_a_batch_and_its_fork(case, data):
         for sector in (final, *captured.values()):
             check_reads(sector, data)
 
+
+
+# -- x wires in the lanes -------------------------------------------------------------
+
+
+def by_reference_states(width, keys, gates, inner):
+    """The kernel's state after each prefix of `gates`, every gate applied through
+    reference.apply_by_reference, from the sum of |key> over `keys`."""
+    kernel, states = _NumeratorState(width, keys, inner), []
+    for gate in gates:
+        apply_by_reference(kernel, gate)
+        states.append(kernel.to_state())
+    return states
+
+
+def check_sectors(kernel, reference, n):
+    """Each input's sector of the kernel state holds the reference terms whose x is that input."""
+    shift = kernel.width - n
+    xs = list(range(2**n))
+    for x, sector in zip(xs, kernel.sectors(xs, shift)):
+        assert all(key >> shift == x for key in sector)
+        assert Numerators(kernel.width, kernel.k, sector).to_state() == reference.filter_terms(
+            lambda key: key >> shift == x), x
+
+
+@st.composite
+def x_lane_cases(draw):
+    """Gates that target no x wire, run on several distinct inputs as one state whose inner
+    wires are the low k of the n x wires (k from none to all) and some of the other wires."""
+    n = draw(st.integers(1, 3))
+    width = n + draw(st.integers(2, 3))
+    gates = draw(st.lists(gate_off_x(n, width), min_size=1, max_size=10))
+    k = draw(st.integers(0, n))
+    inner = set(range(n - k, n)) | draw(st.sets(st.integers(n, width - 1)))
+    xs = draw(st.lists(st.integers(0, 2**n - 1), min_size=2, unique=True))
+    return width, n, [x << width - n for x in xs], gates, inner
+
+
+@settings(max_examples=300, deadline=None)
+@given(x_lane_cases())
+def test_x_wires_in_the_lanes_match_the_reference_gate_by_gate(case):
+    """With none, some or all x wires inner, each gate leaves the state that
+    StateVector.apply and reference.apply_by_reference leave, and each input's
+    sector holds that input's terms."""
+    width, n, keys, gates, inner = case
+    kernel = check_against_reference(width, keys, gates, inner)
+    if kernel is None:  # a gate failed, as it does in the reference
+        return
+    expected = by_reference_states(width, keys, gates, inner)
+    assert kernel.to_state() == expected[-1]
+    check_sectors(kernel, expected[-1], n)
+
+
+@pytest.mark.parametrize("x_inner", [0, 1, 2, 3])
+def test_an_oracle_under_a_c_control_reads_x_from_the_lanes_and_the_keys(monkeypatch, x_inner):
+    """un's two oracles, under c = 0 and c = 1, on all eight inputs of three x wires
+    whose low x_inner ones are inner: the lanes apply them, x read partly from the
+    block's key and partly from the lane range, and match the reference."""
+    rng = random.Random(3)
+    n, m = 3, 2
+    tables = [{x: frozenset(b for b in range(4) if rng.getrandbits(1))
+               for x in itertools.product((0, 1), repeat=n)} for _ in range(2)]
+    v0, v1 = (table_verifier(n, m, table) for table in tables)
+    x_wires, b_wires, c, a = (0, 1, 2), (3, 4), 5, 6
+    gates = [Gate.h(3), Gate.h(4), Gate.h(c), Gate.oracle(v0, x_wires, b_wires, a, ((c, 0),)),
+             Gate.oracle(v1, x_wires, b_wires, a, ((c, 1),)), Gate.h(3), Gate.h(4), Gate.h(a)]
+    keys = [x << 4 for x in range(8)]
+    inner = set(range(n - x_inner, n)) | {3, 4, c, a}
+
+    def refuse(self, gate, *_):
+        raise AssertionError(f"{gate.kind} went through the reference")
+
+    monkeypatch.setattr(_NumeratorState, "_by_reference", refuse)
+    kernel = check_against_reference(7, keys, gates, inner)
+    assert len(kernel.blocks) == 2 ** (n - x_inner)
+    check_sectors(kernel, reference_states_of_sum(7, keys, gates), n)
+
+
+def reference_states_of_sum(width, keys, gates):
+    """StateVector.apply's final state from the sum of |key> over `keys`."""
+    state = StateVector(width, dict.fromkeys(keys, Amplitude(1, 0, 0)))
+    for gate in gates:
+        state = state.apply(gate)
+    return state
+
+
+@pytest.mark.parametrize("tail, regroups", [
+    ((Gate.x(4), Gate.h(3), Gate.cnot(2, 4)), False),
+    ((Gate.x(5), Gate.h(4, ((5, 1),))), True),
+], ids=["blocks-carry-over", "regrouped"])
+def test_a_child_of_an_x_inner_parent_keeps_its_x_lanes(monkeypatch, tail, regroups):
+    """A parent run on all eight inputs holds its x wires in the lanes; its child
+    starts on the same x lanes, with the parent's blocks when its other inner wires
+    are the parent's, and regrouped when they are not; a sibling on the same wires
+    takes that regrouping instead of making its own. Each input's run equals its
+    cold run alone and the reference."""
+    verifier = table_verifier(3, 1, {x: frozenset({sum(x) % 2}) for x in itertools.product((0, 1), repeat=3)})
+    head = (Gate.h(3), Gate.h(4), Gate.oracle(verifier, (0, 1, 2), (3,), 4), Gate.h(3))
+    parent = Circuit(6, {"x": (0, 3)}, head, forks=True)
+    child = Circuit(6, parent.registers, head + tail, parent=parent)
+    inputs = list(itertools.product((0, 1), repeat=3))
+    simulate_inputs(parent, inputs)
+    held, forked = [], []
+    hold, fork = _NumeratorState.hold, _NumeratorState.fork
+    monkeypatch.setattr(_NumeratorState, "hold", lambda self, *args: held.append(self.inner) or hold(self, *args))
+    monkeypatch.setattr(_NumeratorState, "fork", lambda self, *args: fork(self, *args) or forked.append(self.inner))
+    runs = simulate_inputs(child, inputs)
+    assert parent.last[1].inner == (0, 1, 2, 3, 4) and len(forked) == 1 and forked[0][:3] == (0, 1, 2)
+    assert held == ([forked[0]] if regroups else []) and (forked[0] == parent.last[1].inner) != regroups
+    sibling = Circuit(6, parent.registers, child.gates + (Gate.x(5),), parent=parent)
+    runs += simulate_inputs(sibling, inputs)
+    assert held == ([forked[0]] if regroups else []) and forked[1] == forked[0]
+    for circuit, x, (final, _) in zip([child] * 8 + [sibling] * 8, inputs * 2, runs):
+        assert final == cold_run(circuit, x) == reference_states(6, key_of(x) << 3, circuit.gates)[-1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_x_lanes_of_every_width_match_the_reference(x_inner, data):
+    """A G gate widens the lanes of a state of several inputs, with x wires inner, to
+    1, 2, 4, 8 or more bytes; the oracle, Hadamards and sectors that follow match
+    the reference."""
+    n, width, sizes = 3, 7, set()
+    table = {x: frozenset(b for b in range(4) if data.draw(st.booleans()))
+             for x in itertools.product((0, 1), repeat=n)}
+    xs = data.draw(st.lists(st.integers(0, 7), min_size=2, unique=True))
+    keys = [x << 4 for x in xs]
+    for bits in (0, 6, 20, 40, 100):
+        gates = [Gate.h(3), Gate.h(4), Gate.h(5), Gate.g(3, 2**bits + 1),
+                 Gate.oracle(table_verifier(n, 2, table), (0, 1, 2), (3, 4), 6, ((5, 1),)),
+                 Gate.h(4), Gate.h(6)]
+        kernel = check_against_reference(width, keys, gates, set(range(n - x_inner, n)) | {3, 4, 5, 6})
+        check_sectors(kernel, reference_states_of_sum(width, keys, gates), n)
+        sizes.add(kernel.size)
+    assert {1, 2, 4, 8} < sizes and max(sizes) > 8
+
+
+@pytest.mark.parametrize("child", [False, True], ids=["one-construction", "forked-child"])
+def test_repeated_inputs_are_refused_by_name_before_any_state_is_built(monkeypatch, child):
+    """Two equal inputs would merge into one sector, or double one amplitude: the run
+    refuses them, naming the input, before a kernel state exists."""
+    pair = builtin_pairs()[-1][0]
+    un, wn = build_un(pair, pair.n), build_wn(pair, pair.n)
+    inputs = [bits_of(key, pair.n) for key in range(2**pair.n)]
+    simulate_inputs(un, inputs)
+    made = []
+    init = _NumeratorState.__init__
+    monkeypatch.setattr(_NumeratorState, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    repeated = inputs + [inputs[1]]
+    with pytest.raises(ValueError, match=f"input {''.join(map(str, inputs[1]))} is given more than once"):
+        simulate_inputs(wn if child else un, repeated)
+    assert made == []
