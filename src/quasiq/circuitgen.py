@@ -34,8 +34,8 @@ from types import MappingProxyType
 from weakref import WeakKeyDictionary
 
 from quasiq.exactnum import HALF, ONE, ZERO, Amplitude
-from quasiq.quasistate import (Gate, ProjectionError, StateVector, _amplitude, _NumeratorState, bits_label,
-                               key_of, label_of, record)
+from quasiq.quasistate import (Gate, ProjectionError, _amplitude, _NumeratorState, bits_label, key_of,
+                               label_of, record)
 from quasiq.verifierkit import DualVerifierPair, HalfGapFunction
 
 VERDICT_YES = "YES"
@@ -147,7 +147,7 @@ def gate_alphabet(circuit: Circuit) -> set[str]:
 
 def simulate_circuit(circuit: Circuit, x_bits, record=False) -> tuple[Numerators, dict]:
     """Run the circuit on |x>|0...0> and capture checkpoint states, as the kernel's
-    numerators; each builds its StateVector when first read as one.
+    numerators; each builds its quasiq.reference.StateVector when first read as one.
 
     record: False for none, True for all checkpoints, or an iterable of labels.
     """
@@ -217,8 +217,9 @@ def _negative(a: int, b: int) -> bool:
 
 class Numerators:
     """A state as the kernel leaves it: `numerators` maps each live key to the ints (c0, c1)
-    of its amplitude (c0 + c1*sqrt(2)) / sqrt(2)**k. The runs' checks read it in integers;
-    any other StateVector read (`match`, `to_json`, `==`, ...) builds the StateVector once."""
+    of its amplitude (c0 + c1*sqrt(2)) / sqrt(2)**k. The runs' checks read it in integers,
+    and `to_json` writes the state's dump from it; any other StateVector read (`match`,
+    `==`, ...) builds quasiq.reference's StateVector once."""
 
     __slots__ = ("width", "k", "numerators", "_state")
 
@@ -253,10 +254,15 @@ class Numerators:
         shift = self.width - 1 - wire
         return {key >> shift & 1 for key in self.numerators if key & mask == value}
 
-    def to_state(self) -> StateVector:
+    def to_json(self) -> list[dict]:
+        """StateVector.to_json's dump: the live terms in key order, each amplitude exact."""
+        return [{"basis": label_of(key, self.width), "amp": _amplitude(*self.numerators[key], self.k).to_json()}
+                for key in sorted(self.numerators)]
+
+    def to_state(self):
         if self._state is None:
-            self._state = StateVector(self.width)
-            self._state.terms = {key: _amplitude(c0, c1, self.k) for key, (c0, c1) in self.numerators.items()}
+            from quasiq.reference import StateVector
+            self._state = StateVector.of_numerators(self.width, self.k, self.numerators)
         return self._state
 
     def __getattr__(self, name: str):
@@ -281,7 +287,7 @@ class RunOutcome(record("RunOutcome", "construction input verdict answer success
     """Result of one simulation: exact masses, verdict (answer None when the
     run certified none), the final state on `width` wires, and the checkpoint
     states by label (none by default). A run's states are the kernel's
-    Numerators, which build their StateVector when first read as one."""
+    Numerators, which build their StateVector when first read as one (to_json does not)."""
 
     __slots__ = ()
 
@@ -482,7 +488,6 @@ def check_un(pair: DualVerifierPair, circuit: Circuit, x_bits, lx, final: Numera
     oracle's delta_c on |c 1>, the norm must stay 1, and the rest of the
     state must carry mass below 1/2.
     """
-    lx = pair.language_bit(tuple(x_bits)) if lx is None else lx
     prefix = key_of(x_bits) << (pair.m + 2)  # |x 0^m 0 0>
     gap_block = ((1 << final.width) - 1) ^ 0b10, prefix | 1  # |x 0^m * 1>
     (s0, s1), (f0, f1) = final.masses(*gap_block)  # over 2**k
@@ -514,7 +519,6 @@ def check_zqp(pair: DualVerifierPair, circuit: Circuit, x_bits, lx, final: Numer
     checked to carry zero mass on the wrong answer, and the success mass must
     be the square of the oracle's live delta.
     """
-    lx = pair.language_bit(tuple(x_bits)) if lx is None else lx  # DualityError on an invalid pair
     if not final.numerators:
         raise ProjectionError("cannot project the zero state")
     a, s = (1 << final.width - 1 - circuit.wire(name) for name in "as")
@@ -537,7 +541,6 @@ def check_posteqp(pair: DualVerifierPair, circuit: Circuit, x_bits, lx, final: N
     """The postselected answer and outcome, a projected onto 1: the conditional state must
     be supported entirely on the correct answer and have nonzero mass. Its outcome reads the
     pre-projection state at checkpoint "cycled" to report the rejected mass."""
-    lx = pair.language_bit(tuple(x_bits)) if lx is None else lx
     if not final.numerators:  # the mass is zero
         raise PostselectionError(
             f"postselection mass is zero at x = {bits_label(x_bits)} "
@@ -568,7 +571,6 @@ def check_wn(pair: DualVerifierPair, circuit: Circuit, x_bits, lx, final: Numera
     success_mass is the mass of the s = 1 (gap-indicator) component; the
     answer is that component's c bit.
     """
-    lx = pair.language_bit(tuple(x_bits)) if lx is None else lx
     check_ancillas_restored(final, circuit)
     if not final.numerators:
         raise ProjectionError("cannot project the zero state")
@@ -601,7 +603,6 @@ def _check_decider(construction: str, mismatch: str, pair: DualVerifierPair, x_b
         residuals = residuals or [label_of(key, final.width) for key in keys]
         raise ResidualTermError(f"decider output is not a single clean term at x = "
                                 f"{bits_label(x_bits)}; residual terms: {residuals}", residuals)
-    lx = pair.language_bit(tuple(x_bits)) if lx is None else lx
     if not final.holds(decider_term(pair, x_bits, lx, h)):
         raise SimulationInvariantError(mismatch)
     return lx, lambda: _outcome(construction, x_bits, final, captured, lx,
@@ -611,10 +612,10 @@ def _check_decider(construction: str, mismatch: str, pair: DualVerifierPair, x_b
 class Construction(record("Construction", "build reads check witness", (None,))):
     """One construction: build(pair, *witness), the circuit it runs; reads, the checkpoints
     its check reads, recorded or not; check(pair, circuit, x_bits, lx, final, captured,
-    *witness), one input's run checked against the oracle, L(x) read there if lx is None:
-    its answer and a function that makes its RunOutcome; and witness, the half-gap witness
-    it reads: None, "value" for h(n), or "power" for the form M**t. Its run_* is one input's
-    run and check; verify runs the circuit once a chunk of inputs and the check once a row."""
+    *witness), one input's run checked against the oracle and L(x) = lx: its answer and a
+    function that makes its RunOutcome; and witness, the half-gap witness it reads: None,
+    "value" for h(n), or "power" for the form M**t. Its run_* is one input's run and check;
+    verify runs the circuit once a chunk of inputs and the check once a row."""
 
     __slots__ = ()
 
@@ -655,7 +656,8 @@ def _run(construction: str, pair: DualVerifierPair, x_bits, record, *witness) ->
     run = RUNS[construction]
     circuit = run.build(pair, *witness)
     final, captured = simulate_circuit(circuit, x_bits, True if record is True else {*(record or ()), *run.reads})
-    outcome = run.check(pair, circuit, x_bits, None, final, captured, *witness)[1]()
+    lx = pair.language_bit(tuple(x_bits))  # a DualityError here, before any check reads the run
+    outcome = run.check(pair, circuit, x_bits, lx, final, captured, *witness)[1]()
     if record is True or not run.reads:
         return outcome
     return outcome._replace(checkpoints={k: v for k, v in captured.items() if k in set(record or ())})

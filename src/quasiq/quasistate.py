@@ -1,4 +1,4 @@
-"""Sparse exact statevector and the full gate alphabet.
+"""The full gate alphabet and the integer kernel that runs circuits of it.
 
 Basis states are ints whose binary rendering (zero-padded to the wire count)
 is the basis label: wire 0 is the leftmost character, so numeric order of
@@ -16,9 +16,11 @@ Circuits run on a private kernel (_NumeratorState, at the end of this
 module): integer numerators over one shared power of sqrt(2), packed in lanes
 of ints over the wires H gates target. Its one entry point, `run`, applies
 each run of H gates as one layer of butterflies, each run of equal B, G or A
-gates as one diagonal pass, and every other gate by its family. StateVector.apply
-is the per-gate reference it is tested against; its code is in quasiq.reference,
-which also applies to the kernel's state the gates no construction makes.
+gates as one diagonal pass, and every other gate by its family. The reference
+state it is tested against, StateVector, and its per-gate apply live in
+quasiq.reference, which also applies to the kernel's state the gates no
+construction makes; this module gives StateVector under its old name only
+through __getattr__, so importing it loads no reference.
 """
 from __future__ import annotations
 
@@ -27,9 +29,9 @@ from collections import defaultdict, namedtuple
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from quasiq.exactnum import ONE, ZERO, Amplitude
+from quasiq.exactnum import Amplitude
 
 
 class WireError(ValueError):
@@ -73,7 +75,7 @@ def key_of_label(label: str) -> int:
 # kinds no construction makes). inverse: the inverse kind, None for a projector.
 # sign: what S and D add into their target times the source, +1 or -1. arity:
 # the wire count, None for any. param: the _Param of the kind's parameter, None
-# for a kind without one. StateVector.apply reads none of it.
+# for a kind without one. The reference's apply_gate reads none of it.
 _Kind = namedtuple("_Kind", "family inverse sign arity param", defaults=(0, 1, None))
 # A parameter's codec, to_json and from_json(obj, verifiers), and the type
 # test `accepts` that Gate applies when made, with `what` naming the type.
@@ -284,110 +286,13 @@ class Gate(record("Gate", "kind wires controls param")):
         return gate_from_json(cls, obj, verifiers)
 
 
-class StateVector:
-    """Map from basis keys to nonzero amplitudes over a fixed wire count. The methods
-    no command calls run in quasiq.reference."""
-
-    __slots__ = ("width", "terms")
-
-    def __init__(self, width: int, terms: dict[int, Amplitude] | None = None):
-        self.width = width
-        self.terms = {k: a for k, a in (terms or {}).items() if not a.is_zero()}
-
-    @classmethod
-    def basis(cls, width: int, key: int | str, amp: Amplitude = ONE) -> StateVector:
-        from quasiq.reference import state_basis
-        return state_basis(cls, width, key, amp)
-
-    # -- inspection ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def amplitude(self, key: int | str) -> Amplitude:
-        if isinstance(key, str):
-            key = key_of_label(key)
-        return self.terms.get(key, ZERO)
-
-    def items_sorted(self) -> list[tuple[int, Amplitude]]:
-        return sorted(self.terms.items())
-
-    def labels(self) -> list[str]:
-        return [label_of(k, self.width) for k, _ in self.items_sorted()]
-
-    def match(self, pattern: str) -> list[tuple[int, Amplitude]]:
-        """All stored terms matching the wildcard pattern, in lexicographic order."""
-        from quasiq.reference import state_match
-        return state_match(self, pattern)
-
-    def norm_sq(self) -> Amplitude:
-        """The sum of the squared amplitudes."""
-        from quasiq.reference import state_norm_sq
-        return state_norm_sq(self)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return self.width == other.width and self.terms == other.terms
-
-    def __iter__(self) -> Iterator[tuple[int, Amplitude]]:
-        return iter(self.items_sorted())
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __repr__(self) -> str:
-        from quasiq.reference import state_repr
-        return state_repr(self)
-
-    # -- linear structure ------------------------------------------------------
-
-    def __add__(self, other: StateVector) -> StateVector:
-        from quasiq.reference import state_add
-        return state_add(self, other)
-
-    def scale(self, factor: Amplitude) -> StateVector:
-        return StateVector(self.width, {k: a * factor for k, a in self.terms.items()})
-
-    def filter_terms(self, keep) -> StateVector:
-        return StateVector(self.width, {k: a for k, a in self.terms.items() if keep(k)})
-
-    def append_wires(self, count: int) -> StateVector:
-        """Tensor with |0...0> on new trailing wires."""
-        return StateVector(self.width + count, {k << count: a for k, a in self.terms.items()})
-
-    # -- gate application ------------------------------------------------------
-
-    def apply(self, gate: Gate) -> StateVector:
-        """The per-gate reference the kernel is tested against (quasiq.reference)."""
-        from quasiq.reference import apply_gate
-        return apply_gate(self, gate)
-
-    # -- projection --------------------------------------------------------------
-
-    def project(self, wire: int, value: int) -> tuple[Amplitude, StateVector]:
-        """Project onto wire == value.
-
-        Returns (success_mass, conditional): the squared norm of the projected
-        component and the projected state left unnormalized, so probabilities
-        stay exact ratios.
-        """
-        from quasiq.reference import state_project
-        return state_project(self, wire, value)
-
-    # -- serialization --------------------------------------------------------------
-
-    def to_json(self) -> list[dict]:
-        """Lexicographically sorted dump; byte-stable for golden tests."""
-        return [
-            {"basis": label_of(k, self.width), "amp": a.to_json()}
-            for k, a in self.items_sorted()
-        ]
-
-    @classmethod
-    def from_json(cls, entries: list[dict], width: int | None = None) -> StateVector:
-        from quasiq.readers import state_from_json
-        return state_from_json(cls, entries, width)
+def __getattr__(name: str):
+    """quasiq.reference.StateVector, the one name kept here for callers that import it
+    from this module; it loads the reference on first use."""
+    if name != "StateVector":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from quasiq.reference import StateVector
+    return StateVector
 
 
 def _amplitude(c0: int, c1: int, k: int) -> Amplitude:
@@ -507,10 +412,10 @@ class _NumeratorState:
                     {key | offsets[i]: (v0[i], v1[i]) for i in compress(range(r, r + per), live)})
         return [parts.get(key, {}) for key in keys]
 
-    def to_state(self) -> StateVector:
-        state, (live,) = StateVector(self.width), self.sectors((0,), self.width)
-        state.terms = {key: _amplitude(c0, c1, self.k) for key, (c0, c1) in live.items()}
-        return state
+    def to_state(self):
+        """The state as quasiq.reference's StateVector."""
+        from quasiq.reference import StateVector
+        return StateVector.of_numerators(self.width, self.k, self.sectors((0,), self.width)[0])
 
     def _fit(self, grow: int) -> None:
         """Make room for numerators `grow` bits longer in the narrowest lanes of 1, 2, 4,

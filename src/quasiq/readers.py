@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 
 from quasiq.exactnum import Amplitude
-from quasiq.quasistate import _KINDS, Gate, StateVector, key_of_label
+from quasiq.quasistate import _KINDS, Gate, key_of_label
+from quasiq.reference import StateVector
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 

@@ -1,21 +1,157 @@
 """Code that no command runs, compiled only by a caller that uses it: the
-per-gate reference simulator, and the kernel's way to apply through it the
-gates no construction makes; the StateVector methods no command calls (basis,
-match and its wildcard patterns, norm_sq, project, repr and +); the Amplitude
-operations that only it and people reading results need (exact division, the
-sign, the display form); the DSL's one-branch evaluator and printer.
+reference state, `StateVector`, and the per-gate simulator it applies gates
+with; the kernel's way to apply through it the gates no construction makes;
+the Amplitude operations that only it and people reading results need (exact
+division, the sign, the display form); the DSL's one-branch evaluator and
+printer.
 
 Circuits run on quasistate's integer kernel, which the tests check against
-`apply_gate` term by term. StateVector.apply and the methods above,
-Amplitude.div_exact, sign and __str__, the DSL module's eval_dsl and
-print_dsl, and the kernel's N, inverse diagonal kinds and other ORACLE and
-PERM layouts delegate here.
+`apply_gate` term by term. A state the kernel leaves is read as a StateVector
+only by a test, a reader or a failing check's message: a command prints it
+from the numerators (circuitgen.Numerators.to_json). Amplitude.div_exact,
+sign and __str__, the DSL module's eval_dsl and print_dsl, and the kernel's N,
+inverse diagonal kinds and other ORACLE and PERM layouts delegate here.
 """
 from __future__ import annotations
 
-from quasiq.exactnum import HALF, INV_SQRT2, ZERO, Amplitude, ExactDivisionError
+from typing import Iterator
+
+from quasiq.exactnum import HALF, INV_SQRT2, ONE, ZERO, Amplitude, ExactDivisionError
 from quasiq.harness.dsl_language import _OPS, _PRECEDENCE, BinOp, Bits, DslExpr, Lit, Not, Parity, Ref
-from quasiq.quasistate import Gate, ProjectionError, StateVector, WireError, key_of_label, label_of
+from quasiq.quasistate import Gate, ProjectionError, WireError, _amplitude, key_of_label, label_of
+
+
+class StateVector:
+    """Map from basis keys to nonzero amplitudes over a fixed wire count."""
+
+    __slots__ = ("width", "terms")
+
+    def __init__(self, width: int, terms: dict[int, Amplitude] | None = None):
+        self.width = width
+        self.terms = {k: a for k, a in (terms or {}).items() if not a.is_zero()}
+
+    @classmethod
+    def basis(cls, width: int, key: int | str, amp: Amplitude = ONE) -> StateVector:
+        if isinstance(key, str):
+            if len(key) != width:
+                raise WireError(f"label width {len(key)} != state width {width}")
+            key = key_of_label(key)
+        return cls(width, {key: amp})
+
+    @classmethod
+    def of_numerators(cls, width: int, k: int, numerators: dict[int, tuple[int, int]]) -> StateVector:
+        """The state of a kernel read: each key's amplitude (c0 + c1*sqrt(2)) / sqrt(2)**k,
+        of the (c0, c1) `numerators` holds for it, none both zero."""
+        state = cls(width)
+        state.terms = {key: _amplitude(c0, c1, k) for key, (c0, c1) in numerators.items()}
+        return state
+
+    # -- inspection ----------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def amplitude(self, key: int | str) -> Amplitude:
+        if isinstance(key, str):
+            key = key_of_label(key)
+        return self.terms.get(key, ZERO)
+
+    def items_sorted(self) -> list[tuple[int, Amplitude]]:
+        return sorted(self.terms.items())
+
+    def labels(self) -> list[str]:
+        return [label_of(k, self.width) for k, _ in self.items_sorted()]
+
+    def match(self, pattern: str) -> list[tuple[int, Amplitude]]:
+        """All stored terms matching the wildcard pattern, in lexicographic order."""
+        if len(pattern) != self.width:
+            raise WireError(f"pattern width {len(pattern)} != state width {self.width}")
+        mask, value = compile_pattern(pattern)
+        return sorted((k, a) for k, a in self.terms.items() if k & mask == value)
+
+    def norm_sq(self) -> Amplitude:
+        """The sum of the squared amplitudes, added in integers over the
+        largest exponent: (c0 + c1*sqrt2)**2 = c0**2 + 2*c1**2 + 2*c0*c1*sqrt2."""
+        top = max((a.e for a in self.terms.values()), default=0)
+        s0 = s1 = 0
+        for a in self.terms.values():
+            shift = 2 * (top - a.e)
+            s0 += (a.c0 * a.c0 + 2 * a.c1 * a.c1) << shift
+            s1 += a.c0 * a.c1 << shift + 1
+        return Amplitude(s0, s1, 2 * top)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return self.width == other.width and self.terms == other.terms
+
+    def __iter__(self) -> Iterator[tuple[int, Amplitude]]:
+        return iter(self.items_sorted())
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    def __repr__(self) -> str:
+        body = " + ".join(f"{a}|{label_of(k, self.width)}>" for k, a in self.items_sorted())
+        return f"StateVector({body or '0'})"
+
+    # -- linear structure ------------------------------------------------------
+
+    def __add__(self, other: StateVector) -> StateVector:
+        if self.width != other.width:
+            raise WireError("width mismatch in superposition")
+        out = dict(self.terms)
+        for k, a in other.terms.items():
+            out[k] = out.get(k, ZERO) + a
+        return StateVector(self.width, out)
+
+    def scale(self, factor: Amplitude) -> StateVector:
+        return StateVector(self.width, {k: a * factor for k, a in self.terms.items()})
+
+    def filter_terms(self, keep) -> StateVector:
+        return StateVector(self.width, {k: a for k, a in self.terms.items() if keep(k)})
+
+    def append_wires(self, count: int) -> StateVector:
+        """Tensor with |0...0> on new trailing wires."""
+        return StateVector(self.width + count, {k << count: a for k, a in self.terms.items()})
+
+    # -- gate application ------------------------------------------------------
+
+    def apply(self, gate: Gate) -> StateVector:
+        """The per-gate reference the kernel is tested against."""
+        return apply_gate(self, gate)
+
+    # -- projection --------------------------------------------------------------
+
+    def project(self, wire: int, value: int) -> tuple[Amplitude, StateVector]:
+        """Project onto wire == value.
+
+        Returns (success_mass, conditional): the squared norm of the projected
+        component and the projected state left unnormalized, so probabilities
+        stay exact ratios.
+        """
+        if self.is_zero():
+            raise ProjectionError("cannot project the zero state")
+        if not 0 <= wire < self.width:
+            raise WireError(f"wire {wire} out of range for width {self.width}")
+        m = 1 << (self.width - 1 - wire)
+        want = m if value else 0
+        conditional = self.filter_terms(lambda k: k & m == want)
+        return conditional.norm_sq(), conditional
+
+    # -- serialization --------------------------------------------------------------
+
+    def to_json(self) -> list[dict]:
+        """Lexicographically sorted dump; byte-stable for golden tests."""
+        return [
+            {"basis": label_of(k, self.width), "amp": a.to_json()}
+            for k, a in self.items_sorted()
+        ]
+
+    @classmethod
+    def from_json(cls, entries: list[dict], width: int | None = None) -> StateVector:
+        from quasiq.readers import state_from_json
+        return state_from_json(cls, entries, width)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -93,61 +229,6 @@ def apply_by_reference(kernel, gate: Gate) -> None:
     terms = apply_gate(kernel.to_state(), gate).terms
     e = max((amp.e for amp in terms.values()), default=0)
     kernel.hold({key: (amp.c0 << e - amp.e, amp.c1 << e - amp.e) for key, amp in terms.items()}, 2 * e)
-
-
-# -- StateVector operations no command calls ------------------------------------------
-
-
-def state_basis(cls, width: int, key: int | str, amp: Amplitude) -> StateVector:
-    if isinstance(key, str):
-        if len(key) != width:
-            raise WireError(f"label width {len(key)} != state width {width}")
-        key = key_of_label(key)
-    return cls(width, {key: amp})
-
-
-def state_match(state: StateVector, pattern: str) -> list[tuple[int, Amplitude]]:
-    if len(pattern) != state.width:
-        raise WireError(f"pattern width {len(pattern)} != state width {state.width}")
-    mask, value = compile_pattern(pattern)
-    return sorted((k, a) for k, a in state.terms.items() if k & mask == value)
-
-
-def state_norm_sq(state: StateVector) -> Amplitude:
-    """The sum of the squared amplitudes, added in integers over the
-    largest exponent: (c0 + c1*sqrt2)**2 = c0**2 + 2*c1**2 + 2*c0*c1*sqrt2."""
-    top = max((a.e for a in state.terms.values()), default=0)
-    s0 = s1 = 0
-    for a in state.terms.values():
-        shift = 2 * (top - a.e)
-        s0 += (a.c0 * a.c0 + 2 * a.c1 * a.c1) << shift
-        s1 += a.c0 * a.c1 << shift + 1
-    return Amplitude(s0, s1, 2 * top)
-
-
-def state_repr(state: StateVector) -> str:
-    body = " + ".join(f"{a}|{label_of(k, state.width)}>" for k, a in state.items_sorted())
-    return f"StateVector({body or '0'})"
-
-
-def state_add(state: StateVector, other: StateVector) -> StateVector:
-    if state.width != other.width:
-        raise WireError("width mismatch in superposition")
-    out = dict(state.terms)
-    for k, a in other.terms.items():
-        out[k] = out.get(k, ZERO) + a
-    return StateVector(state.width, out)
-
-
-def state_project(state: StateVector, wire: int, value: int) -> tuple[Amplitude, StateVector]:
-    if state.is_zero():
-        raise ProjectionError("cannot project the zero state")
-    if not 0 <= wire < state.width:
-        raise WireError(f"wire {wire} out of range for width {state.width}")
-    m = 1 << (state.width - 1 - wire)
-    want = m if value else 0
-    conditional = state.filter_terms(lambda k: k & m == want)
-    return conditional.norm_sq(), conditional
 
 
 # A pattern's mask bits and value bits; any other character passes through.

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from test_acceptance import all_inputs, builtin_pairs, lemma_pairs
 
 from quasiq.exactnum import HALF, ONE, ZERO, Amplitude
-from quasiq.quasistate import Gate, StateVector, _NumeratorState, bits_label, bits_of, key_of
+from quasiq.quasistate import Gate, _NumeratorState, bits_label, bits_of, key_of
+from quasiq.reference import StateVector
 from quasiq.verifierkit import (
     DualityError,
     DualVerifierPair,

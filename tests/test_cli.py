@@ -18,6 +18,7 @@ from quasiq.circuitgen import AncillaRestorationError, ResidualTermError, Simula
 from quasiq.exactnum import Amplitude
 from quasiq.harness import cli
 from quasiq.harness.cli import (
+    CONSTRUCTIONS,
     EXIT_BROKEN_PIPE,
     EXIT_INTERNAL,
     EXIT_MISMATCH,
@@ -188,19 +189,23 @@ def test_compact_json_flag(capsys):
     assert json.loads(out)["reports"][0]["Delta"] == 0
 
 
-def test_simulate_invalid_pair_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_simulate_invalid_pair_is_usage_error(tmp_path, capsys, construction):
+    """Every construction reads L(x) before its check reads the run, so a pair
+    that is not dual is a usage error, not a decider's residual terms."""
     spec = {
         "name": "not-dual",
         "n": {"min": 1, "max": 1},
         "m": {"affine": {"a": 0, "b": 2}},
         "verifier": {"kind": "dsl", "v0": "b[0]", "v1": "b[0]"},
+        "h": {"kind": "power", "M": 2, "t": {"a": 0, "b": 1}},
         "dual": "given-pair",
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     code, _, err = run_cli(
         capsys, "simulate", "--problem", str(path), "--input", "0",
-        "--construction", "fig3-zqp")
+        "--construction", construction)
     assert code == EXIT_USAGE
     assert "not dual" in err
 
@@ -916,15 +921,19 @@ sys.exit(code)
 # 27 fewer: 2,663. With a chunk's x wires in the lanes, L(x) read once an input and passed
 # to the checks, and a fork's regrouping shared by the children that need it, 44 more, and
 # the StateVector methods no command calls, Amplitude.sign and the gate and circuit JSON
-# writers moved to quasiq.reference and quasiq.readers, 47 fewer: 2,660.
-LINES_BEFORE, LINES_MOVED_OUT = 3404, 744
+# writers moved to quasiq.reference and quasiq.readers, 47 fewer: 2,660. With the whole
+# StateVector class in quasiq.reference and a printed state written from the numerators, 93
+# fewer: 2,567.
+LINES_BEFORE, LINES_MOVED_OUT = 3404, 837
 
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--problem", "allzero", "--input", "000", "--construction", "un", "--json"],
     ["gap", "--problem", "parity", "--input", "0", "--json"],
     ["verify", "--problem", "parity", "--n", "3", "--json"],
-], ids=["simulate", "gap", "verify"])
+    ["simulate", "--problem", "allzero", "--input", "00", "--construction", "lwpp", "--dump-state",
+     "--checkpoints", "--json"],
+], ids=["simulate", "gap", "verify", "simulate-dump"])
 def test_a_command_loads_no_deferred_module(argv):
     proc = run_fresh(LOAD_PROBE, *argv)
     assert proc.returncode == EXIT_OK, proc.stderr
@@ -959,14 +968,14 @@ def test_every_construction_runs_on_the_lanes(tmp_path, verifier, tables):
     assert "quasiq.reference" not in json.loads(loaded)["modules"]
 
 
-# Runs the CLI with StateVector.__init__ and the kernel's to_state counted, then
-# prints the counts and whether the per-gate reference loaded.
+# Runs the CLI with the kernel's to_state counted, then prints the count and whether
+# quasiq.reference loaded: StateVector lives there, so a command that leaves it
+# unloaded made no StateVector.
 STATE_PROBE = """
 import json, sys
-from quasiq.quasistate import StateVector, _NumeratorState
+from quasiq.quasistate import _NumeratorState
 made = []
-init, to_state = StateVector.__init__, _NumeratorState.to_state
-StateVector.__init__ = lambda self, *args: made.append("StateVector") or init(self, *args)
+to_state = _NumeratorState.to_state
 _NumeratorState.to_state = lambda self: made.append("to_state") or to_state(self)
 from quasiq.harness.cli import main
 code = main(sys.argv[1:])
@@ -995,8 +1004,23 @@ def test_verify_checks_numerators_and_builds_no_state(tmp_path, table):
     assert json.loads(probe) == {"made": [], "reference": False}
 
 
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_simulate_prints_its_states_from_the_numerators(construction):
+    """simulate --dump-state --checkpoints writes every state it prints from
+    the kernel's numerators: no to_state runs and the reference does not load."""
+    proc = run_fresh(STATE_PROBE, "simulate", "--problem", "allzero", "--input", "00",
+                     "--construction", construction, "--dump-state", "--checkpoints", "--json")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    out, probe = proc.stdout.splitlines()
+    assert json.loads(out)["final_state"] and json.loads(out)["checkpoints"]
+    assert json.loads(probe) == {"made": [], "reference": False}
+
+
 @pytest.mark.parametrize("call, module", [
-    ("StateVector.basis(1, 0).apply(Gate.h(0))", "quasiq.reference"),
+    ("quasistate.StateVector.basis(1, 0).apply(Gate.h(0))", "quasiq.reference"),
+    ("quasistate._NumeratorState(1, [0]).to_state()", "quasiq.reference"),
+    ("__import__('quasiq.circuitgen', fromlist=['_']).Numerators(1, 0, {0: (1, 0)}).match('*')",
+     "quasiq.reference"),
     ("str(Amplitude(1, 1, 1))", "quasiq.reference"),
     ("Amplitude(2, 0).div_exact(Amplitude(1, 1))", "quasiq.reference"),
     ("verifierkit.random_dual_pair(1, 2, random.Random(0))", "quasiq.generators"),
@@ -1009,12 +1033,12 @@ def test_verify_checks_numerators_and_builds_no_state(tmp_path, table):
      "quasiq.reference"),
     ("__import__('quasiq.harness.dsl', fromlist=['_']).dsl_verifier('b[0]', 1, 1, 'v')",
      "quasiq.harness.dsl_language"),
-], ids=["apply", "str", "div-exact", "random-pair", "random-table", "reader", "duals", "dsl-eval",
-        "dsl-language"])
+], ids=["apply", "to-state", "numerators-read", "str", "div-exact", "random-pair", "random-table",
+        "reader", "duals", "dsl-eval", "dsl-language"])
 def test_deferred_code_loads_on_first_use(call, module):
     proc = run_fresh("import random, sys; from quasiq import verifierkit; "
                      "from quasiq.exactnum import Amplitude; "
-                     "from quasiq.quasistate import Gate, StateVector; "
+                     "from quasiq import quasistate; from quasiq.quasistate import Gate; "
                      f"print({module!r} in sys.modules); {call}; print({module!r} in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
@@ -1028,6 +1052,16 @@ def test_a_module_loads_only_the_modules_it_imports():
                      "import quasiq.verifierkit; print('quasiq.circuitgen' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["['quasiq', 'quasiq.exactnum']", "False"]
+
+
+def test_importing_quasistate_loads_no_reference():
+    """StateVector lives in quasiq.reference; quasistate gives it under its old
+    name only when asked for, and no other name that way."""
+    proc = run_fresh("import sys, quasiq.quasistate as q; print('quasiq.reference' in sys.modules); "
+                     "from quasiq.quasistate import StateVector; from quasiq import reference; "
+                     "print(StateVector is reference.StateVector); print(hasattr(q, 'apply_gate'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "True", "False"]
 
 
 @pytest.mark.parametrize("text", ["(" * 400 + "b[0]" + ")" * 400, "!" * 3000 + "b[0]",
@@ -1271,7 +1305,8 @@ def test_a_negative_exponent_is_refused_quickly_by_every_reader(monkeypatch, cap
     through Amplitude.from_json, which refuses e < 0 before any shift; main maps
     the ValueError to exit 2 with one line naming the field."""
     from quasiq.circuitgen import RunOutcome, run_un
-    from quasiq.quasistate import Gate, StateVector
+    from quasiq.quasistate import Gate
+    from quasiq.reference import StateVector
     from quasiq.verifierkit import builtin_problems
 
     outcome = run_un(builtin_problems()["parity"].pair(1), (1,), True).to_json()
@@ -1297,7 +1332,8 @@ def test_a_negative_exponent_is_refused_quickly_by_every_reader(monkeypatch, cap
 def test_every_canonical_amplitude_dump_reads_back(c0, c1, e):
     amp = Amplitude(c0, c1, e)
     assert Amplitude.from_json(json.loads(json.dumps(amp.to_json()))) == amp
-    from quasiq.quasistate import Gate, StateVector
+    from quasiq.quasistate import Gate
+    from quasiq.reference import StateVector
     if amp:
         gate = Gate.n(0, amp)
         assert Gate.from_json(json.loads(json.dumps(gate.to_json()))) == gate

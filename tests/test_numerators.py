@@ -26,14 +26,13 @@ from quasiq.quasistate import (
     _KINDS,
     Gate,
     NotInvertibleError,
-    StateVector,
     WireError,
     _amplitude,
     _NumeratorState,
     bits_of,
     key_of,
 )
-from quasiq.reference import apply_by_reference
+from quasiq.reference import StateVector, apply_by_reference
 from quasiq.verifierkit import Verifier, random_dual_pair, table_verifier
 
 from test_acceptance import all_inputs, builtin_pairs, lemma_pairs
@@ -891,9 +890,11 @@ def check_reads(sector, data):
     """Every read the runs' checks make of a sector equals the same quantity
     computed on its StateVector: masses of a pattern and of the rest, a projected
     mass, the amplitude at a key compared in integers, the whole state compared,
-    a wire's values, and the ancilla test."""
+    its JSON dump, a wire's values, and the ancilla test."""
+    dump = sector.to_json()
     ref, width = sector.to_state(), sector.width
     assert ref == StateVector(width, {key: _amplitude(*c, sector.k) for key, c in sector.numerators.items()})
+    assert dump == ref.to_json()
     mask = data.draw(st.integers(0, 2**width - 1))
     value = data.draw(st.integers(0, 2**width - 1)) & mask
     wire = data.draw(st.integers(0, width - 1))
@@ -943,6 +944,25 @@ def test_numerator_reads_of_a_run_match_its_state(case, data):
     except (ExactDivisionError, NotInvertibleError, WireError):
         return
     check_reads(Numerators(width, kernel.k, kernel.sectors((0,), width)[0]), data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inner_cases(), st.booleans())
+def test_a_printed_state_is_its_statevectors_dump(case, dense):
+    """Numerators.to_json, which simulate prints, is to_state().to_json() written from the
+    numerators without building the StateVector, on sparse states and on dense ones (H on
+    every wire and unequal amplitudes first)."""
+    width, key, gates, inner = case
+    kernel = _NumeratorState(width, [key], inner)
+    try:
+        kernel.run([*spread(width), *gates] if dense else gates)
+    except (ExactDivisionError, NotInvertibleError, WireError):
+        return
+    sector = Numerators(width, kernel.k, kernel.sectors((0,), width)[0])
+    dump = sector.to_json()
+    assert sector._state is None
+    assert dump == sector.to_state().to_json() == kernel.to_state().to_json()
+    assert [entry["basis"] for entry in dump] == sorted(format(key, f"0{width}b") for key in sector.numerators)
 
 
 @settings(max_examples=200, deadline=None)

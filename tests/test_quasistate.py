@@ -13,13 +13,12 @@ from quasiq.quasistate import (
     Gate,
     NotInvertibleError,
     ProjectionError,
-    StateVector,
     WireError,
     bits_of,
     key_of,
     label_of,
 )
-from quasiq.reference import compile_pattern
+from quasiq.reference import StateVector, compile_pattern
 
 
 def amp(c0, c1=0, e=0):

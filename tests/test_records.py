@@ -12,7 +12,8 @@ from quasiq.exactnum import HALF, ONE, Amplitude
 from quasiq.harness import cli, problems
 from quasiq.harness.dsl import BinOp, Lit, Not, Parity, Ref, _Token, dsl_verifier
 from quasiq.harness.problems import ProblemSpec, ResolvedProblem
-from quasiq.quasistate import Gate, StateVector, WireError
+from quasiq.quasistate import Gate, WireError
+from quasiq.reference import StateVector
 from quasiq.verifierkit import (
     BuiltinProblem,
     DualVerifierPair,
